@@ -21,153 +21,30 @@ import numpy as np
 
 from . import __version__
 from .analysis import MODELS, count_peaks, fit_model
-from .config import (EXPERIMENTS, RunConfig, build_config, dump_config,
-                     parse_config_text)
-from .dynamics import SpinRelaxParams, spin_relaxation_rate
-from .ensemble import ions_above_purcell, sample_ensemble
+from .config import RunConfig, build_config, dump_config, parse_config_text
 from .errors import (CapacityError, ConfigError, DomainError, FitError,
                      IntegrationError)
-from .experiments import (ScanAxis, ScanPlan, run_cavity_sweep, run_g2,
-                          run_lifetime, run_ple_scan, run_saturation_series,
-                          run_zeeman_series)
+from .experiments import EXPERIMENTS
 from .output import (read_csv, write_csv_atomic, write_json_atomic,
                      write_text_atomic)
 
-# rank keys 0..n-1 belong to scan points; the ensemble draw gets its own slot
-_ENSEMBLE_STREAM = 2**32
 
-
-def _write_table(outdir: str, base: str, cols, meta, fmt: str) -> str:
+def _execute(cfg: RunConfig, outdir: str, fmt: str) -> list[str]:
+    """Run cfg.experiment and return the data file names written."""
+    cols, meta, clicks = EXPERIMENTS[cfg.experiment](cfg)
+    meta = {**meta, "config_hash": cfg.config_hash()}
     if fmt == "json":
-        name = base + ".json"
+        name = cfg.experiment + ".json"
         payload = {"header": meta,
                    "columns": {k: [float(x) for x in arr] for k, arr in cols}}
         write_json_atomic(os.path.join(outdir, name), payload)
     else:
-        name = base + ".csv"
+        name = cfg.experiment + ".csv"
         write_csv_atomic(os.path.join(outdir, name), cols, header=meta)
-    return name
-
-
-def _execute(cfg: RunConfig, threads: int, outdir: str, fmt: str) -> list[str]:
-    """Run cfg.experiment and return the data file names written."""
-    extra = {"config_hash": cfg.config_hash()}
-    files: list[str] = []
-
-    if cfg.experiment == "ple":
-        if cfg.ensemble_enabled:
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=cfg.seed, spawn_key=(_ENSEMBLE_STREAM,)))
-            ions = sample_ensemble(cfg.ensemble, cfg.cavity, cfg.emitter,
-                                   rng, cfg.envelope)
-        else:
-            ions = [cfg.ion]
-        plan = ScanPlan(ScanAxis.LASER_FREQUENCY, cfg.scan.grid(),
-                        cfg.scan.pulses_per_point,
-                        cavity_drift_rate=cfg.scan.drift_rate)
-        res = run_ple_scan(plan, ions, cfg.cavity, cfg.emitter, cfg.sequence,
-                           cfg.detector, cfg.seed, gamma_d=cfg.gamma_d,
-                           co_scan=cfg.scan.co_scan,
-                           background_coeff=cfg.scan.background_coeff,
-                           threads=threads)
-        cols, meta = res.table({**extra, "n_ions": len(ions)})
-        files.append(_write_table(outdir, "ple", cols, meta, fmt))
-
-    elif cfg.experiment == "lifetime":
-        res = run_lifetime(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
-                           cfg.detector, cfg.lifetime.n_pulses, cfg.seed,
-                           gamma_d=cfg.gamma_d,
-                           laser_detuning_hz=cfg.lifetime.laser_detuning,
-                           cavity_detuning_hz=cfg.lifetime.cavity_detuning,
-                           background_per_pulse=cfg.lifetime.background_per_pulse,
-                           n_bins=cfg.lifetime.n_bins)
-        cols, meta = res.table(extra)
-        files.append(_write_table(outdir, "lifetime", cols, meta, fmt))
-        res.stream.to_binary(os.path.join(outdir, "clicks.bin"))
-        files.append("clicks.bin")
-
-    elif cfg.experiment == "cavity_sweep":
-        detunings = np.linspace(-cfg.sweep.span / 2.0, cfg.sweep.span / 2.0,
-                                cfg.sweep.n_points)
-        res = run_cavity_sweep(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
-                               detunings, cfg.sweep.pulses_per_point,
-                               cfg.seed, gamma_d=cfg.gamma_d,
-                               eta_total=cfg.detector.eta_total,
-                               dark_rate=cfg.detector.dark_rate,
-                               n_bins=cfg.sweep.n_bins,
-                               gate_factor=cfg.sweep.gate_factor)
-        cols, meta = res.table(extra)
-        files.append(_write_table(outdir, "cavity_sweep", cols, meta, fmt))
-
-    elif cfg.experiment == "saturation":
-        if not 0 < cfg.saturation.power_min < cfg.saturation.power_max:
-            raise ConfigError("[saturation]: need 0 < power_min < power_max")
-        powers = np.geomspace(cfg.saturation.power_min,
-                              cfg.saturation.power_max,
-                              cfg.saturation.n_points)
-        res = run_saturation_series(cfg.ion, cfg.cavity, cfg.emitter, powers,
-                                    cfg.detector,
-                                    cfg.scan.pulses_per_point, cfg.seed,
-                                    excite_duration=cfg.sequence.excite_duration,
-                                    rep_period=cfg.sequence.rep_period,
-                                    off_detuning_hz=cfg.saturation.off_detuning,
-                                    gamma_d=cfg.gamma_d,
-                                    background_coeff=cfg.scan.background_coeff)
-        cols, meta = res.table(extra)
-        files.append(_write_table(outdir, "saturation", cols, meta, fmt))
-
-    elif cfg.experiment == "zeeman":
-        res = run_zeeman_series(cfg.ion, cfg.cavity, cfg.emitter,
-                                cfg.sequence, cfg.detector,
-                                np.asarray(cfg.zeeman_fields), cfg.seed,
-                                zeeman_base=cfg.zeeman,
-                                pulses_per_point=cfg.zeeman_pulses,
-                                gamma_d=cfg.gamma_d)
-        cols, meta = res.table(extra)
-        files.append(_write_table(outdir, "zeeman", cols, meta, fmt))
-
-    elif cfg.experiment == "g2":
-        blink = cfg.g2.blink if cfg.g2.blink.enabled else None
-        res = run_g2(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
-                     cfg.detector, cfg.g2.n_pulses, cfg.seed,
-                     gamma_d=cfg.gamma_d, blink=blink,
-                     background_per_pulse=cfg.g2.background_per_pulse,
-                     max_offset=cfg.g2.max_offset)
-        cols, meta = res.table(extra)
-        files.append(_write_table(outdir, "g2", cols, meta, fmt))
-        res.stream.to_binary(os.path.join(outdir, "clicks.bin"))
-        files.append("clicks.bin")
-
-    elif cfg.experiment == "spin_t1":
-        temps = cfg.spin.temperatures()
-        rates = np.empty(len(temps))
-        for i, t in enumerate(temps):
-            params = SpinRelaxParams(temperature=float(t),
-                                     spin_splitting=cfg.spin.nu_hz / 1e9,
-                                     a_direct=cfg.spin.a_direct,
-                                     a_raman=cfg.spin.a_raman,
-                                     a_orbach=cfg.spin.a_orbach,
-                                     delta_orbach=cfg.spin.delta_orbach)
-            rates[i] = spin_relaxation_rate(params)
-        with np.errstate(divide="ignore"):
-            t1 = np.where(rates > 0, 1.0 / np.maximum(rates, 1e-300), np.inf)
-        cols = [("temperature_k", temps), ("rate_per_s", rates), ("t1_s", t1)]
-        meta = {**extra, "nu_ghz": cfg.spin.nu_hz / 1e9, "seed": cfg.seed}
-        files.append(_write_table(outdir, "spin_t1", cols, meta, fmt))
-
-    elif cfg.experiment == "purcell_stats":
-        fracs = np.linspace(cfg.stats.fraction_min, cfg.stats.fraction_max,
-                            cfg.stats.n_points)
-        counts = np.array([
-            ions_above_purcell(cfg.ensemble, cfg.cavity, float(f),
-                               envelope=cfg.envelope) for f in fracs])
-        cols = [("p_star_fraction", fracs), ("expected_count", counts)]
-        meta = {**extra, "seed": cfg.seed}
-        files.append(_write_table(outdir, "purcell_stats", cols, meta, fmt))
-
-    else:  # unreachable: build_config validates the name
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    return files
+    if clicks is None:
+        return [name]
+    clicks.to_binary(os.path.join(outdir, "clicks.bin"))
+    return [name, "clicks.bin"]
 
 
 def _sha256_file(path: str) -> str:
@@ -201,7 +78,7 @@ def _cmd_run(args) -> int:
     outdir = os.path.join(cfg.output_dir, f"{cfg.experiment}-seed{cfg.seed}")
     os.makedirs(outdir, exist_ok=True)
     started = time.monotonic()
-    files = _execute(cfg, args.threads, outdir, args.format)
+    files = _execute(cfg, outdir, args.format)
     write_text_atomic(os.path.join(outdir, "config.txt"), dump_config(cfg))
     files.append("config.txt")
     manifest = {
@@ -327,8 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             + ") or a config file path")
     run_p.add_argument("--seed", type=int, help="override the RNG seed")
     run_p.add_argument("--output", help="override the output directory")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for scan points (default 1)")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="data file format (default csv)")
     run_p.add_argument("--temp-grid", dest="temp_grid",

@@ -18,23 +18,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .constants import TWO_PI
-from .detection import BlinkConfig, DetectorConfig
+from .detection import DetectorConfig
 from .ensemble import EnsembleConfig, IonRecord, ZeemanConfig
 from .errors import ConfigError
-from .experiments import PulseSequence
+from .experiments import EXPERIMENTS, PulseSequence
 from .output import sha256_text
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope
-
-EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman",
-               "g2", "spin_t1", "purcell_stats")
 
 
 class Kind(Enum):
     STR = "string"
-    INT = "integer"
+    COUNT = "positive integer"
+    NATURAL = "non-negative integer"
     BOOL = "boolean"
     PLAIN = "dimensionless number"
     FREQ = "frequency"
@@ -67,6 +63,8 @@ _UNITS[Kind.VEC_BFIELD] = _UNITS[Kind.BFIELD]
 _UNITS[Kind.BFIELD_LIST] = _UNITS[Kind.BFIELD]
 _UNITS[Kind.INTERVALS] = _UNITS[Kind.FREQ]
 _UNITS[Kind.TEMP_GRID] = _UNITS[Kind.TEMP]
+
+_INT_FLOOR = {Kind.COUNT: 1, Kind.NATURAL: 0}
 
 _EXAMPLE = {Kind.FREQ: "3.85 GHz", Kind.TIME: "10 us", Kind.POWER: "1 nW",
             Kind.LENGTH: "45 nm", Kind.BFIELD: "2 mT", Kind.TEMP: "4 K",
@@ -166,11 +164,14 @@ def parse_value(text: str, kind: Kind, where: str):
         if low in ("false", "no", "off", "0"):
             return False
         raise _fail(where, f"expected true/false, got {text!r}")
-    if kind is Kind.INT:
+    if kind in _INT_FLOOR:
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise _fail(where, f"expected an integer, got {text!r}") from None
+        if value < _INT_FLOOR[kind]:
+            raise _fail(where, f"expected a {kind.value}, got {text!r}")
+        return value
     if kind is Kind.PLAIN:
         if len(text.split()) != 1:
             raise _fail(where, f"takes a bare number (no unit), got {text!r}")
@@ -187,256 +188,95 @@ def parse_value(text: str, kind: Kind, where: str):
     return _scalar_with_unit(text, kind, where)
 
 
-# (section, key) -> value kind; DEFAULTS below must cover the same keys.
-REGISTRY: dict[tuple[str, str], Kind] = {
-    ("", "experiment"): Kind.STR,
-    ("", "seed"): Kind.INT,
-    ("", "output_dir"): Kind.STR,
-    ("cavity", "frequency"): Kind.FREQ,
-    ("cavity", "kappa"): Kind.FREQ,
-    ("cavity", "eta_cav"): Kind.PLAIN,
-    ("cavity", "g_interface"): Kind.FREQ,
-    ("cavity", "z_half"): Kind.LENGTH,
-    ("cavity", "interface_fraction"): Kind.PLAIN,
-    ("emitter", "gamma0"): Kind.FREQ,
-    ("emitter", "beta"): Kind.PLAIN,
-    ("emitter", "n_host"): Kind.PLAIN,
-    ("emitter", "frequency"): Kind.FREQ,
-    ("emitter", "gamma_dephasing"): Kind.FREQ,
-    ("ion", "offset"): Kind.FREQ,
-    ("ion", "purcell"): Kind.PLAIN,
-    ("ion", "delta_g"): Kind.PLAIN,
-    ("detector", "eta_total"): Kind.PLAIN,
-    ("detector", "dark_rate"): Kind.FREQ,
-    ("detector", "gate_start"): Kind.TIME,
-    ("detector", "gate_duration"): Kind.TIME,
-    ("detector", "dead_time"): Kind.TIME,
-    ("sequence", "power"): Kind.POWER,
-    ("sequence", "excite"): Kind.TIME,
-    ("sequence", "period"): Kind.TIME,
-    ("ensemble", "enabled"): Kind.BOOL,
-    ("ensemble", "ppm"): Kind.PLAIN,
-    ("ensemble", "density_per_m3"): Kind.PLAIN,
-    ("ensemble", "site1_fraction"): Kind.PLAIN,
-    ("ensemble", "center_offset"): Kind.FREQ,
-    ("ensemble", "sigma"): Kind.FREQ,
-    ("ensemble", "region"): Kind.VEC_LENGTH,
-    ("ensemble", "max_count"): Kind.INT,
-    ("ensemble", "waist_x"): Kind.LENGTH,
-    ("ensemble", "waist_y"): Kind.LENGTH,
-    ("scan", "center_offset"): Kind.FREQ,
-    ("scan", "span"): Kind.FREQ,
-    ("scan", "step"): Kind.FREQ,
-    ("scan", "pulses_per_point"): Kind.INT,
-    ("scan", "drift"): Kind.DRIFT,
-    ("scan", "co_scan"): Kind.BOOL,
-    ("scan", "background_coeff"): Kind.PLAIN,
-    ("scan", "mask"): Kind.INTERVALS,
-    ("lifetime", "n_pulses"): Kind.INT,
-    ("lifetime", "n_bins"): Kind.INT,
-    ("lifetime", "laser_detuning"): Kind.FREQ,
-    ("lifetime", "cavity_detuning"): Kind.FREQ,
-    ("lifetime", "background_per_pulse"): Kind.PLAIN,
-    ("cavity_sweep", "span"): Kind.FREQ,
-    ("cavity_sweep", "n_points"): Kind.INT,
-    ("cavity_sweep", "pulses_per_point"): Kind.INT,
-    ("cavity_sweep", "gate_factor"): Kind.PLAIN,
-    ("cavity_sweep", "n_bins"): Kind.INT,
-    ("saturation", "power_min"): Kind.POWER,
-    ("saturation", "power_max"): Kind.POWER,
-    ("saturation", "n_points"): Kind.INT,
-    ("saturation", "off_detuning"): Kind.FREQ,
-    ("zeeman", "b_offset"): Kind.VEC_BFIELD,
-    ("zeeman", "spin_flip_strength"): Kind.PLAIN,
-    ("zeeman", "sum_g"): Kind.PLAIN,
-    ("zeeman", "fields"): Kind.BFIELD_LIST,
-    ("zeeman", "pulses_per_point"): Kind.INT,
-    ("g2", "n_pulses"): Kind.INT,
-    ("g2", "max_offset"): Kind.INT,
-    ("g2", "background_per_pulse"): Kind.PLAIN,
-    ("g2", "blink"): Kind.BOOL,
-    ("g2", "p_bright"): Kind.PLAIN,
-    ("g2", "switch_time"): Kind.TIME,
-    ("spin_t1", "temp_grid"): Kind.TEMP_GRID,
-    ("spin_t1", "nu"): Kind.FREQ,
-    ("spin_t1", "a_direct"): Kind.PLAIN,
-    ("spin_t1", "a_raman"): Kind.PLAIN,
-    ("spin_t1", "a_orbach"): Kind.PLAIN,
-    ("spin_t1", "delta_orbach"): Kind.PLAIN,
-    ("purcell_stats", "fraction_min"): Kind.PLAIN,
-    ("purcell_stats", "fraction_max"): Kind.PLAIN,
-    ("purcell_stats", "n_points"): Kind.INT,
-}
-
-DEFAULTS: dict[tuple[str, str], str] = {
-    ("", "experiment"): "ple",
-    ("", "seed"): "1",
-    ("", "output_dir"): "cavityspec-out",
-    ("cavity", "frequency"): "195.1188 THz",
-    ("cavity", "kappa"): "3.85 GHz",
-    ("cavity", "eta_cav"): "0.16",
-    ("cavity", "g_interface"): "2.62 MHz",
-    ("cavity", "z_half"): "45 nm",
-    ("cavity", "interface_fraction"): "0.36",
-    ("emitter", "gamma0"): "14 Hz",
-    ("emitter", "beta"): "0.21",
-    ("emitter", "n_host"): "1.80",
-    ("emitter", "frequency"): "195 THz",
-    ("emitter", "gamma_dephasing"): "3.1 MHz",
-    ("ion", "offset"): "0 Hz",
-    ("ion", "purcell"): "320",
-    ("ion", "delta_g"): "1.55",
-    ("detector", "eta_total"): "0.04",
-    ("detector", "dark_rate"): "100 Hz",
-    ("detector", "gate_start"): "10 us",
-    ("detector", "gate_duration"): "82 us",
-    ("detector", "dead_time"): "0 s",
-    ("sequence", "power"): "50 pW",
-    ("sequence", "excite"): "10 us",
-    ("sequence", "period"): "100 us",
-    ("ensemble", "enabled"): "false",
-    ("ensemble", "ppm"): "3",
-    ("ensemble", "density_per_m3"): "0",
-    ("ensemble", "site1_fraction"): "0.5",
-    ("ensemble", "center_offset"): "0 Hz",
-    ("ensemble", "sigma"): "2.9 GHz",
-    ("ensemble", "region"): "(2, 1, 0.15) um",
-    ("ensemble", "max_count"): "10000000",
-    ("ensemble", "waist_x"): "800 nm",
-    ("ensemble", "waist_y"): "325 nm",
-    ("scan", "center_offset"): "0 Hz",
-    ("scan", "span"): "100 MHz",
-    ("scan", "step"): "0.5 MHz",
-    ("scan", "pulses_per_point"): "2000",
-    ("scan", "drift"): "0 Hz/s",
-    ("scan", "co_scan"): "true",
-    ("scan", "background_coeff"): "0",
-    ("scan", "mask"): "",
-    ("lifetime", "n_pulses"): "100000",
-    ("lifetime", "n_bins"): "64",
-    ("lifetime", "laser_detuning"): "0 Hz",
-    ("lifetime", "cavity_detuning"): "0 Hz",
-    ("lifetime", "background_per_pulse"): "0",
-    ("cavity_sweep", "span"): "9.24 GHz",
-    ("cavity_sweep", "n_points"): "13",
-    ("cavity_sweep", "pulses_per_point"): "30000",
-    ("cavity_sweep", "gate_factor"): "6",
-    ("cavity_sweep", "n_bins"): "48",
-    ("saturation", "power_min"): "10 pW",
-    ("saturation", "power_max"): "10 nW",
-    ("saturation", "n_points"): "9",
-    ("saturation", "off_detuning"): "200 MHz",
-    ("zeeman", "b_offset"): "(1, 0, 0) G",
-    ("zeeman", "spin_flip_strength"): "0",
-    ("zeeman", "sum_g"): "0",
-    ("zeeman", "fields"): "2 mT, 4 mT, 6 mT, 8 mT, 10 mT",
+# (section, key) -> (kind, default), in the order dump_config writes them
+SETTINGS: dict[tuple[str, str], tuple[Kind, str]] = {
+    ("", "experiment"): (Kind.STR, "ple"),
+    ("", "seed"): (Kind.NATURAL, "1"),
+    ("", "output_dir"): (Kind.STR, "cavityspec-out"),
+    ("cavity", "frequency"): (Kind.FREQ, "195.1188 THz"),
+    ("cavity", "kappa"): (Kind.FREQ, "3.85 GHz"),
+    ("cavity", "eta_cav"): (Kind.PLAIN, "0.16"),
+    ("cavity", "g_interface"): (Kind.FREQ, "2.62 MHz"),
+    ("cavity", "z_half"): (Kind.LENGTH, "45 nm"),
+    ("cavity", "interface_fraction"): (Kind.PLAIN, "0.36"),
+    ("emitter", "gamma0"): (Kind.FREQ, "14 Hz"),
+    ("emitter", "beta"): (Kind.PLAIN, "0.21"),
+    ("emitter", "n_host"): (Kind.PLAIN, "1.80"),
+    ("emitter", "frequency"): (Kind.FREQ, "195 THz"),
+    ("emitter", "gamma_dephasing"): (Kind.FREQ, "3.1 MHz"),
+    ("ion", "offset"): (Kind.FREQ, "0 Hz"),
+    ("ion", "purcell"): (Kind.PLAIN, "320"),
+    ("ion", "delta_g"): (Kind.PLAIN, "1.55"),
+    ("detector", "eta_total"): (Kind.PLAIN, "0.04"),
+    ("detector", "dark_rate"): (Kind.FREQ, "100 Hz"),
+    ("detector", "gate_start"): (Kind.TIME, "10 us"),
+    ("detector", "gate_duration"): (Kind.TIME, "82 us"),
+    ("detector", "dead_time"): (Kind.TIME, "0 s"),
+    ("sequence", "power"): (Kind.POWER, "50 pW"),
+    ("sequence", "excite"): (Kind.TIME, "10 us"),
+    ("sequence", "period"): (Kind.TIME, "100 us"),
+    ("ensemble", "enabled"): (Kind.BOOL, "false"),
+    ("ensemble", "ppm"): (Kind.PLAIN, "3"),
+    ("ensemble", "density_per_m3"): (Kind.PLAIN, "0"),
+    ("ensemble", "site1_fraction"): (Kind.PLAIN, "0.5"),
+    ("ensemble", "center_offset"): (Kind.FREQ, "0 Hz"),
+    ("ensemble", "sigma"): (Kind.FREQ, "2.9 GHz"),
+    ("ensemble", "region"): (Kind.VEC_LENGTH, "(2, 1, 0.15) um"),
+    ("ensemble", "max_count"): (Kind.COUNT, "10000000"),
+    ("ensemble", "waist_x"): (Kind.LENGTH, "800 nm"),
+    ("ensemble", "waist_y"): (Kind.LENGTH, "325 nm"),
+    ("scan", "center_offset"): (Kind.FREQ, "0 Hz"),
+    ("scan", "span"): (Kind.FREQ, "100 MHz"),
+    ("scan", "step"): (Kind.FREQ, "0.5 MHz"),
+    ("scan", "pulses_per_point"): (Kind.COUNT, "2000"),
+    ("scan", "drift"): (Kind.DRIFT, "0 Hz/s"),
+    ("scan", "co_scan"): (Kind.BOOL, "true"),
+    ("scan", "background_coeff"): (Kind.PLAIN, "0"),
+    ("scan", "mask"): (Kind.INTERVALS, ""),
+    ("lifetime", "n_pulses"): (Kind.COUNT, "100000"),
+    ("lifetime", "n_bins"): (Kind.COUNT, "64"),
+    ("lifetime", "laser_detuning"): (Kind.FREQ, "0 Hz"),
+    ("lifetime", "cavity_detuning"): (Kind.FREQ, "0 Hz"),
+    ("lifetime", "background_per_pulse"): (Kind.PLAIN, "0"),
+    ("cavity_sweep", "span"): (Kind.FREQ, "9.24 GHz"),
+    ("cavity_sweep", "n_points"): (Kind.COUNT, "13"),
+    ("cavity_sweep", "pulses_per_point"): (Kind.COUNT, "30000"),
+    ("cavity_sweep", "gate_factor"): (Kind.PLAIN, "6"),
+    ("cavity_sweep", "n_bins"): (Kind.COUNT, "48"),
+    ("saturation", "power_min"): (Kind.POWER, "10 pW"),
+    ("saturation", "power_max"): (Kind.POWER, "10 nW"),
+    ("saturation", "n_points"): (Kind.COUNT, "9"),
+    ("saturation", "off_detuning"): (Kind.FREQ, "200 MHz"),
+    ("zeeman", "b_offset"): (Kind.VEC_BFIELD, "(1, 0, 0) G"),
+    ("zeeman", "spin_flip_strength"): (Kind.PLAIN, "0"),
+    ("zeeman", "sum_g"): (Kind.PLAIN, "0"),
+    ("zeeman", "fields"): (Kind.BFIELD_LIST, "2 mT, 4 mT, 6 mT, 8 mT, 10 mT"),
     # the short default excite pulse undersettles the ion, so peak finding
     # needs more shots per point than the other scans
-    ("zeeman", "pulses_per_point"): "30000",
-    ("g2", "n_pulses"): "1000000",
-    ("g2", "max_offset"): "10",
-    ("g2", "background_per_pulse"): "0",
-    ("g2", "blink"): "false",
-    ("g2", "p_bright"): "1",
-    ("g2", "switch_time"): "800 us",
-    ("spin_t1", "temp_grid"): "2:8:0.5 K",
-    ("spin_t1", "nu"): "9 GHz",
-    ("spin_t1", "a_direct"): "5e-5",
-    ("spin_t1", "a_raman"): "1.3e-3",
-    ("spin_t1", "a_orbach"): "2.5e10",
-    ("spin_t1", "delta_orbach"): "6.4",
-    ("purcell_stats", "fraction_min"): "0.02",
-    ("purcell_stats", "fraction_max"): "1",
-    ("purcell_stats", "n_points"): "25",
+    ("zeeman", "pulses_per_point"): (Kind.COUNT, "30000"),
+    ("g2", "n_pulses"): (Kind.COUNT, "1000000"),
+    ("g2", "max_offset"): (Kind.NATURAL, "10"),
+    ("g2", "background_per_pulse"): (Kind.PLAIN, "0"),
+    ("g2", "blink"): (Kind.BOOL, "false"),
+    ("g2", "p_bright"): (Kind.PLAIN, "1"),
+    ("g2", "switch_time"): (Kind.TIME, "800 us"),
+    ("spin_t1", "temp_grid"): (Kind.TEMP_GRID, "2:8:0.5 K"),
+    ("spin_t1", "nu"): (Kind.FREQ, "9 GHz"),
+    ("spin_t1", "a_direct"): (Kind.PLAIN, "5e-5"),
+    ("spin_t1", "a_raman"): (Kind.PLAIN, "1.3e-3"),
+    ("spin_t1", "a_orbach"): (Kind.PLAIN, "2.5e10"),
+    ("spin_t1", "delta_orbach"): (Kind.PLAIN, "6.4"),
+    ("purcell_stats", "fraction_min"): (Kind.PLAIN, "0.02"),
+    ("purcell_stats", "fraction_max"): (Kind.PLAIN, "1"),
+    ("purcell_stats", "n_points"): (Kind.COUNT, "25"),
 }
-
-_SECTION_ORDER = ("", "cavity", "emitter", "ion", "detector", "sequence",
-                  "ensemble", "scan", "lifetime", "cavity_sweep",
-                  "saturation", "zeeman", "g2", "spin_t1", "purcell_stats")
-
-
-@dataclass(frozen=True)
-class ScanOptions:
-    center: float
-    span: float
-    step: float
-    pulses_per_point: int
-    drift_rate: float
-    co_scan: bool
-    background_coeff: float
-    mask: tuple[tuple[float, float], ...]  # Hz, relative to center
-
-    def grid(self) -> np.ndarray:
-        """Symmetric grid around the centre with masked intervals removed."""
-        if self.step <= 0 or self.span <= 0:
-            raise ConfigError("[scan]: span and step must be positive")
-        n_half = int(round(self.span / 2.0 / self.step))
-        offsets = np.arange(-n_half, n_half + 1) * self.step
-        keep = np.ones(len(offsets), dtype=bool)
-        for lo, hi in self.mask:
-            keep &= ~((offsets >= lo) & (offsets <= hi))
-        if not np.any(keep):
-            raise ConfigError("[scan]: mask removes every grid point")
-        return self.center + offsets[keep]
-
-
-@dataclass(frozen=True)
-class LifetimeOptions:
-    n_pulses: int
-    n_bins: int
-    laser_detuning: float
-    cavity_detuning: float
-    background_per_pulse: float
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    span: float
-    n_points: int
-    pulses_per_point: int
-    gate_factor: float
-    n_bins: int
-
-
-@dataclass(frozen=True)
-class SaturationOptions:
-    power_min: float
-    power_max: float
-    n_points: int
-    off_detuning: float
-
-
-@dataclass(frozen=True)
-class G2Options:
-    n_pulses: int
-    max_offset: int
-    background_per_pulse: float
-    blink: BlinkConfig
-
-
-@dataclass(frozen=True)
-class SpinT1Options:
-    temp_grid: tuple[float, float, float]
-    nu_hz: float
-    a_direct: float
-    a_raman: float
-    a_orbach: float
-    delta_orbach: float
-
-    def temperatures(self) -> np.ndarray:
-        start, stop, step = self.temp_grid
-        return np.arange(start, stop + step / 2.0, step)
-
-
-@dataclass(frozen=True)
-class StatsOptions:
-    fraction_min: float
-    fraction_max: float
-    n_points: int
 
 
 @dataclass
 class RunConfig:
+    """The physics objects several experiments share, plus every parsed
+    setting, read as cfg[section, key] where an experiment uses it."""
+
     experiment: str
     seed: int
     output_dir: str
@@ -446,30 +286,24 @@ class RunConfig:
     ion: IonRecord
     detector: DetectorConfig
     sequence: PulseSequence
-    ensemble_enabled: bool
     ensemble: EnsembleConfig
     envelope: TransverseEnvelope
     zeeman: ZeemanConfig
-    zeeman_fields: tuple[float, ...]
-    zeeman_pulses: int
-    scan: ScanOptions
-    lifetime: LifetimeOptions
-    sweep: SweepOptions
-    saturation: SaturationOptions
-    g2: G2Options
-    spin: SpinT1Options
-    stats: StatsOptions
+    values: dict[tuple[str, str], object]
     raw: dict[tuple[str, str], str]
+
+    def __getitem__(self, key: tuple[str, str]):
+        return self.values[key]
 
     def config_hash(self) -> str:
         return sha256_text(dump_config(self))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, str], str]:
-    """Raw (section, key) -> value strings, validated against the registry."""
+    """Raw (section, key) -> value strings, validated against SETTINGS."""
     entries: dict[tuple[str, str], str] = {}
     section = ""
-    known_sections = {s for s, _ in REGISTRY}
+    known_sections = {s for s, _ in SETTINGS}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -486,7 +320,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, st
             raise _fail(where, f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if (section, key) not in REGISTRY:
+        if (section, key) not in SETTINGS:
             place = f"[{section}]" if section else "the top level"
             raise _fail(where, f"unknown key {key!r} in {place}")
         entries[(section, key)] = value.strip()
@@ -495,12 +329,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, st
 
 def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConfig:
     """Resolve defaults plus overrides into a typed RunConfig."""
-    raw = dict(DEFAULTS)
+    raw = {key: default for key, (_, default) in SETTINGS.items()}
     raw.update(overrides or {})
     v: dict[tuple[str, str], object] = {}
     for (section, key), text in raw.items():
         where = f"[{section}] {key}" if section else key
-        v[(section, key)] = parse_value(text, REGISTRY[(section, key)], where)
+        v[(section, key)] = parse_value(text, SETTINGS[(section, key)][0],
+                                        where)
 
     experiment = str(v[("", "experiment")]).lower()
     if experiment not in EXPERIMENTS:
@@ -560,61 +395,12 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
         spin_flip_strength=v[("zeeman", "spin_flip_strength")],
         sum_g=sum_g if sum_g > 0 else None)
 
-    scan = ScanOptions(
-        center=cavity.f_cav + v[("scan", "center_offset")],
-        span=v[("scan", "span")],
-        step=v[("scan", "step")],
-        pulses_per_point=v[("scan", "pulses_per_point")],
-        drift_rate=v[("scan", "drift")],
-        co_scan=v[("scan", "co_scan")],
-        background_coeff=v[("scan", "background_coeff")],
-        mask=v[("scan", "mask")])
-    lifetime = LifetimeOptions(
-        n_pulses=v[("lifetime", "n_pulses")],
-        n_bins=v[("lifetime", "n_bins")],
-        laser_detuning=v[("lifetime", "laser_detuning")],
-        cavity_detuning=v[("lifetime", "cavity_detuning")],
-        background_per_pulse=v[("lifetime", "background_per_pulse")])
-    sweep = SweepOptions(
-        span=v[("cavity_sweep", "span")],
-        n_points=v[("cavity_sweep", "n_points")],
-        pulses_per_point=v[("cavity_sweep", "pulses_per_point")],
-        gate_factor=v[("cavity_sweep", "gate_factor")],
-        n_bins=v[("cavity_sweep", "n_bins")])
-    saturation = SaturationOptions(
-        power_min=v[("saturation", "power_min")],
-        power_max=v[("saturation", "power_max")],
-        n_points=v[("saturation", "n_points")],
-        off_detuning=v[("saturation", "off_detuning")])
-    g2 = G2Options(
-        n_pulses=v[("g2", "n_pulses")],
-        max_offset=v[("g2", "max_offset")],
-        background_per_pulse=v[("g2", "background_per_pulse")],
-        blink=BlinkConfig(enabled=v[("g2", "blink")],
-                          p_bright=v[("g2", "p_bright")],
-                          switch_time=v[("g2", "switch_time")]))
-    spin = SpinT1Options(
-        temp_grid=v[("spin_t1", "temp_grid")],
-        nu_hz=v[("spin_t1", "nu")],
-        a_direct=v[("spin_t1", "a_direct")],
-        a_raman=v[("spin_t1", "a_raman")],
-        a_orbach=v[("spin_t1", "a_orbach")],
-        delta_orbach=v[("spin_t1", "delta_orbach")])
-    stats = StatsOptions(
-        fraction_min=v[("purcell_stats", "fraction_min")],
-        fraction_max=v[("purcell_stats", "fraction_max")],
-        n_points=v[("purcell_stats", "n_points")])
-
     return RunConfig(
         experiment=experiment, seed=v[("", "seed")],
         output_dir=v[("", "output_dir")], cavity=cavity, emitter=emitter,
         gamma_d=gamma_d, ion=ion, detector=detector, sequence=sequence,
-        ensemble_enabled=v[("ensemble", "enabled")], ensemble=ensemble,
-        envelope=envelope, zeeman=zeeman,
-        zeeman_fields=v[("zeeman", "fields")],
-        zeeman_pulses=v[("zeeman", "pulses_per_point")],
-        scan=scan, lifetime=lifetime, sweep=sweep, saturation=saturation,
-        g2=g2, spin=spin, stats=stats, raw=raw)
+        ensemble=ensemble, envelope=envelope, zeeman=zeeman, values=v,
+        raw=raw)
 
 
 def load_config(path) -> RunConfig:
@@ -638,12 +424,12 @@ def dump_config(cfg: RunConfig) -> str:
     the bundle lands.
     """
     lines: list[str] = []
-    for section in _SECTION_ORDER:
-        keys = [k for (s, k) in REGISTRY
-                if s == section and (s, k) != ("", "output_dir")]
-        if section:
-            lines.append("")
-            lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {cfg.raw[(section, key)]}")
+    section = ""
+    for s, key in SETTINGS:
+        if (s, key) == ("", "output_dir"):
+            continue
+        if s != section:
+            section = s
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {cfg.raw[(s, key)]}")
     return "\n".join(lines) + "\n"

@@ -3,16 +3,17 @@
 Each runner turns a parameter plan plus an integer seed into synthetic
 data, drawing per-point generators from SeedSequence(seed, spawn_key=rank)
 where rank is the point's position in the sorted grid.  Reordering a
-drift-free grid therefore permutes the output without changing any value,
-and a two-thread run reproduces a serial one bit for bit.
+drift-free grid therefore permutes the output without changing any value.
+
+EXPERIMENTS, at the end, maps each experiment name to the function that
+runs it from a RunConfig.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,12 +23,16 @@ from .constants import TWO_PI
 from .detection import (BlinkConfig, ClickStream, DetectorConfig,
                         EmissionModel, g2_background_floor, g2_pulsed,
                         simulate_clicks)
-from .dynamics import (intracavity_photon_number, pulse_excitation,
+from .dynamics import (SpinRelaxParams, intracavity_photon_number,
+                       pulse_excitation, spin_relaxation_rate,
                        window_capture_fraction)
-from .ensemble import IonRecord, ZeemanConfig, zeeman_lines, zeeman_splitting
+from .ensemble import (IonRecord, ZeemanConfig, ions_above_purcell,
+                       sample_ensemble, zeeman_lines, zeeman_splitting)
 from .errors import ConfigError, DomainError, FitError
-from .output import write_csv_atomic
 from .physics import CavityParams, EmitterConstants
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 GAMMA_D_DEFAULT = TWO_PI * 3.1e6  # pure dephasing at the standard temperature
 
@@ -52,18 +57,10 @@ class PulseSequence:
             raise DomainError("rep_period must cover the excitation pulse")
 
 
-class ScanAxis(str, Enum):
-    LASER_FREQUENCY = "laser_frequency"
-    CAVITY_FREQUENCY = "cavity_frequency"
-    POWER = "power"
-    MAGNETIC_FIELD = "magnetic_field"
-
-
 @dataclass(frozen=True)
 class ScanPlan:
-    """Grid of set points visited in order, all with the same pulse budget."""
+    """Laser frequencies visited in order, all with the same pulse budget."""
 
-    axis: ScanAxis
     grid: np.ndarray
     pulses_per_point: int
     cavity_drift_rate: float = 0.0  # Hz/s of uncommanded cavity motion
@@ -91,23 +88,9 @@ class ScanPlan:
     def n_points(self) -> int:
         return len(self.grid)
 
-    def ranks(self) -> np.ndarray:
-        out = np.empty(len(self.grid), dtype=np.int64)
-        out[np.argsort(self.grid, kind="stable")] = np.arange(len(self.grid))
-        return out
-
-
-_AXIS_COLUMN = {
-    ScanAxis.LASER_FREQUENCY: "laser_freq_hz",
-    ScanAxis.CAVITY_FREQUENCY: "cavity_detuning_hz",
-    ScanAxis.POWER: "input_power_w",
-    ScanAxis.MAGNETIC_FIELD: "b_field_t",
-}
-
 
 @dataclass
 class ScanResult:
-    axis: ScanAxis
     grid: np.ndarray
     counts: np.ndarray
     expected: np.ndarray
@@ -116,32 +99,26 @@ class ScanResult:
     pulses_per_point: int
     seed: int
 
-    def table(self, header: dict | None = None):
-        """Frequency axes are emitted relative to origin_hz (the first grid
+    def table(self):
+        """Frequencies are emitted relative to origin_hz (the first grid
         value) so 12 significant digits keep sub-Hz resolution."""
-        meta = {"axis": self.axis.value,
+        origin = float(self.grid[0])
+        meta = {"axis": "laser_frequency",
                 "pulses_per_point": self.pulses_per_point,
-                "seed": self.seed}
-        if self.axis is ScanAxis.LASER_FREQUENCY:
-            origin = float(self.grid[0])
-            meta["origin_hz"] = repr(origin)
-            axis_col = ("laser_offset_hz", self.grid - origin)
-            cav_col = ("cavity_offset_hz", self.cavity_freq - origin)
-        else:
-            axis_col = (_AXIS_COLUMN[self.axis], self.grid)
-            cav_col = ("cavity_freq_hz", self.cavity_freq)
-        if header:
-            meta.update(header)
-        cols = [axis_col,
+                "seed": self.seed, "origin_hz": repr(origin)}
+        cols = [("laser_offset_hz", self.grid - origin),
                 ("counts", self.counts.astype(float)),
                 ("expected", self.expected),
-                cav_col,
+                ("cavity_offset_hz", self.cavity_freq - origin),
                 ("elapsed_s", self.elapsed)]
         return cols, meta
 
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's position in sorted order: the key of its RNG stream."""
+    out = np.empty(len(values), dtype=np.int64)
+    out[np.argsort(values, kind="stable")] = np.arange(len(values))
+    return out
 
 
 def _child_rng(seed: int, rank: int) -> np.random.Generator:
@@ -199,8 +176,7 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
                  gamma_d: float = GAMMA_D_DEFAULT,
                  zeeman: ZeemanConfig | None = None,
                  co_scan: bool = True,
-                 background_coeff: float = 0.0,
-                 threads: int = 1) -> ScanResult:
+                 background_coeff: float = 0.0) -> ScanResult:
     """Pulsed excitation scan over laser frequency.
 
     Every grid point runs pulses_per_point cycles: excite, gate, count.
@@ -209,14 +185,10 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
     off with the respective detunings.  Ions are Bernoulli click sources,
     dark counts and the unresolved-ion background are Poisson.
     """
-    if plan.axis is not ScanAxis.LASER_FREQUENCY:
-        raise ConfigError(f"PLE scan needs a laser_frequency axis, got {plan.axis.value}")
     if not ions:
         raise DomainError("need at least one ion")
     if background_coeff < 0:
         raise DomainError("background_coeff must be non-negative")
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
     _validate_gate(seq, det)
 
     grid = plan.grid
@@ -288,23 +260,14 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
                                    + background_coeff * n_ph)
     expected = lam + plan.pulses_per_point * np.bincount(
         group_pt, weights=p_group, minlength=n_pts)
-    ranks = plan.ranks()
-
-    def sample(k: int) -> int:
+    ranks = _ranks(grid)
+    counts = np.empty(n_pts, dtype=np.int64)
+    for k in range(n_pts):
         gen = _child_rng(seed, ranks[k])
         sel = p_group[bounds[k]:bounds[k + 1]]
         clicks = int(gen.binomial(plan.pulses_per_point, sel).sum()) if len(sel) else 0
-        return clicks + int(gen.poisson(lam[k]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = np.fromiter(pool.map(sample, range(n_pts)),
-                                 dtype=np.int64, count=n_pts)
-    else:
-        counts = np.fromiter((sample(k) for k in range(n_pts)),
-                             dtype=np.int64, count=n_pts)
-
-    return ScanResult(axis=plan.axis, grid=grid.copy(), counts=counts,
+        counts[k] = clicks + int(gen.poisson(lam[k]))
+    return ScanResult(grid=grid.copy(), counts=counts,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed,
                       pulses_per_point=plan.pulses_per_point, seed=seed)
 
@@ -331,18 +294,12 @@ class LifetimeResult:
     p_excited: float
     seed: int
 
-    def table(self, header: dict | None = None):
+    def table(self):
         meta = {"gamma_true": self.gamma, "p_excited": self.p_excited,
                 "seed": self.seed}
-        if header:
-            meta.update(header)
         cols = [("time_s", self.bin_mids),
                 ("counts", self.bin_counts.astype(float))]
         return cols, meta
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
 
 
 def run_lifetime(ion: IonRecord, cavity: CavityParams,
@@ -394,20 +351,14 @@ class CavitySweepResult:
     pulses_per_point: int
     seed: int
 
-    def table(self, header: dict | None = None):
+    def table(self):
         meta = {"pulses_per_point": self.pulses_per_point, "seed": self.seed}
-        if header:
-            meta.update(header)
         cols = [("cavity_detuning_hz", self.detuning_hz),
                 ("gamma_fit", self.gamma_fit),
                 ("gamma_err", self.gamma_err),
                 ("gamma_expected", self.gamma_expected),
                 ("purcell_fit", self.purcell_fit)]
         return cols, meta
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
 
 
 def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
@@ -426,8 +377,7 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     detunings = np.ascontiguousarray(detunings_hz, dtype=float)
     if detunings.ndim != 1 or len(np.unique(detunings)) != len(detunings):
         raise DomainError("detunings must be a 1-d array of distinct values")
-    ranks = np.empty(len(detunings), dtype=np.int64)
-    ranks[np.argsort(detunings, kind="stable")] = np.arange(len(detunings))
+    ranks = _ranks(detunings)
 
     gamma_fit = np.full(len(detunings), np.nan)
     gamma_err = np.full(len(detunings), np.nan)
@@ -496,20 +446,14 @@ class SaturationResult:
     pulses_per_point: int
     seed: int
 
-    def table(self, header: dict | None = None):
+    def table(self):
         meta = {"pulses_per_point": self.pulses_per_point, "seed": self.seed}
-        if header:
-            meta.update(header)
         cols = [("input_power_w", self.powers),
                 ("on_counts", self.on_counts.astype(float)),
                 ("off_counts", self.off_counts.astype(float)),
                 ("expected_on", self.expected_on),
                 ("expected_off", self.expected_off)]
         return cols, meta
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
 
 
 def run_saturation_series(ion: IonRecord, cavity: CavityParams,
@@ -527,8 +471,7 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
         raise DomainError("powers must be a 1-d array of distinct values")
     if np.any(powers < 0):
         raise DomainError("powers must be non-negative")
-    ranks = np.empty(len(powers), dtype=np.int64)
-    ranks[np.argsort(powers, kind="stable")] = np.arange(len(powers))
+    ranks = _ranks(powers)
 
     on_counts = np.empty(len(powers), dtype=np.int64)
     off_counts = np.empty(len(powers), dtype=np.int64)
@@ -574,21 +517,15 @@ class G2Result:
     background_per_pulse: float
     stream: ClickStream
 
-    def table(self, header: dict | None = None):
+    def table(self):
         meta = {"floor_predicted": self.floor_predicted,
                 "signal_per_pulse": self.signal_per_pulse,
                 "background_per_pulse": self.background_per_pulse,
                 "seed": self.stream.seed}
-        if header:
-            meta.update(header)
         cols = [("offset", self.offsets.astype(float)),
                 ("g2", self.g2),
                 ("stderr", self.stderr)]
         return cols, meta
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
 
 
 def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
@@ -633,19 +570,13 @@ class ZeemanSeriesResult:
     predicted: np.ndarray
     slope_fit: FitResult
 
-    def table(self, header: dict | None = None):
+    def table(self):
         meta = {"slope_hz_per_t": self.slope_fit.params["slope"],
                 "intercept_hz": self.slope_fit.params["intercept"]}
-        if header:
-            meta.update(header)
         cols = [("b_field_t", self.b_values),
                 ("splitting_hz", self.splittings),
                 ("predicted_hz", self.predicted)]
         return cols, meta
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        cols, meta = self.table(header)
-        write_csv_atomic(path, cols, header=meta)
 
 
 def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
@@ -676,7 +607,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
         step = fwhm / 6.0
         n_half = int(math.ceil(span / 2.0 / step))
         grid = ion.f0 + np.arange(-n_half, n_half + 1) * step
-        plan = ScanPlan(ScanAxis.LASER_FREQUENCY, grid, pulses_per_point)
+        plan = ScanPlan(grid, pulses_per_point)
         scan = run_ple_scan(plan, [ion], cavity, emitter, seq, det,
                             _child_seed(seed, i), gamma_d=gamma_d,
                             zeeman=cfg)
@@ -697,3 +628,152 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     slope_fit = fit_model(LINEAR, b_values, splittings)
     return ZeemanSeriesResult(b_values=b_values, splittings=splittings,
                               predicted=predicted, slope_fit=slope_fit)
+
+
+# Rank keys 0..n-1 belong to scan points; the ensemble draw gets its own slot.
+_ENSEMBLE_STREAM = 2**32
+
+
+def scan_grid(cfg: RunConfig) -> np.ndarray:
+    """[scan] laser grid: symmetric around the centre, masked intervals
+    removed."""
+    span, step = cfg["scan", "span"], cfg["scan", "step"]
+    if step <= 0 or span <= 0:
+        raise ConfigError("[scan]: span and step must be positive")
+    n_half = int(round(span / 2.0 / step))
+    offsets = np.arange(-n_half, n_half + 1) * step
+    keep = np.ones(len(offsets), dtype=bool)
+    for lo, hi in cfg["scan", "mask"]:
+        keep &= ~((offsets >= lo) & (offsets <= hi))
+    if not np.any(keep):
+        raise ConfigError("[scan]: mask removes every grid point")
+    return cfg.cavity.f_cav + cfg["scan", "center_offset"] + offsets[keep]
+
+
+def temperature_grid(cfg: RunConfig) -> np.ndarray:
+    """[spin_t1] temp_grid expanded, both ends included."""
+    start, stop, step = cfg["spin_t1", "temp_grid"]
+    return np.arange(start, stop + step / 2.0, step)
+
+
+# Each experiment below returns (columns, header, click stream or None).
+# The CLI adds config_hash to the header: last, unless the header already
+# holds a "config_hash" slot; a table's key order is part of its bytes.
+
+def _ple(cfg: RunConfig):
+    if cfg["ensemble", "enabled"]:
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=cfg.seed, spawn_key=(_ENSEMBLE_STREAM,)))
+        ions = sample_ensemble(cfg.ensemble, cfg.cavity, cfg.emitter, rng,
+                               cfg.envelope)
+    else:
+        ions = [cfg.ion]
+    plan = ScanPlan(scan_grid(cfg), cfg["scan", "pulses_per_point"],
+                    cavity_drift_rate=cfg["scan", "drift"])
+    res = run_ple_scan(plan, ions, cfg.cavity, cfg.emitter, cfg.sequence,
+                       cfg.detector, cfg.seed, gamma_d=cfg.gamma_d,
+                       co_scan=cfg["scan", "co_scan"],
+                       background_coeff=cfg["scan", "background_coeff"])
+    cols, meta = res.table()
+    return cols, {**meta, "config_hash": None, "n_ions": len(ions)}, None
+
+
+def _lifetime(cfg: RunConfig):
+    res = run_lifetime(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
+                       cfg.detector, cfg["lifetime", "n_pulses"], cfg.seed,
+                       gamma_d=cfg.gamma_d,
+                       laser_detuning_hz=cfg["lifetime", "laser_detuning"],
+                       cavity_detuning_hz=cfg["lifetime", "cavity_detuning"],
+                       background_per_pulse=cfg["lifetime",
+                                                "background_per_pulse"],
+                       n_bins=cfg["lifetime", "n_bins"])
+    return (*res.table(), res.stream)
+
+
+def _cavity_sweep(cfg: RunConfig):
+    span, n = cfg["cavity_sweep", "span"], cfg["cavity_sweep", "n_points"]
+    # a single point sits on resonance rather than at the lower edge
+    detunings = (np.linspace(-span / 2.0, span / 2.0, n) if n > 1
+                 else np.zeros(1))
+    res = run_cavity_sweep(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
+                           detunings, cfg["cavity_sweep", "pulses_per_point"],
+                           cfg.seed, gamma_d=cfg.gamma_d,
+                           eta_total=cfg.detector.eta_total,
+                           dark_rate=cfg.detector.dark_rate,
+                           n_bins=cfg["cavity_sweep", "n_bins"],
+                           gate_factor=cfg["cavity_sweep", "gate_factor"])
+    return (*res.table(), None)
+
+
+def _saturation(cfg: RunConfig):
+    p_min = cfg["saturation", "power_min"]
+    p_max = cfg["saturation", "power_max"]
+    if not 0 < p_min < p_max:
+        raise ConfigError("[saturation]: need 0 < power_min < power_max")
+    powers = np.geomspace(p_min, p_max, cfg["saturation", "n_points"])
+    res = run_saturation_series(cfg.ion, cfg.cavity, cfg.emitter, powers,
+                                cfg.detector, cfg["scan", "pulses_per_point"],
+                                cfg.seed,
+                                excite_duration=cfg.sequence.excite_duration,
+                                rep_period=cfg.sequence.rep_period,
+                                off_detuning_hz=cfg["saturation",
+                                                    "off_detuning"],
+                                gamma_d=cfg.gamma_d,
+                                background_coeff=cfg["scan",
+                                                     "background_coeff"])
+    return (*res.table(), None)
+
+
+def _zeeman(cfg: RunConfig):
+    res = run_zeeman_series(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
+                            cfg.detector, np.asarray(cfg["zeeman", "fields"]),
+                            cfg.seed, zeeman_base=cfg.zeeman,
+                            pulses_per_point=cfg["zeeman", "pulses_per_point"],
+                            gamma_d=cfg.gamma_d)
+    return (*res.table(), None)
+
+
+def _g2(cfg: RunConfig):
+    blink = (BlinkConfig(enabled=True, p_bright=cfg["g2", "p_bright"],
+                         switch_time=cfg["g2", "switch_time"])
+             if cfg["g2", "blink"] else None)
+    res = run_g2(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
+                 cfg.detector, cfg["g2", "n_pulses"], cfg.seed,
+                 gamma_d=cfg.gamma_d, blink=blink,
+                 background_per_pulse=cfg["g2", "background_per_pulse"],
+                 max_offset=cfg["g2", "max_offset"])
+    return (*res.table(), res.stream)
+
+
+def _spin_t1(cfg: RunConfig):
+    temps = temperature_grid(cfg)
+    nu_ghz = cfg["spin_t1", "nu"] / 1e9
+    rates = np.array([spin_relaxation_rate(SpinRelaxParams(
+        temperature=float(t), spin_splitting=nu_ghz,
+        a_direct=cfg["spin_t1", "a_direct"],
+        a_raman=cfg["spin_t1", "a_raman"],
+        a_orbach=cfg["spin_t1", "a_orbach"],
+        delta_orbach=cfg["spin_t1", "delta_orbach"])) for t in temps],
+        dtype=float)
+    with np.errstate(divide="ignore"):
+        t1 = np.where(rates > 0, 1.0 / np.maximum(rates, 1e-300), np.inf)
+    cols = [("temperature_k", temps), ("rate_per_s", rates), ("t1_s", t1)]
+    return cols, {"config_hash": None, "nu_ghz": nu_ghz, "seed": cfg.seed}, None
+
+
+def _purcell_stats(cfg: RunConfig):
+    fracs = np.linspace(cfg["purcell_stats", "fraction_min"],
+                        cfg["purcell_stats", "fraction_max"],
+                        cfg["purcell_stats", "n_points"])
+    counts = np.array([ions_above_purcell(cfg.ensemble, cfg.cavity, float(f),
+                                          envelope=cfg.envelope)
+                       for f in fracs])
+    cols = [("p_star_fraction", fracs), ("expected_count", counts)]
+    return cols, {"config_hash": None, "seed": cfg.seed}, None
+
+
+# The one list of experiment names; each also names the data table.
+EXPERIMENTS = {"ple": _ple, "lifetime": _lifetime,
+               "cavity_sweep": _cavity_sweep, "saturation": _saturation,
+               "zeeman": _zeeman, "g2": _g2, "spin_t1": _spin_t1,
+               "purcell_stats": _purcell_stats}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cavityspec.cli import main
+from cavityspec.experiments import EXPERIMENTS
 from cavityspec.output import read_csv, write_csv_atomic
 
 
@@ -28,19 +29,34 @@ def _write_cfg(tmp_path, text: str) -> str:
     return path
 
 
-def test_g2_rerun_is_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, "experiment = g2\n\n[g2]\nn_pulses = 20000\n")
-    a = str(tmp_path / "a")
-    b = str(tmp_path / "b")
-    assert main(["run", cfg, "--seed", "7", "--output", a]) == 0
-    assert main(["run", cfg, "--seed", "7", "--output", b]) == 0
-    files_a = _bundle_files(os.path.join(a, "g2-seed7"))
-    files_b = _bundle_files(os.path.join(b, "g2-seed7"))
-    assert files_a.keys() == files_b.keys()
-    assert set(files_a) == {"g2.csv", "clicks.bin", "config.txt",
-                            "manifest.json"}
-    for name in files_a:
-        assert files_a[name] == files_b[name], name
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_rerun_is_byte_identical(tmp_path, experiment, fmt):
+    manifests = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        assert main(["run", experiment, "--seed", "7", "--format", fmt,
+                     "--output", out]) == 0
+        bundle = os.path.join(out, f"{experiment}-seed7")
+        assert main(["inspect", bundle]) == 0
+        manifests.append(_bundle_files(bundle)["manifest.json"])
+    # the manifest hashes every data file and config.txt
+    assert manifests[0] == manifests[1]
+    files = set(json.loads(manifests[0])["files"])
+    clicks = {"clicks.bin"} if experiment in ("lifetime", "g2") else set()
+    assert files == {f"{experiment}.{fmt}", "config.txt"} | clicks
+
+
+def test_single_point_cavity_sweep_sits_on_resonance(tmp_path):
+    cfg = _write_cfg(tmp_path, "experiment = cavity_sweep\n\n"
+                               "[cavity_sweep]\nn_points = 1\n")
+    out = str(tmp_path / "o")
+    assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
+    _, cols = read_csv(os.path.join(out, "cavity_sweep-seed7",
+                                    "cavity_sweep.csv"))
+    assert list(cols["cavity_detuning_hz"]) == [0.0]
+    purcell = cols["purcell_fit"][0]
+    assert abs(purcell - 320.0) / 320.0 < 0.05
 
 
 def test_seed_flag_changes_data_not_config_hash(tmp_path):

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from cavityspec.config import (DEFAULTS, EXPERIMENTS, REGISTRY, build_config,
-                               default_config, dump_config, load_config,
-                               parse_config_text)
+from cavityspec.cli import main
+from cavityspec.config import (build_config, default_config, dump_config,
+                               load_config, parse_config_text)
 from cavityspec.constants import TWO_PI
 from cavityspec.errors import ConfigError
+from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
 
 
-def test_registry_and_defaults_cover_same_keys():
-    assert set(REGISTRY) == set(DEFAULTS)
+def test_default_config_hash_is_pinned():
+    # config.txt, and so every bundle's hash, follows the SETTINGS order
+    cfg = default_config("ple")
+    assert cfg.config_hash() == ("ba3f57b023d1599e6607ea1296afc265"
+                                 "abadc6eb726b7b4b62e3875b334664d6")
+    assert dump_config(cfg).startswith("experiment = ple\nseed = 1\n\n"
+                                       "[cavity]\nfrequency = 195.1188 THz\n")
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -40,7 +46,7 @@ def test_unit_suffixes_and_case():
     assert math.isclose(cfg.sequence.input_power, 1e-9, rel_tol=1e-12)
     assert math.isclose(cfg.sequence.excite_duration, 10e-6, rel_tol=1e-12)
     assert math.isclose(cfg.detector.gate_duration, 82e-6, rel_tol=1e-12)
-    assert math.isclose(cfg.scan.drift_rate, 1e6, rel_tol=1e-12)
+    assert math.isclose(cfg["scan", "drift"], 1e6, rel_tol=1e-12)
     assert cfg.zeeman.b_offset == (1e-3, 0.0, 0.0)
 
 
@@ -82,18 +88,18 @@ def test_scan_grid_and_mask():
         ("scan", "step"): "1 MHz",
         ("scan", "mask"): "(-3.5, -2.5) MHz; (2.5, 4.5) MHz",
     })
-    grid = cfg.scan.grid()
-    offsets = np.round((grid - cfg.scan.center) / 1e6).astype(int)
+    grid = scan_grid(cfg)
+    offsets = np.round((grid - cfg.cavity.f_cav) / 1e6).astype(int)
     assert list(offsets) == [-5, -4, -2, -1, 0, 1, 2, 5]
     with pytest.raises(ConfigError, match="mask removes every"):
-        build_config({("scan", "span"): "2 MHz",
-                      ("scan", "step"): "1 MHz",
-                      ("scan", "mask"): "(-2, 2) MHz"}).scan.grid()
+        scan_grid(build_config({("scan", "span"): "2 MHz",
+                                ("scan", "step"): "1 MHz",
+                                ("scan", "mask"): "(-2, 2) MHz"}))
 
 
 def test_temp_grid_expansion():
     cfg = build_config({("spin_t1", "temp_grid"): "2:8:0.5 K"})
-    temps = cfg.spin.temperatures()
+    temps = temperature_grid(cfg)
     assert temps[0] == 2.0 and temps[-1] == 8.0 and len(temps) == 13
     with pytest.raises(ConfigError, match="start:stop:step"):
         build_config({("spin_t1", "temp_grid"): "2-8 K"})
@@ -102,12 +108,44 @@ def test_temp_grid_expansion():
 def test_bool_and_int_parsing():
     cfg = build_config({("ensemble", "enabled"): "yes",
                         ("g2", "blink"): "off"})
-    assert cfg.ensemble_enabled is True
-    assert cfg.g2.blink.enabled is False
+    assert cfg["ensemble", "enabled"] is True
+    assert cfg["g2", "blink"] is False
     with pytest.raises(ConfigError, match="true/false"):
         build_config({("g2", "blink"): "maybe"})
     with pytest.raises(ConfigError, match="integer"):
         build_config({("", "seed"): "1.5"})
+
+
+COUNT_KEYS = [("scan", "pulses_per_point"), ("lifetime", "n_pulses"),
+              ("lifetime", "n_bins"), ("cavity_sweep", "n_points"),
+              ("cavity_sweep", "pulses_per_point"), ("cavity_sweep", "n_bins"),
+              ("saturation", "n_points"), ("zeeman", "pulses_per_point"),
+              ("g2", "n_pulses"), ("purcell_stats", "n_points"),
+              ("ensemble", "max_count")]
+OUT_OF_RANGE = [(section, name, value) for section, name in COUNT_KEYS
+                for value in ("0", "-1")]
+OUT_OF_RANGE += [("g2", "max_offset", "-1"), ("", "seed", "-1")]
+
+
+@pytest.mark.parametrize("section,name,value", OUT_OF_RANGE)
+def test_out_of_range_integer_exits_2_naming_key(tmp_path, capsys, section,
+                                                   name, value):
+    if section:
+        experiment = section if section in EXPERIMENTS else "ple"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = {experiment}\n[{section}]\n"
+                        f"{name} = {value}\n")
+        argv = ["run", str(path)]
+        where = f"[{section}] {name}"
+    else:
+        argv = ["run", "ple", "--seed", value]
+        where = name
+    out = tmp_path / "o"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: expected a ")
+    assert "integer" in err
+    assert not out.exists()
 
 
 def test_dump_roundtrip_is_identity():
@@ -129,6 +167,6 @@ def test_load_config_file(tmp_path):
     cfg = load_config(path)
     assert cfg.experiment == "lifetime"
     assert cfg.seed == 12
-    assert cfg.lifetime.n_pulses == 500
+    assert cfg["lifetime", "n_pulses"] == 500
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.cfg")
