@@ -2,8 +2,8 @@
 
 A small Levenberg-Marquardt engine drives a fixed set of models with
 analytic Jacobians.  On top of it sit the spectrum tools: a greedy
-matched-filter peak counter for dense scans, a density-envelope fit that
-extrapolates through masked windows, and helpers for count statistics.
+matched-filter peak counter for dense scans and a density-envelope fit
+that extrapolates through masked windows.
 """
 
 from __future__ import annotations
@@ -422,33 +422,3 @@ def fit_peak_density(peaks: PeakList, *, n_bins=40, mask_ranges=(),
         bin_counts=counts,
         bin_valid=valid,
     )
-
-
-def signal_to_background(on_counts, off_counts):
-    """Ratio a = (S - B)/B from per-pulse click samples, with its error."""
-    on = np.asarray(on_counts, dtype=float)
-    off = np.asarray(off_counts, dtype=float)
-    if on.size < 2 or off.size < 2:
-        raise DomainError("need at least two samples on and off resonance")
-    s, b = on.mean(), off.mean()
-    if b <= 0:
-        raise DomainError("background sample has no clicks")
-    var_s = on.var(ddof=1) / on.size
-    var_b = off.var(ddof=1) / off.size
-    a = (s - b) / b
-    sigma = math.sqrt(var_s / b**2 + (s / b**2) ** 2 * var_b)
-    return a, sigma
-
-
-def fit_bunching(offsets, g2, stderr, rep_period) -> FitResult:
-    """Fit the blinking tail 1 + a exp(-m T / tau) to g2 at offsets >= 1."""
-    offsets = np.asarray(offsets)
-    g2 = np.asarray(g2, dtype=float)
-    stderr = np.asarray(stderr, dtype=float)
-    keep = offsets >= 1
-    if np.count_nonzero(keep) < 3:
-        raise FitError("need at least three nonzero offsets")
-    if np.any(stderr[keep] <= 0):
-        raise FitError("stderr must be positive at the fitted offsets")
-    x = offsets[keep] * rep_period
-    return fit_model(BUNCHING, x, g2[keep], weights=1.0 / stderr[keep] ** 2)

@@ -14,7 +14,9 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -76,21 +78,33 @@ def _cmd_run(args) -> int:
     cfg = build_config(entries)
 
     outdir = os.path.join(cfg.output_dir, f"{cfg.experiment}-seed{cfg.seed}")
-    os.makedirs(outdir, exist_ok=True)
-    started = time.monotonic()
-    files = _execute(cfg, outdir, args.format)
-    write_text_atomic(os.path.join(outdir, "config.txt"), dump_config(cfg))
-    files.append("config.txt")
-    manifest = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
-        "package_version": __version__,
-        "format": args.format,
-        "files": {name: _sha256_file(os.path.join(outdir, name))
-                  for name in sorted(files)},
-    }
-    write_json_atomic(os.path.join(outdir, "manifest.json"), manifest)
+    # the bundle is built aside and renamed into place, so a failed run
+    # leaves nothing behind and a rerun leaves no stale file
+    parent = cfg.output_dir or "."
+    os.makedirs(parent, exist_ok=True)
+    stage = tempfile.mkdtemp(dir=parent, prefix=".tmp-")
+    new, old = os.path.join(stage, "new"), os.path.join(stage, "old")
+    try:
+        os.mkdir(new)
+        started = time.monotonic()
+        files = _execute(cfg, new, args.format)
+        write_text_atomic(os.path.join(new, "config.txt"), dump_config(cfg))
+        files.append("config.txt")
+        manifest = {
+            "experiment": cfg.experiment,
+            "seed": cfg.seed,
+            "config_hash": cfg.config_hash(),
+            "package_version": __version__,
+            "format": args.format,
+            "files": {name: _sha256_file(os.path.join(new, name))
+                      for name in sorted(files)},
+        }
+        write_json_atomic(os.path.join(new, "manifest.json"), manifest)
+        if os.path.lexists(outdir):
+            os.rename(outdir, old)
+        os.rename(new, outdir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     print(outdir)
     print(f"run {cfg.experiment}: {len(files) + 1} files, "
           f"{time.monotonic() - started:.2f} s", file=sys.stderr)
@@ -189,6 +203,11 @@ def _cmd_inspect(args) -> int:
         else:
             status = "ok"
         print(f"  {name:<20} {status}  {digest[:16]}")
+    # files the manifest does not list (say, a fit written here) are shown,
+    # not failed
+    listed = set(manifest.get("files", {})) | {os.path.basename(path)}
+    for name in sorted(set(os.listdir(bundle_dir or ".")) - listed):
+        print(f"  {name:<20} UNLISTED")
     return 1 if bad else 0
 
 

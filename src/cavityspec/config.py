@@ -20,7 +20,8 @@ from enum import Enum
 
 from .constants import TWO_PI
 from .detection import DetectorConfig
-from .ensemble import EnsembleConfig, IonRecord, ZeemanConfig
+from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
+                       ZeemanConfig)
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, PulseSequence
 from .output import sha256_text
@@ -376,7 +377,7 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
 
     density = v[("ensemble", "density_per_m3")]
     if density <= 0:
-        density = v[("ensemble", "ppm")] * 1e-6 * 1.87e28
+        density = v[("ensemble", "ppm")] * 1e-6 * YTTRIUM_SITE_DENSITY
     ensemble = EnsembleConfig(
         density=density,
         site1_fraction=v[("ensemble", "site1_fraction")],
@@ -410,10 +411,6 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return build_config(parse_config_text(text, source=str(path)))
-
-
-def default_config(experiment: str) -> RunConfig:
-    return build_config({("", "experiment"): experiment})
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .output import write_bytes_atomic, write_csv_atomic, read_csv
+from .output import write_bytes_atomic
 
 _BINARY_MAGIC = b"CSPK"
 _BINARY_VERSION = 1
@@ -112,25 +112,6 @@ class ClickStream:
         """Clicks per pulse, length n_pulses."""
         return np.bincount(self.pulse_index.astype(np.int64),
                            minlength=self.n_pulses)
-
-    def to_csv(self, path, header: dict | None = None) -> None:
-        meta = {"n_pulses": self.n_pulses, "seed": self.seed}
-        if header:
-            meta.update(header)
-        write_csv_atomic(path, [
-            ("pulse_index", self.pulse_index.astype(float)),
-            ("t_in_pulse_ns", self.t_in_pulse * 1e9),
-        ], header=meta)
-
-    @classmethod
-    def from_csv(cls, path) -> "ClickStream":
-        header, columns = read_csv(path)
-        if "n_pulses" not in header:
-            raise ConfigError(f"{path}: missing n_pulses header")
-        return cls(columns["pulse_index"].astype(np.uint64),
-                   columns["t_in_pulse_ns"] * 1e-9,
-                   n_pulses=int(header["n_pulses"]),
-                   seed=int(header.get("seed", 0)))
 
     def to_binary(self, path) -> None:
         records = np.empty(len(self), dtype=_RECORD_DTYPE)
@@ -294,15 +275,15 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     return offsets, g2, stderr
 
 
-def g2_background_floor(signal_to_background):
+def g2_background_floor(ratio):
     """Zero-delay correlation of one quiet emitter over Poisson background.
 
     With per-pulse mean counts a*b (emitter) and b (background),
     g2(0) -> (2a + 1) / (a + 1)^2 for a perfectly antibunched source.
     """
-    a = np.asarray(signal_to_background, dtype=float)
+    a = np.asarray(ratio, dtype=float)
     if np.any(a < 0) or not np.all(np.isfinite(a)):
-        raise DomainError("signal_to_background must be finite and non-negative")
+        raise DomainError("signal-to-background ratio must be finite and non-negative")
     out = (2.0 * a + 1.0) / (a + 1.0) ** 2
     return float(out) if out.ndim == 0 else out
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .constants import E_CHARGE, HBAR, K_BOLTZMANN, H_PLANCK
 from .errors import DomainError, IntegrationError
-from .output import write_csv_atomic
 
 _BOUND_TOL = 1e-9
 _MAX_REFINEMENTS = 6
@@ -114,14 +113,6 @@ class BlochTrajectory:
         return BlochState(float(self.rho_ee[-1]), float(self.coh_re[-1]),
                           float(self.coh_im[-1]))
 
-    def to_csv(self, path, header: dict | None = None) -> None:
-        write_csv_atomic(path, [
-            ("time_s", self.times),
-            ("rho_ee", self.rho_ee),
-            ("coh_re", self.coh_re),
-            ("coh_im", self.coh_im),
-        ], header=header)
-
 
 def intracavity_photon_number(p_in, eta_cav, kappa, omega):
     """Mean photon number 4 eta_cav (P_in / hbar omega) / kappa on resonance."""
@@ -133,17 +124,6 @@ def intracavity_photon_number(p_in, eta_cav, kappa, omega):
     if not np.all(np.isfinite(p_in)) or np.any(p_in < 0):
         raise DomainError("input power must be non-negative")
     return 4.0 * eta_cav * (p_in / (HBAR * omega)) / kappa
-
-
-def rabi_frequency(n_ph, g):
-    """Drive strength Omega = sqrt(n_ph) g for a coherent intracavity field."""
-    n_ph = np.asarray(n_ph, dtype=float)
-    if not np.all(np.isfinite(n_ph)) or np.any(n_ph < 0):
-        raise DomainError("n_ph must be non-negative")
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise DomainError("g must be non-negative")
-    return np.sqrt(n_ph) * g
 
 
 def steady_state(drive: DriveParams) -> BlochState:

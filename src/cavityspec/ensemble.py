@@ -7,18 +7,15 @@ the band of interest, hence the site1_fraction multiplier on the density.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .constants import MU_BOHR, H_PLANCK, TWO_PI
+from .constants import MU_BOHR, H_PLANCK
 from .errors import CapacityError, DomainError
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope, coupling_at_depth
-
-ENSEMBLE_FORMAT = "cavityspec-ensemble-v1"
 
 YTTRIUM_SITE_DENSITY = 1.87e28  # substitutional host sites per m^3
 
@@ -128,13 +125,6 @@ class ZeemanConfig:
         return math.sqrt((ax + ox) ** 2 + (ay + oy) ** 2 + (az + oz) ** 2)
 
 
-def mean_separation(density: float) -> float:
-    """Nearest-neighbour distance heuristic density^(-1/3)."""
-    if not (density > 0 and np.isfinite(density)):
-        raise DomainError(f"density must be positive, got {density}")
-    return density ** (-1.0 / 3.0)
-
-
 def sample_ensemble(cfg: EnsembleConfig, cavity: CavityParams,
                     emitter: EmitterConstants, rng: np.random.Generator,
                     envelope: TransverseEnvelope | None = None) -> list[IonRecord]:
@@ -225,59 +215,3 @@ def zeeman_lines(f0: float, zcfg: ZeemanConfig) -> list[tuple[float, float]]:
         half_flip = zcfg.sum_g * MU_BOHR * zcfg.total_field / H_PLANCK / 2.0
         lines += [(f0 - half_flip, r / norm), (f0 + half_flip, r / norm)]
     return lines
-
-
-def background_ion_rate(n_ph: float, coeff: float) -> float:
-    """Mean background counts per pulse from weakly coupled ions, coeff * n_ph."""
-    if n_ph < 0 or coeff < 0 or not (np.isfinite(n_ph) and np.isfinite(coeff)):
-        raise DomainError("n_ph and coeff must be non-negative and finite")
-    return coeff * n_ph
-
-
-def save_ensemble_json(path, ions: list[IonRecord], f_center: float) -> None:
-    """Write ions to JSON: positions in nm, frequencies in GHz from f_center.
-
-    Schema: {"format", "f_center_hz", "ions": [{"position_nm": [x, y, z],
-    "frequency_offset_ghz", "coupling_mhz" (g / 2 pi, MHz), "purcell",
-    "delta_g_spin", "site"}]}
-    """
-    payload = {
-        "format": ENSEMBLE_FORMAT,
-        "f_center_hz": f_center,
-        "ions": [
-            {
-                "position_nm": [c * 1e9 for c in ion.position],
-                "frequency_offset_ghz": (ion.f0 - f_center) / 1e9,
-                "coupling_mhz": ion.g / TWO_PI / 1e6,
-                "purcell": ion.purcell,
-                "delta_g_spin": ion.delta_g_spin,
-                "site": int(ion.site),
-            }
-            for ion in ions
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
-def load_ensemble_json(path) -> tuple[list[IonRecord], float]:
-    """Inverse of save_ensemble_json; returns (ions, f_center)."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != ENSEMBLE_FORMAT:
-        raise DomainError(f"unrecognised ensemble format {payload.get('format')!r}")
-    f_center = float(payload["f_center_hz"])
-    ions = []
-    for entry in payload["ions"]:
-        x, y, z = (c * 1e-9 for c in entry["position_nm"])
-        g = entry["coupling_mhz"] * 1e6 * TWO_PI
-        ions.append(IonRecord(
-            position=(x, y, z),
-            f0=f_center + entry["frequency_offset_ghz"] * 1e9,
-            g=g,
-            purcell=entry["purcell"],
-            delta_g_spin=entry["delta_g_spin"],
-            site=Site(entry["site"]),
-        ))
-    return ions, f_center

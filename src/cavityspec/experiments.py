@@ -285,6 +285,41 @@ def _operating_point(ion, cavity, emitter, power, gamma_d, cavity_detuning_hz):
     return gamma, eta, omega, n_ph
 
 
+def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
+                laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
+                gate_factor=None, **clicks):
+    """Drive one ion with seq's pulse and sample its clicks.
+
+    With gate_factor the gate opens as the drive ends and lasts gate_factor
+    lifetimes, and the period ends with it.  Returns the emission model,
+    the detector used and the click stream; clicks go to simulate_clicks.
+    """
+    gamma, eta, omega, _ = _operating_point(ion, cavity, emitter,
+                                            seq.input_power, gamma_d,
+                                            cavity_detuning_hz)
+    if gate_factor is not None:
+        det = replace(det, gate_start=seq.excite_duration,
+                      gate_duration=gate_factor / gamma)
+        seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
+    _validate_gate(seq, det)
+    p_exc = pulse_excitation(omega, TWO_PI * laser_detuning_hz, gamma,
+                             gamma_d, seq.excite_duration)
+    emission = EmissionModel(p_excited=p_exc, gamma=gamma,
+                             eta_into_cavity=eta,
+                             decay_start=seq.excite_duration)
+    stream = simulate_clicks(emission, det, n_pulses, rng,
+                             rep_period=seq.rep_period, **clicks)
+    return emission, det, stream
+
+
+def _gate_histogram(stream: ClickStream, det: DetectorConfig, n_bins: int):
+    """Click arrival times binned across the gate: (bin mids, counts)."""
+    edges = np.linspace(det.gate_start, det.gate_start + det.gate_duration,
+                        n_bins + 1)
+    counts, _ = np.histogram(stream.t_in_pulse, bins=edges)
+    return 0.5 * (edges[:-1] + edges[1:]), counts
+
+
 @dataclass
 class LifetimeResult:
     stream: ClickStream
@@ -311,27 +346,15 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
                  background_per_pulse: float = 0.0,
                  n_bins: int = 64) -> LifetimeResult:
     """Time-tag the gated decay after each excitation pulse."""
-    _validate_gate(seq, det)
-    gamma, eta, omega, _ = _operating_point(ion, cavity, emitter,
-                                            seq.input_power, gamma_d,
-                                            cavity_detuning_hz)
-    p_exc = pulse_excitation(omega, TWO_PI * laser_detuning_hz, gamma,
-                             gamma_d, seq.excite_duration)
-    emission = EmissionModel(p_excited=p_exc, gamma=gamma,
-                             eta_into_cavity=eta,
-                             decay_start=seq.excite_duration)
-    stream = simulate_clicks(emission, det, n_pulses,
-                             np.random.default_rng(seed),
-                             rep_period=seq.rep_period,
-                             background_per_pulse=background_per_pulse,
-                             seed=seed)
-    edges = np.linspace(det.gate_start, det.gate_start + det.gate_duration,
-                        n_bins + 1)
-    bin_counts, _ = np.histogram(stream.t_in_pulse, bins=edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    emission, _, stream = _ion_clicks(
+        ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
+        gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz,
+        cavity_detuning_hz=cavity_detuning_hz,
+        background_per_pulse=background_per_pulse, seed=seed)
+    mids, bin_counts = _gate_histogram(stream, det, n_bins)
     return LifetimeResult(stream=stream, bin_mids=mids,
-                          bin_counts=bin_counts, gamma=float(gamma),
-                          p_excited=float(p_exc), seed=seed)
+                          bin_counts=bin_counts, gamma=float(emission.gamma),
+                          p_excited=float(emission.p_excited), seed=seed)
 
 
 def fit_lifetime(result: LifetimeResult) -> FitResult:
@@ -383,29 +406,15 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     gamma_err = np.full(len(detunings), np.nan)
     gamma_expected = np.empty(len(detunings))
     converged = np.zeros(len(detunings), dtype=bool)
+    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate)
     for k, delta in enumerate(detunings):
-        gamma, eta, omega, _ = _operating_point(ion, cavity, emitter,
-                                                seq.input_power, gamma_d,
-                                                delta)
-        gamma_expected[k] = gamma
-        p_exc = pulse_excitation(omega, 0.0, gamma, gamma_d,
-                                 seq.excite_duration)
-        gate = gate_factor / gamma
-        det_k = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
-                               gate_start=seq.excite_duration,
-                               gate_duration=gate)
-        emission = EmissionModel(p_excited=p_exc, gamma=gamma,
-                                 eta_into_cavity=eta,
-                                 decay_start=seq.excite_duration)
-        stream = simulate_clicks(emission, det_k, pulses_per_point,
-                                 _child_rng(seed, ranks[k]),
-                                 rep_period=seq.excite_duration + gate,
-                                 seed=seed)
-        edges = np.linspace(det_k.gate_start,
-                            det_k.gate_start + det_k.gate_duration,
-                            n_bins + 1)
-        hist, _ = np.histogram(stream.t_in_pulse, bins=edges)
-        mids = 0.5 * (edges[:-1] + edges[1:]) - det_k.gate_start
+        emission, det_k, stream = _ion_clicks(
+            ion, cavity, emitter, seq, det, pulses_per_point,
+            _child_rng(seed, ranks[k]), gamma_d=gamma_d,
+            cavity_detuning_hz=delta, gate_factor=gate_factor, seed=seed)
+        gamma_expected[k] = emission.gamma
+        mids, hist = _gate_histogram(stream, det_k, n_bins)
+        mids = mids - det_k.gate_start
         try:
             fit = fit_model(EXPONENTIAL, mids, hist.astype(float))
         except FitError:
@@ -537,23 +546,15 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
            laser_detuning_hz: float = 0.0,
            max_offset: int = 10) -> G2Result:
     """Pulse-wise autocorrelation of one driven ion."""
-    _validate_gate(seq, det)
-    gamma, eta, omega, _ = _operating_point(ion, cavity, emitter,
-                                            seq.input_power, gamma_d, 0.0)
-    p_exc = pulse_excitation(omega, TWO_PI * laser_detuning_hz, gamma,
-                             gamma_d, seq.excite_duration)
-    emission = EmissionModel(p_excited=p_exc, gamma=gamma,
-                             eta_into_cavity=eta,
-                             decay_start=seq.excite_duration)
-    stream = simulate_clicks(emission, det, n_pulses,
-                             np.random.default_rng(seed), blink=blink,
-                             rep_period=seq.rep_period,
-                             background_per_pulse=background_per_pulse,
-                             seed=seed)
+    emission, _, stream = _ion_clicks(
+        ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
+        gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz, blink=blink,
+        background_per_pulse=background_per_pulse, seed=seed)
     offsets, g2, stderr = g2_pulsed(stream, max_offset)
-    capture = window_capture_fraction(gamma, det.gate_start,
+    capture = window_capture_fraction(emission.gamma, det.gate_start,
                                       det.gate_duration, seq.excite_duration)
-    signal = float(p_exc * eta * capture * det.eta_total)
+    signal = float(emission.p_excited * emission.eta_into_cavity * capture
+                   * det.eta_total)
     if blink is not None and blink.enabled:
         signal *= blink.p_bright
     background = det.dark_rate * det.gate_duration + background_per_pulse
@@ -634,12 +635,24 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
 _ENSEMBLE_STREAM = 2**32
 
 
+# Grids derived from a span and a step are refused above this size before
+# anything is allocated: about 100x the largest scan in use (10,001 points).
+MAX_GRID_POINTS = 1_000_000
+
+
+def _check_grid_size(n_points: float, where: str) -> None:
+    if not n_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{where}: the grid would hold {n_points:.3g} "
+                          f"points, more than {MAX_GRID_POINTS:,}")
+
+
 def scan_grid(cfg: RunConfig) -> np.ndarray:
     """[scan] laser grid: symmetric around the centre, masked intervals
     removed."""
     span, step = cfg["scan", "span"], cfg["scan", "step"]
     if step <= 0 or span <= 0:
         raise ConfigError("[scan]: span and step must be positive")
+    _check_grid_size(span / step + 1.0, "[scan] step")
     n_half = int(round(span / 2.0 / step))
     offsets = np.arange(-n_half, n_half + 1) * step
     keep = np.ones(len(offsets), dtype=bool)
@@ -653,6 +666,7 @@ def scan_grid(cfg: RunConfig) -> np.ndarray:
 def temperature_grid(cfg: RunConfig) -> np.ndarray:
     """[spin_t1] temp_grid expanded, both ends included."""
     start, stop, step = cfg["spin_t1", "temp_grid"]
+    _check_grid_size((stop - start) / step + 1.0, "[spin_t1] temp_grid")
     return np.arange(start, stop + step / 2.0, step)
 
 

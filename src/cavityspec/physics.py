@@ -25,13 +25,6 @@ def _require_positive(**kwargs):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _require_finite(**kwargs):
-    for name, value in kwargs.items():
-        arr = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class CavityParams:
     """Single-sided cavity description."""
@@ -50,10 +43,6 @@ class CavityParams:
             raise DomainError(f"eta_cav must lie in [0, 1], got {self.eta_cav}")
         if not 0.0 < self.interface_intensity_fraction <= 1.0:
             raise DomainError("interface_intensity_fraction must lie in (0, 1]")
-
-    @property
-    def quality_factor(self) -> float:
-        return TWO_PI * self.f_cav / self.kappa
 
     @classmethod
     def default(cls) -> "CavityParams":
@@ -101,13 +90,6 @@ class EfficiencyChain:
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v}")
 
-    def total(self) -> float:
-        return self.eta_cav * self.eta_wg * self.eta_fib * self.eta_det
-
-    @classmethod
-    def default(cls) -> "EfficiencyChain":
-        return cls(eta_cav=0.16, eta_wg=0.46, eta_fib=0.8, eta_det=0.67)
-
 
 @dataclass(frozen=True)
 class TransverseEnvelope:
@@ -128,15 +110,6 @@ class TransverseEnvelope:
         y = np.asarray(y, dtype=float)
         return np.exp(-((x / self.waist_x) ** 2) - ((y / self.waist_y) ** 2))
 
-    @property
-    def mode_length(self) -> float:
-        # integral of the intensity envelope along x
-        return math.sqrt(math.pi / 2.0) * self.waist_x
-
-    @property
-    def mode_width(self) -> float:
-        return math.sqrt(math.pi / 2.0) * self.waist_y
-
 
 def purcell_factor(g, kappa, gamma0):
     """Emission enhancement P = 4 g^2 / (kappa gamma0) in the weak-coupling limit."""
@@ -152,14 +125,6 @@ def enhanced_lifetime(purcell, tau0):
     if not np.all(np.isfinite(purcell)) or np.any(purcell < 0.0):
         raise DomainError("purcell must be non-negative and finite")
     return tau0 / (purcell + 1.0)
-
-
-def eta_emitter(purcell):
-    """Fraction of decays into the cavity mode, P / (P + 1)."""
-    purcell = np.asarray(purcell, dtype=float)
-    if not np.all(np.isfinite(purcell)) or np.any(purcell < 0.0):
-        raise DomainError("purcell must be non-negative and finite")
-    return purcell / (purcell + 1.0)
 
 
 def coupling_at_depth(g_if, z, z_half):
@@ -207,7 +172,8 @@ def cavity_reflection(delta, kappa, eta_cav):
     delta is the angular detuning from cavity resonance.
     """
     _require_positive(kappa=kappa)
-    _require_finite(delta=delta)
+    if not np.all(np.isfinite(np.asarray(delta, dtype=float))):
+        raise DomainError(f"delta must be finite, got {delta!r}")
     if not 0.0 <= eta_cav <= 1.0:
         raise DomainError(f"eta_cav must lie in [0, 1], got {eta_cav}")
     delta = np.asarray(delta, dtype=float)
@@ -227,17 +193,6 @@ def eta_cav_from_contrast(contrast, undercoupled=True):
     return (1.0 - root) / 2.0 if undercoupled else (1.0 + root) / 2.0
 
 
-def purcell_vs_detuning(p_max, delta, kappa):
-    """Lorentzian roll-off P(delta) = P_max / (1 + (2 delta / kappa)^2)."""
-    _require_positive(kappa=kappa)
-    _require_finite(delta=delta)
-    p_max = np.asarray(p_max, dtype=float)
-    if not np.all(np.isfinite(p_max)) or np.any(p_max < 0.0):
-        raise DomainError("p_max must be non-negative and finite")
-    delta = np.asarray(delta, dtype=float)
-    return p_max / (1.0 + (2.0 * delta / kappa) ** 2)
-
-
 def efficiency_total(chain: EfficiencyChain) -> float:
     """End-to-end photon detection efficiency of a chain."""
-    return chain.total()
+    return chain.eta_cav * chain.eta_wg * chain.eta_fib * chain.eta_det

@@ -14,10 +14,8 @@ from cavityspec.analysis import (
     MODELS,
     PeakList,
     count_peaks,
-    fit_bunching,
     fit_model,
     fit_peak_density,
-    signal_to_background,
 )
 from cavityspec.errors import DomainError, FitError
 
@@ -177,35 +175,3 @@ def test_density_envelope_recovers_hidden_peaks():
     with pytest.raises(FitError):
         fit_peak_density(peaks, n_bins=8,
                          mask_ranges=((-10.0, 9.0),), x_range=(-10.0, 10.0))
-
-
-def test_signal_to_background_ratio():
-    rng = np.random.default_rng(5)
-    n = 400_000
-    on = rng.poisson(0.013, n)
-    off = rng.poisson(0.002, n)
-    a, sigma = signal_to_background(on, off)
-    assert sigma > 0
-    assert abs(a - 5.5) < 4 * sigma
-    with pytest.raises(DomainError):
-        signal_to_background(on, np.zeros(10))
-
-
-def test_fit_bunching_recovers_the_telegraph_tail():
-    rep = 100e-6
-    offsets = np.arange(0, 11)
-    true_amp, true_tau = 7.0 / 3.0, 500e-6
-    clean = 1.0 + true_amp * np.exp(-offsets * rep / true_tau)
-    stderr = np.full(len(offsets), 0.01)
-    result = fit_bunching(offsets, clean, stderr, rep)
-    assert result.converged
-    assert result.params["amplitude"] == pytest.approx(true_amp, rel=1e-6)
-    assert result.params["switch_time"] == pytest.approx(true_tau, rel=1e-6)
-
-    rng = np.random.default_rng(2)
-    noisy = clean + rng.normal(0.0, 0.02, len(clean))
-    result = fit_bunching(offsets, noisy, np.full(len(offsets), 0.02), rep)
-    assert result.params["amplitude"] == pytest.approx(true_amp, rel=0.2)
-    assert result.params["switch_time"] == pytest.approx(true_tau, rel=0.3)
-    with pytest.raises(FitError):
-        fit_bunching(offsets[:3], clean[:3], stderr[:3], rep)

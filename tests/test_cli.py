@@ -29,13 +29,29 @@ def _write_cfg(tmp_path, text: str) -> str:
     return path
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
-def test_rerun_is_byte_identical(tmp_path, experiment, fmt):
+# every experiment at defaults in both formats, plus configs that switch on
+# the paths the defaults leave off: the ion ensemble and blinking with
+# background
+RERUN_CASES = [(e, fmt, None) for e in EXPERIMENTS for fmt in ("csv", "json")]
+RERUN_CASES += [
+    ("ple", "csv", "experiment = ple\n\n[ensemble]\nenabled = true\n"
+                   "ppm = 0.5\n\n[scan]\nspan = 2 GHz\nstep = 10 MHz\n"
+                   "background_coeff = 0.01\n"),
+    ("g2", "csv", "experiment = g2\n\n[g2]\nn_pulses = 200000\n"
+                  "blink = true\np_bright = 0.6\n"
+                  "background_per_pulse = 0.001\n"),
+]
+RERUN_IDS = [f"{e}-{fmt}" for e, fmt, cfg in RERUN_CASES if cfg is None]
+RERUN_IDS += ["ple-ensemble", "g2-blink-background"]
+
+
+@pytest.mark.parametrize("experiment,fmt,cfg", RERUN_CASES, ids=RERUN_IDS)
+def test_rerun_is_byte_identical(tmp_path, experiment, fmt, cfg):
+    target = experiment if cfg is None else _write_cfg(tmp_path, cfg)
     manifests = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        assert main(["run", experiment, "--seed", "7", "--format", fmt,
+        assert main(["run", target, "--seed", "7", "--format", fmt,
                      "--output", out]) == 0
         bundle = os.path.join(out, f"{experiment}-seed7")
         assert main(["inspect", bundle]) == 0
@@ -45,6 +61,33 @@ def test_rerun_is_byte_identical(tmp_path, experiment, fmt):
     files = set(json.loads(manifests[0])["files"])
     clicks = {"clicks.bin"} if experiment in ("lifetime", "g2") else set()
     assert files == {f"{experiment}.{fmt}", "config.txt"} | clicks
+
+
+def test_rerun_replaces_the_bundle(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    bundle = os.path.join(out, "lifetime-seed7")
+    for fmt in ("csv", "json"):
+        assert main(["run", "lifetime", "--seed", "7", "--format", fmt,
+                     "--output", out]) == 0
+    # the csv table of the first run is gone, and no staging dir is left
+    assert os.listdir(out) == ["lifetime-seed7"]
+    assert sorted(os.listdir(bundle)) == ["clicks.bin", "config.txt",
+                                          "lifetime.json", "manifest.json"]
+    with open(os.path.join(bundle, "notes.txt"), "w") as fh:
+        fh.write("not part of the run\n")
+    capsys.readouterr()
+    assert main(["inspect", bundle]) == 0
+    report = capsys.readouterr().out
+    assert "notes.txt            UNLISTED" in report
+    assert "lifetime.csv" not in report
+
+
+def test_failed_run_leaves_no_bundle(tmp_path):
+    cfg = _write_cfg(tmp_path, "experiment = saturation\n\n[saturation]\n"
+                               "power_min = 10 nW\npower_max = 1 nW\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output", str(out)]) == 2
+    assert os.listdir(out) == []
 
 
 def test_single_point_cavity_sweep_sits_on_resonance(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cavityspec.cli import main
-from cavityspec.config import (build_config, default_config, dump_config,
-                               load_config, parse_config_text)
+from cavityspec.config import (build_config, dump_config, load_config,
+                               parse_config_text)
 from cavityspec.constants import TWO_PI
 from cavityspec.errors import ConfigError
 from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
@@ -13,7 +13,7 @@ from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
 
 def test_default_config_hash_is_pinned():
     # config.txt, and so every bundle's hash, follows the SETTINGS order
-    cfg = default_config("ple")
+    cfg = build_config({("", "experiment"): "ple"})
     assert cfg.config_hash() == ("ba3f57b023d1599e6607ea1296afc265"
                                  "abadc6eb726b7b4b62e3875b334664d6")
     assert dump_config(cfg).startswith("experiment = ple\nseed = 1\n\n"
@@ -22,7 +22,7 @@ def test_default_config_hash_is_pinned():
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_default_config_builds_for_every_experiment(name):
-    cfg = default_config(name)
+    cfg = build_config({("", "experiment"): name})
     assert cfg.experiment == name
     assert cfg.cavity.kappa == TWO_PI * 3.85e9
     assert cfg.emitter.gamma0 == TWO_PI * 14.0
@@ -146,6 +146,27 @@ def test_out_of_range_integer_exits_2_naming_key(tmp_path, capsys, section,
     assert err.startswith(f"error: {where}: expected a ")
     assert "integer" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,flags,where", [
+    ("experiment = ple\n[scan]\nspan = 1 THz\nstep = 1 Hz\n", [],
+     "[scan] step"),
+    ("experiment = spin_t1\n", ["--temp-grid", "2:8:1e-12"],
+     "[spin_t1] temp_grid"),
+], ids=["scan", "temp_grid"])
+def test_oversized_grid_exits_2_naming_key(tmp_path, capsys, monkeypatch,
+                                           text, flags, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), *flags,
+                 "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert "more than 1,000,000" in err
 
 
 def test_dump_roundtrip_is_identity():

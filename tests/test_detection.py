@@ -185,17 +185,6 @@ def test_binary_round_trip(tmp_path):
         ClickStream.from_binary(truncated)
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    stream = simulate_clicks(_emitter(0.2), WIDE_GATE, 5_000, rng, seed=9)
-    path = tmp_path / "clicks.csv"
-    stream.to_csv(path)
-    back = ClickStream.from_csv(path)
-    assert np.array_equal(back.pulse_index, stream.pulse_index)
-    assert np.allclose(back.t_in_pulse, stream.t_in_pulse, rtol=1e-9, atol=0)
-    assert back.n_pulses == 5_000
-
-
 def test_validation():
     with pytest.raises(DomainError):
         DetectorConfig(eta_total=1.2)

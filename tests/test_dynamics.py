@@ -16,14 +16,12 @@ from cavityspec.dynamics import (
     evolve_bloch,
     intracavity_photon_number,
     pulse_excitation,
-    rabi_frequency,
     spin_relaxation_rate,
     spin_t1,
     steady_state,
     window_capture_fraction,
 )
 from cavityspec.errors import DomainError
-from cavityspec.output import read_csv
 
 # operating point shared by several tests: a strongly Purcell-enhanced ion
 GAMMA_OP = TWO_PI * 1.8e3
@@ -153,16 +151,6 @@ def test_intracavity_photon_number_at_one_nanowatt():
         intracavity_photon_number(-1e-9, 0.16, TWO_PI * 3.85e9, TWO_PI * 195e12)
 
 
-def test_rabi_frequency_square_root_scaling():
-    g = TWO_PI * 2.62e6
-    assert rabi_frequency(0.25, g) == pytest.approx(0.5 * g, rel=1e-12)
-    out = rabi_frequency(np.array([0.0, 1.0, 4.0]), g)
-    assert out[0] == 0.0
-    assert out[2] == pytest.approx(2 * g, rel=1e-12)
-    with pytest.raises(DomainError):
-        rabi_frequency(-0.1, g)
-
-
 def test_window_capture_fraction_values():
     # saturated emitter, gate opening right at the end of the excite pulse
     cap = window_capture_fraction(GAMMA_OP, 10e-6, 82e-6, 10e-6)
@@ -274,17 +262,6 @@ def test_weak_drive_linewidth_is_dephasing_limited():
     gamma2 = GAMMA_OP / 2 + GAMMA_D_OP
     assert fwhm == pytest.approx(2 * gamma2, rel=0.02)
     assert fwhm / TWO_PI == pytest.approx(6.2018e6, rel=0.02)
-
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    drive = DriveParams(TWO_PI * 1e6, 0.0, GAMMA_OP, GAMMA_D_OP)
-    traj = evolve_bloch(GROUND, drive, 2e-6)
-    path = tmp_path / "trajectory.csv"
-    traj.to_csv(path, header={"seed": 1})
-    header, columns = read_csv(path)
-    assert header["seed"] == "1"
-    assert np.allclose(columns["rho_ee"], traj.rho_ee, rtol=5e-12, atol=1e-14)
-    assert np.allclose(columns["time_s"], traj.times, rtol=5e-12, atol=1e-14)
 
 
 def test_trajectory_sampling_budget():

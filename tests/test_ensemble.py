@@ -1,4 +1,4 @@
-"""Ensemble sampling, threshold-count quadrature, Zeeman lines, serialization."""
+"""Ensemble sampling, threshold-count quadrature, Zeeman lines."""
 
 import math
 
@@ -11,12 +11,8 @@ from cavityspec.ensemble import (
     IonRecord,
     Site,
     ZeemanConfig,
-    background_ion_rate,
     ions_above_purcell,
-    load_ensemble_json,
-    mean_separation,
     sample_ensemble,
-    save_ensemble_json,
     zeeman_frequencies,
     zeeman_lines,
     zeeman_splitting,
@@ -102,12 +98,10 @@ def test_capacity_guard():
 
 
 def test_mean_separation_reference_points():
-    assert mean_separation(3.05e22) == pytest.approx(3.200614636035e-8, rel=1e-9)
     # default doping: 3 ppm of host sites, half in site 1
     cfg = EnsembleConfig.from_ppm(3.0)
     site1_density = cfg.density * cfg.site1_fraction
     assert site1_density == pytest.approx(2.805e22, rel=1e-12)
-    assert abs(mean_separation(site1_density) - 32e-9) / 32e-9 < 0.05
 
 
 def test_ions_above_purcell_against_monte_carlo():
@@ -192,29 +186,6 @@ def test_zeeman_lines_weights():
     lines4 = zeeman_lines(195e12, z4)
     assert len(lines4) == 4
     assert sum(w for _, w in lines4) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_background_ion_rate():
-    assert background_ion_rate(0.0, 0.01) == 0.0
-    assert background_ion_rate(0.205, 0.01) == pytest.approx(0.00205, rel=1e-12)
-    with pytest.raises(DomainError):
-        background_ion_rate(-1.0, 0.01)
-
-
-def test_ensemble_json_round_trip(tmp_path):
-    cfg = EnsembleConfig(density=2e21, region=(1e-6, 1e-6, 0.2e-6))
-    ions = sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(9))
-    path = tmp_path / "ensemble.json"
-    save_ensemble_json(path, ions, cfg.f_center)
-    loaded, f_center = load_ensemble_json(path)
-    assert f_center == cfg.f_center
-    assert len(loaded) == len(ions)
-    for a, b in zip(ions, loaded):
-        assert b.position == pytest.approx(a.position, rel=1e-12, abs=1e-18)
-        assert b.f0 == pytest.approx(a.f0, rel=1e-12)
-        assert b.g == pytest.approx(a.g, rel=1e-12)
-        assert b.purcell == pytest.approx(a.purcell, rel=1e-12)
-        assert b.site == a.site
 
 
 def test_ion_record_validation():
