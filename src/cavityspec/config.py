@@ -23,7 +23,7 @@ from .detection import DetectorConfig
 from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
                        ZeemanConfig)
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, PulseSequence
+from .experiments import EXPERIMENTS, MAX_GRID_POINTS, PulseSequence
 from .output import sha256_text
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope
 
@@ -272,6 +272,19 @@ SETTINGS: dict[tuple[str, str], tuple[Kind, str]] = {
     ("purcell_stats", "n_points"): (Kind.COUNT, "25"),
 }
 
+# Upper bounds of the counts that size an array, checked at build so a huge
+# value exits naming its key instead of failing inside numpy.  [scan] and
+# [zeeman] pulses_per_point only set binomial trial counts: no bound.
+COUNT_LIMITS = {
+    **dict.fromkeys([("lifetime", "n_bins"), ("cavity_sweep", "n_points"),
+                     ("cavity_sweep", "n_bins"), ("saturation", "n_points"),
+                     ("purcell_stats", "n_points")], MAX_GRID_POINTS),
+    # per-pulse arrays: 10x the largest pulse count in use
+    **dict.fromkeys([("lifetime", "n_pulses"), ("g2", "n_pulses"),
+                     ("cavity_sweep", "pulses_per_point")], 100_000_000),
+    ("ensemble", "max_count"): 10_000_000,  # its default
+}
+
 
 @dataclass
 class RunConfig:
@@ -337,6 +350,9 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
         where = f"[{section}] {key}" if section else key
         v[(section, key)] = parse_value(text, SETTINGS[(section, key)][0],
                                         where)
+        limit = COUNT_LIMITS.get((section, key))
+        if limit is not None and v[(section, key)] > limit:
+            raise _fail(where, f"expected at most {limit:,}, got {text!r}")
 
     experiment = str(v[("", "experiment")]).lower()
     if experiment not in EXPERIMENTS:

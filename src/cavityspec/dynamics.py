@@ -25,6 +25,7 @@ from .errors import DomainError, IntegrationError
 
 _BOUND_TOL = 1e-9
 _MAX_REFINEMENTS = 6
+_CHUNK = 200_000  # matrices propagated per batch by pulse_excitation
 
 
 @dataclass(frozen=True)
@@ -260,8 +261,7 @@ def _expm3_batch(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def pulse_excitation(omega_rabi, detuning, gamma, gamma_d, duration,
-                     chunk: int = 200_000):
+def pulse_excitation(omega_rabi, detuning, gamma, gamma_d, duration):
     """Excited-state population after a constant drive pulse from the ground state.
 
     Exact solution of the linear Bloch system, broadcast over the inputs;
@@ -277,8 +277,8 @@ def pulse_excitation(omega_rabi, detuning, gamma, gamma_d, duration,
     omega, delta, gam, gd = (a.ravel() for a in (omega, delta, gam, gd))
     rho_out = np.zeros(omega.shape)
     active = np.flatnonzero((omega > 0) & (duration > 0))
-    for start in range(0, len(active), chunk):
-        sel = active[start:start + chunk]
+    for start in range(0, len(active), _CHUNK):
+        sel = active[start:start + _CHUNK]
         rho_out[sel] = _pulse_excitation_chunk(omega[sel], delta[sel], gam[sel],
                                                gd[sel], duration)
     return rho_out.reshape(shape) if shape else float(rho_out[0])

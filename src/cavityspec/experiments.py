@@ -84,10 +84,6 @@ class ScanPlan:
                 raise DomainError(
                     "a drifting scan must visit the grid monotonically")
 
-    @property
-    def n_points(self) -> int:
-        return len(self.grid)
-
 
 @dataclass
 class ScanResult:
@@ -140,22 +136,49 @@ def _validate_gate(seq: PulseSequence, det: DetectorConfig) -> None:
 
 def _expand_lines(ions, zeeman: ZeemanConfig | None):
     """Optical line table: (frequency, ion index, weight) per transition."""
-    freqs: list[float] = []
-    idx: list[int] = []
-    weights: list[float] = []
+    table = []
     for i, ion in enumerate(ions):
-        if zeeman is None:
-            freqs.append(ion.f0)
-            idx.append(i)
-            weights.append(1.0)
-        else:
-            cfg = replace(zeeman, delta_g=ion.delta_g_spin)
-            for f, w in zeeman_lines(ion.f0, cfg):
-                freqs.append(f)
-                idx.append(i)
-                weights.append(w)
+        lines = ([(ion.f0, 1.0)] if zeeman is None else zeeman_lines(
+            ion.f0, replace(zeeman, delta_g=ion.delta_g_spin)))
+        table += [(f, i, w) for f, w in lines]
+    freqs, idx, weights = zip(*table)
     return (np.asarray(freqs), np.asarray(idx, dtype=np.int64),
             np.asarray(weights))
+
+
+# The per-pulse click model of every pulsed runner; scalars or arrays.
+
+def _rolloff(delta, kappa):
+    """Cavity Lorentzian: drive and Purcell factor at detuning delta are
+    their resonant values divided by 1 + (2 delta / kappa)^2."""
+    return 1.0 + (2.0 * delta / kappa) ** 2
+
+
+def _decay(purcell, emitter: EmitterConstants):
+    """Total decay rate and the share of decays into the cavity mode."""
+    return emitter.gamma0 * (1.0 + purcell), purcell / (1.0 + purcell)
+
+
+def _half_width(n_ph, g, purcell, emitter, gamma_d):
+    """Power-broadened half-width of a line driven by n_ph cavity photons."""
+    gamma, _ = _decay(purcell, emitter)
+    gamma2 = gamma / 2.0 + gamma_d
+    return gamma2 * np.sqrt(1.0 + n_ph * g ** 2 / (gamma * gamma2))
+
+
+def _excitation(n_ph, g, purcell, detuning, emitter, gamma_d, duration):
+    """Excited population after the drive, decay rate, cavity branching."""
+    gamma, eta = _decay(purcell, emitter)
+    p_exc = pulse_excitation(np.sqrt(n_ph) * g, detuning, gamma, gamma_d,
+                             duration)
+    return p_exc, gamma, eta
+
+
+def _detected(p_emit, gamma, det: DetectorConfig, decay_start):
+    """Clicks per pulse from p_emit photons per pulse into the cavity mode:
+    the share of the decay inside the gate, times the detection chain."""
+    return p_emit * window_capture_fraction(
+        gamma, det.gate_start, det.gate_duration, decay_start) * det.eta_total
 
 
 def expected_linewidth(ion: IonRecord, cavity: CavityParams,
@@ -164,10 +187,8 @@ def expected_linewidth(ion: IonRecord, cavity: CavityParams,
     """Power-broadened FWHM in Hz with the cavity tracking the laser."""
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega)
-    gamma = emitter.gamma0 * (1.0 + ion.purcell)
-    gamma2 = gamma / 2.0 + gamma_d
-    s_pk = n_ph * ion.g**2 / (gamma * gamma2)
-    return 2.0 * gamma2 * math.sqrt(1.0 + s_pk) / TWO_PI
+    return float(2.0 * _half_width(n_ph, ion.g, ion.purcell, emitter,
+                                   gamma_d) / TWO_PI)
 
 
 def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
@@ -192,68 +213,50 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
     _validate_gate(seq, det)
 
     grid = plan.grid
-    n_pts = plan.n_points
+    n_pts = len(grid)
     n_ions = len(ions)
-    point_duration = plan.pulses_per_point * seq.rep_period
-    elapsed = np.arange(n_pts) * point_duration
-    if co_scan:
-        f_cav = grid + plan.cavity_drift_rate * elapsed
-    else:
-        f_cav = cavity.f_cav + plan.cavity_drift_rate * elapsed
-    delta_lc = TWO_PI * (grid - f_cav)
+    elapsed = np.arange(n_pts) * (plan.pulses_per_point * seq.rep_period)
+    f_cav = ((grid if co_scan else cavity.f_cav)
+             + plan.cavity_drift_rate * elapsed)
     n_ph_res = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                          cavity.kappa, emitter.omega)
-    n_ph = n_ph_res / (1.0 + (2.0 * delta_lc / cavity.kappa) ** 2)
+    n_ph = n_ph_res / _rolloff(TWO_PI * (grid - f_cav), cavity.kappa)
 
     f_line, line_ion, line_w = _expand_lines(ions, zeeman)
     g_ion = np.array([ion.g for ion in ions])
     p_max = np.array([ion.purcell for ion in ions])
 
     # candidate window per line, sized at full enhancement and peak drive
-    gamma_res = emitter.gamma0 * (1.0 + p_max[line_ion])
-    gamma2_res = gamma_res / 2.0 + gamma_d
-    s_res = n_ph.max() * g_ion[line_ion] ** 2 / (gamma_res * gamma2_res)
-    cut_hz = CUTOFF_HALFWIDTHS * gamma2_res * np.sqrt(1.0 + s_res) / TWO_PI
+    cut_hz = (CUTOFF_HALFWIDTHS * _half_width(n_ph.max(), g_ion, p_max,
+                                              emitter, gamma_d)
+              / TWO_PI)[line_ion]
 
+    # (point, line) pairs inside the window, by point and then by line
+    # frequency: each point's candidates are a run of the sorted lines
     order = np.argsort(f_line, kind="stable")
     f_sorted = f_line[order]
-    max_cut = float(cut_hz.max()) if len(cut_hz) else 0.0
-    pair_pt: list[np.ndarray] = []
-    pair_ln: list[np.ndarray] = []
-    for k in range(n_pts):
-        lo = int(np.searchsorted(f_sorted, grid[k] - max_cut))
-        hi = int(np.searchsorted(f_sorted, grid[k] + max_cut))
-        cand = order[lo:hi]
-        cand = cand[np.abs(grid[k] - f_line[cand]) <= cut_hz[cand]]
-        if len(cand):
-            pair_pt.append(np.full(len(cand), k, dtype=np.int64))
-            pair_ln.append(cand)
-    if pair_pt:
-        pt = np.concatenate(pair_pt)
-        ln = np.concatenate(pair_ln)
-        ion_idx = line_ion[ln]
-        delta_ic = TWO_PI * (f_line[ln] - f_cav[pt])
-        p_eff = p_max[ion_idx] / (1.0 + (2.0 * delta_ic / cavity.kappa) ** 2)
-        gamma_pair = emitter.gamma0 * (1.0 + p_eff)
-        eta_pair = p_eff / (1.0 + p_eff)
-        omega_pair = np.sqrt(n_ph[pt]) * g_ion[ion_idx]
-        delta_laser = TWO_PI * (grid[pt] - f_line[ln])
-        p_exc = pulse_excitation(omega_pair, delta_laser, gamma_pair,
-                                 np.full(len(pt), gamma_d),
-                                 seq.excite_duration)
-        capture = window_capture_fraction(gamma_pair, det.gate_start,
-                                          det.gate_duration,
-                                          seq.excite_duration)
-        p_click = line_w[ln] * p_exc * eta_pair * capture * det.eta_total
-        key = pt * n_ions + ion_idx
-        uniq, inverse = np.unique(key, return_inverse=True)
-        p_group = np.zeros(len(uniq))
-        np.add.at(p_group, inverse, p_click)
-        np.clip(p_group, 0.0, 1.0, out=p_group)
-        group_pt = uniq // n_ions
-    else:
-        p_group = np.zeros(0)
-        group_pt = np.zeros(0, dtype=np.int64)
+    max_cut = float(cut_hz.max())
+    lo = np.searchsorted(f_sorted, grid - max_cut)
+    n_cand = np.searchsorted(f_sorted, grid + max_cut) - lo
+    pt = np.repeat(np.arange(n_pts), n_cand)
+    ln = order[np.arange(len(pt))
+               + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)]
+    near = np.abs(grid[pt] - f_line[ln]) <= cut_hz[ln]
+    pt, ln = pt[near], ln[near]
+
+    ion_idx = line_ion[ln]
+    p_eff = p_max[ion_idx] / _rolloff(TWO_PI * (f_line[ln] - f_cav[pt]),
+                                      cavity.kappa)
+    p_exc, gamma, eta = _excitation(n_ph[pt], g_ion[ion_idx], p_eff,
+                                    TWO_PI * (grid[pt] - f_line[ln]),
+                                    emitter, gamma_d, seq.excite_duration)
+    p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
+                        seq.excite_duration)
+    uniq, inverse = np.unique(pt * n_ions + ion_idx, return_inverse=True)
+    p_group = np.zeros(len(uniq))
+    np.add.at(p_group, inverse, p_click)
+    np.clip(p_group, 0.0, 1.0, out=p_group)
+    group_pt = uniq // n_ions
     bounds = np.searchsorted(group_pt, np.arange(n_pts + 1))
 
     lam = plan.pulses_per_point * (det.dark_rate * det.gate_duration
@@ -272,19 +275,6 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
                       pulses_per_point=plan.pulses_per_point, seed=seed)
 
 
-def _operating_point(ion, cavity, emitter, power, gamma_d, cavity_detuning_hz):
-    """Rates and drive for one ion with the laser parked on it."""
-    delta_c = TWO_PI * cavity_detuning_hz
-    roll = 1.0 / (1.0 + (2.0 * delta_c / cavity.kappa) ** 2)
-    p_eff = ion.purcell * roll
-    gamma = emitter.gamma0 * (1.0 + p_eff)
-    eta = p_eff / (1.0 + p_eff)
-    n_ph = intracavity_photon_number(power, cavity.eta_cav, cavity.kappa,
-                                     emitter.omega) * roll
-    omega = math.sqrt(n_ph) * ion.g
-    return gamma, eta, omega, n_ph
-
-
 def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
                 laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
                 gate_factor=None, **clicks):
@@ -294,16 +284,17 @@ def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
     lifetimes, and the period ends with it.  Returns the emission model,
     the detector used and the click stream; clicks go to simulate_clicks.
     """
-    gamma, eta, omega, _ = _operating_point(ion, cavity, emitter,
-                                            seq.input_power, gamma_d,
-                                            cavity_detuning_hz)
+    roll = _rolloff(TWO_PI * cavity_detuning_hz, cavity.kappa)
+    n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
+                                     cavity.kappa, emitter.omega) / roll
+    p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell / roll,
+                                    TWO_PI * laser_detuning_hz, emitter,
+                                    gamma_d, seq.excite_duration)
     if gate_factor is not None:
         det = replace(det, gate_start=seq.excite_duration,
                       gate_duration=gate_factor / gamma)
         seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
     _validate_gate(seq, det)
-    p_exc = pulse_excitation(omega, TWO_PI * laser_detuning_hz, gamma,
-                             gamma_d, seq.excite_duration)
     emission = EmissionModel(p_excited=p_exc, gamma=gamma,
                              eta_into_cavity=eta,
                              decay_start=seq.excite_duration)
@@ -480,39 +471,29 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
         raise DomainError("powers must be a 1-d array of distinct values")
     if np.any(powers < 0):
         raise DomainError("powers must be non-negative")
+    # one drive timing for every power
+    _validate_gate(PulseSequence(0.0, excite_duration, rep_period), det)
     ranks = _ranks(powers)
 
-    on_counts = np.empty(len(powers), dtype=np.int64)
-    off_counts = np.empty(len(powers), dtype=np.int64)
-    expected_on = np.empty(len(powers))
-    expected_off = np.empty(len(powers))
-    for k, power in enumerate(powers):
-        seq = PulseSequence(input_power=power,
-                            excite_duration=excite_duration,
-                            rep_period=rep_period)
-        _validate_gate(seq, det)
-        gamma, eta, omega, n_ph = _operating_point(ion, cavity, emitter,
-                                                   power, gamma_d, 0.0)
-        capture = window_capture_fraction(gamma, det.gate_start,
-                                          det.gate_duration,
-                                          seq.excite_duration)
-        factor = eta * capture * det.eta_total
-        p_on = pulse_excitation(omega, 0.0, gamma, gamma_d,
-                                excite_duration) * factor
-        p_off = pulse_excitation(omega, TWO_PI * off_detuning_hz, gamma,
-                                 gamma_d, excite_duration) * factor
-        lam = pulses_per_point * (det.dark_rate * det.gate_duration
-                                  + background_coeff * n_ph)
+    n_ph = intracavity_photon_number(powers, cavity.eta_cav, cavity.kappa,
+                                     emitter.omega)
+    # row 0 with the laser on the ion, row 1 off_detuning_hz from it
+    detuning = np.array([[0.0], [TWO_PI * off_detuning_hz]])
+    p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell, detuning,
+                                    emitter, gamma_d, excite_duration)
+    p_click = _detected(p_exc * eta, gamma, det, excite_duration)
+    lam = pulses_per_point * (det.dark_rate * det.gate_duration
+                              + background_coeff * n_ph)
+    counts = np.empty(p_click.shape, dtype=np.int64)
+    for k in range(len(powers)):
         gen = _child_rng(seed, ranks[k])
-        on_counts[k] = int(gen.binomial(pulses_per_point, p_on)) \
-            + int(gen.poisson(lam))
-        off_counts[k] = int(gen.binomial(pulses_per_point, p_off)) \
-            + int(gen.poisson(lam))
-        expected_on[k] = pulses_per_point * p_on + lam
-        expected_off[k] = pulses_per_point * p_off + lam
-    return SaturationResult(powers=powers, on_counts=on_counts,
-                            off_counts=off_counts, expected_on=expected_on,
-                            expected_off=expected_off,
+        for row in (0, 1):
+            counts[row, k] = (gen.binomial(pulses_per_point, p_click[row, k])
+                              + gen.poisson(lam[k]))
+    expected = pulses_per_point * p_click + lam
+    return SaturationResult(powers=powers, on_counts=counts[0],
+                            off_counts=counts[1], expected_on=expected[0],
+                            expected_off=expected[1],
                             pulses_per_point=pulses_per_point, seed=seed)
 
 
@@ -551,10 +532,8 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
         gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz, blink=blink,
         background_per_pulse=background_per_pulse, seed=seed)
     offsets, g2, stderr = g2_pulsed(stream, max_offset)
-    capture = window_capture_fraction(emission.gamma, det.gate_start,
-                                      det.gate_duration, seq.excite_duration)
-    signal = float(emission.p_excited * emission.eta_into_cavity * capture
-                   * det.eta_total)
+    signal = float(_detected(emission.p_excited * emission.eta_into_cavity,
+                             emission.gamma, det, seq.excite_duration))
     if blink is not None and blink.enabled:
         signal *= blink.p_bright
     background = det.dark_rate * det.gate_duration + background_per_pulse

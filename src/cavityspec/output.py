@@ -30,8 +30,12 @@ def _atomic_write(path, data: bytes) -> None:
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix="~")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp makes the file owner-only; give it open()'s mode
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from cavityspec.cli import main
+from cavityspec.config import build_config
+from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.experiments import EXPERIMENTS
 from cavityspec.output import read_csv, write_csv_atomic
 
@@ -100,6 +102,48 @@ def test_single_point_cavity_sweep_sits_on_resonance(tmp_path):
     assert list(cols["cavity_detuning_hz"]) == [0.0]
     purcell = cols["purcell_fit"][0]
     assert abs(purcell - 320.0) / 320.0 < 0.05
+
+
+def test_ple_scan_far_from_every_line(tmp_path, capsys):
+    # the only ion sits 10 GHz from a 10 MHz scan: no line-point pair, so
+    # every point expects dark counts plus background and nothing else
+    text = ("experiment = ple\n\n[ion]\noffset = 10 GHz\n\n[scan]\n"
+            "span = 10 MHz\nstep = 0.5 MHz\nbackground_coeff = 0.01\n")
+    out = str(tmp_path / "o")
+    assert main(["run", _write_cfg(tmp_path, text), "--seed", "7",
+                 "--output", out]) == 0
+    bundle = os.path.join(out, "ple-seed7")
+    assert main(["inspect", bundle]) == 0
+    _, cols = read_csv(os.path.join(bundle, "ple.csv"))
+    cfg = build_config({("scan", "background_coeff"): "0.01"})
+    n_ph = intracavity_photon_number(cfg.sequence.input_power,
+                                     cfg.cavity.eta_cav, cfg.cavity.kappa,
+                                     cfg.emitter.omega)
+    per_pulse = (cfg.detector.dark_rate * cfg.detector.gate_duration
+                 + 0.01 * n_ph)
+    assert len(cols["expected"]) == 21
+    np.testing.assert_allclose(cols["expected"],
+                               cfg["scan", "pulses_per_point"] * per_pulse,
+                               rtol=1e-11)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = str(tmp_path / "o")
+        cfg = _write_cfg(tmp_path, "experiment = lifetime\n\n[lifetime]\n"
+                                   "n_pulses = 20000\n")
+        assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
+        bundle = os.path.join(out, "lifetime-seed7")
+        assert main(["fit", os.path.join(bundle, "lifetime.csv"),
+                     "--model", "exponential"]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(bundle))
+    assert names == ["clicks.bin", "config.txt", "lifetime.csv",
+                     "lifetime.csv.fit.json", "manifest.json"]
+    for name in names:
+        assert os.stat(os.path.join(bundle, name)).st_mode & 0o777 == 0o644, name
 
 
 def test_seed_flag_changes_data_not_config_hash(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cavityspec.cli import main
-from cavityspec.config import (build_config, dump_config, load_config,
-                               parse_config_text)
+from cavityspec.config import (COUNT_LIMITS, build_config, dump_config,
+                               load_config, parse_config_text)
 from cavityspec.constants import TWO_PI
 from cavityspec.errors import ConfigError
 from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
@@ -167,6 +167,33 @@ def test_oversized_grid_exits_2_naming_key(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ")
     assert "more than 1,000,000" in err
+
+
+@pytest.mark.parametrize("section,name", sorted(COUNT_LIMITS),
+                         ids=[f"{s}-{k}" for s, k in sorted(COUNT_LIMITS)])
+def test_oversized_count_exits_2_naming_key(tmp_path, capsys, monkeypatch,
+                                            section, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    for alloc in ("arange", "linspace", "geomspace", "empty", "zeros"):
+        monkeypatch.setattr(np, alloc, refuse)
+    experiment = section if section in EXPERIMENTS else "ple"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"experiment = {experiment}\n[{section}]\n"
+                    f"{name} = {10**12}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    limit = COUNT_LIMITS[(section, name)]
+    assert err.startswith(f"error: [{section}] {name}: expected at most "
+                          f"{limit:,}, got ")
+    assert not out.exists()
+
+
+def test_count_limits_admit_the_bound():
+    cfg = build_config({key: str(limit) for key, limit in COUNT_LIMITS.items()})
+    assert all(cfg[key] == limit for key, limit in COUNT_LIMITS.items())
 
 
 def test_dump_roundtrip_is_identity():

@@ -204,6 +204,29 @@ def test_g2_floor_and_blinking():
     assert blinky.g2[1] > blinky.g2[8]
 
 
+def test_runners_share_one_click_model():
+    # one ion, power, pulse and gate, no dark counts and no background: the
+    # scan's expectation on the line, the saturation ladder's and the g2
+    # signal are the same detected photons per pulse
+    ion = _ion()
+    seq = PulseSequence(input_power=2e-10, excite_duration=8e-6)
+    det = DetectorConfig(eta_total=0.04, dark_rate=0.0, gate_start=12e-6,
+                         gate_duration=60e-6)
+    scan = run_ple_scan(ScanPlan(F0 + np.array([-1e6, 0.0, 1e6]), 500),
+                        [ion], CAV, EMITTER, seq, det, seed=3)
+    sat = run_saturation_series(ion, CAV, EMITTER, [seq.input_power], det,
+                                pulses_per_point=700, seed=3,
+                                excite_duration=seq.excite_duration,
+                                rep_period=seq.rep_period)
+    g2 = run_g2(ion, CAV, EMITTER, seq, det, n_pulses=1000, seed=3,
+                max_offset=2)
+    per_pulse = scan.expected[1] / 500
+    assert per_pulse > 1e-3
+    np.testing.assert_allclose(sat.expected_on[0] / 700, per_pulse,
+                               rtol=1e-12)
+    np.testing.assert_allclose(g2.signal_per_pulse, per_pulse, rtol=1e-12)
+
+
 def test_zeeman_series_recovers_slope_and_offset():
     ion = _ion()
     # long excite pulse so the population settles before the gate opens
