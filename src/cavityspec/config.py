@@ -22,7 +22,7 @@ from .constants import TWO_PI
 from .detection import DetectorConfig
 from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
                        ZeemanConfig)
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .experiments import EXPERIMENTS, MAX_GRID_POINTS, PulseSequence
 from .output import sha256_text
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope
@@ -74,6 +74,15 @@ _EXAMPLE = {Kind.FREQ: "3.85 GHz", Kind.TIME: "10 us", Kind.POWER: "1 nW",
 
 def _fail(where: str, message: str) -> ConfigError:
     return ConfigError(f"{where}: {message}")
+
+
+def _build(section: str, ctor, **fields):
+    """ctor(**fields), a DomainError reported against the section's keys."""
+    try:
+        return ctor(**fields)
+    except DomainError as exc:
+        keys = ", ".join(k for s, k in SETTINGS if s == section)
+        raise _fail(f"[{section}] {keys}", str(exc)) from None
 
 
 def _number(token: str, where: str) -> float:
@@ -150,8 +159,8 @@ def _temp_grid(text: str, where: str) -> tuple[float, float, float]:
     if len(pieces) != 3:
         raise _fail(where, f"expected 'start:stop:step K', got {text!r}")
     start, stop, step = (_number(p, where) * factor for p in pieces)
-    if step <= 0 or stop < start:
-        raise _fail(where, "grid needs step > 0 and stop >= start")
+    if step <= 0 or not 0 < start <= stop:
+        raise _fail(where, "grid needs step > 0 and 0 < start <= stop")
     return (start, stop, step)
 
 
@@ -272,16 +281,18 @@ SETTINGS: dict[tuple[str, str], tuple[Kind, str]] = {
     ("purcell_stats", "n_points"): (Kind.COUNT, "25"),
 }
 
-# Upper bounds of the counts that size an array, checked at build so a huge
-# value exits naming its key instead of failing inside numpy.  [scan] and
-# [zeeman] pulses_per_point only set binomial trial counts: no bound.
+# Upper bounds of every count key, checked at build so a huge value exits
+# naming its key instead of failing inside numpy.
 COUNT_LIMITS = {
     **dict.fromkeys([("lifetime", "n_bins"), ("cavity_sweep", "n_points"),
                      ("cavity_sweep", "n_bins"), ("saturation", "n_points"),
                      ("purcell_stats", "n_points")], MAX_GRID_POINTS),
-    # per-pulse arrays: 10x the largest pulse count in use
+    # per-pulse arrays and binomial trial counts: 10x the largest pulse
+    # count in use
     **dict.fromkeys([("lifetime", "n_pulses"), ("g2", "n_pulses"),
-                     ("cavity_sweep", "pulses_per_point")], 100_000_000),
+                     ("cavity_sweep", "pulses_per_point"),
+                     ("scan", "pulses_per_point"),
+                     ("zeeman", "pulses_per_point")], 100_000_000),
     ("ensemble", "max_count"): 10_000_000,  # its default
 }
 
@@ -354,39 +365,47 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
         if limit is not None and v[(section, key)] > limit:
             raise _fail(where, f"expected at most {limit:,}, got {text!r}")
 
+    if v[("", "seed")] >= 2**64:  # clicks.bin stores it in 8 bytes
+        raise _fail("seed", f"expected less than 2**64, got {raw['', 'seed']!r}")
     experiment = str(v[("", "experiment")]).lower()
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown experiment {experiment!r}, "
                           f"expected one of {', '.join(EXPERIMENTS)}")
 
-    cavity = CavityParams(
+    cavity = _build(
+        "cavity", CavityParams,
         f_cav=v[("cavity", "frequency")],
         kappa=TWO_PI * v[("cavity", "kappa")],
         eta_cav=v[("cavity", "eta_cav")],
         g_if=TWO_PI * v[("cavity", "g_interface")],
         z_half=v[("cavity", "z_half")],
         interface_intensity_fraction=v[("cavity", "interface_fraction")])
-    emitter = EmitterConstants(
+    emitter = _build(
+        "emitter", EmitterConstants,
         gamma0=TWO_PI * v[("emitter", "gamma0")],
         beta=v[("emitter", "beta")],
         n_host=v[("emitter", "n_host")],
         omega=TWO_PI * v[("emitter", "frequency")])
     gamma_d = TWO_PI * v[("emitter", "gamma_dephasing")]
+    if gamma_d < 0:
+        raise _fail("[emitter] gamma_dephasing", "must be non-negative")
 
     purcell = v[("ion", "purcell")]
     g_ion = math.sqrt(max(purcell, 0.0) * cavity.kappa * emitter.gamma0 / 4.0)
-    ion = IonRecord(position=(0.0, 0.0, 0.0),
-                    f0=cavity.f_cav + v[("ion", "offset")],
-                    g=g_ion, purcell=purcell,
-                    delta_g_spin=v[("ion", "delta_g")])
+    ion = _build("ion", IonRecord, position=(0.0, 0.0, 0.0),
+                 f0=cavity.f_cav + v[("ion", "offset")],
+                 g=g_ion, purcell=purcell,
+                 delta_g_spin=v[("ion", "delta_g")])
 
-    detector = DetectorConfig(
+    detector = _build(
+        "detector", DetectorConfig,
         eta_total=v[("detector", "eta_total")],
         dark_rate=v[("detector", "dark_rate")],
         gate_start=v[("detector", "gate_start")],
         gate_duration=v[("detector", "gate_duration")],
         dead_time=v[("detector", "dead_time")])
-    sequence = PulseSequence(
+    sequence = _build(
+        "sequence", PulseSequence,
         input_power=v[("sequence", "power")],
         excite_duration=v[("sequence", "excite")],
         rep_period=v[("sequence", "period")])
@@ -394,18 +413,21 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
     density = v[("ensemble", "density_per_m3")]
     if density <= 0:
         density = v[("ensemble", "ppm")] * 1e-6 * YTTRIUM_SITE_DENSITY
-    ensemble = EnsembleConfig(
+    ensemble = _build(
+        "ensemble", EnsembleConfig,
         density=density,
         site1_fraction=v[("ensemble", "site1_fraction")],
         f_center=cavity.f_cav + v[("ensemble", "center_offset")],
         sigma_inh=v[("ensemble", "sigma")],
         region=v[("ensemble", "region")],
         max_count=v[("ensemble", "max_count")])
-    envelope = TransverseEnvelope(waist_x=v[("ensemble", "waist_x")],
-                                  waist_y=v[("ensemble", "waist_y")])
+    envelope = _build("ensemble", TransverseEnvelope,
+                      waist_x=v[("ensemble", "waist_x")],
+                      waist_y=v[("ensemble", "waist_y")])
 
     sum_g = v[("zeeman", "sum_g")]
-    zeeman = ZeemanConfig(
+    zeeman = _build(
+        "zeeman", ZeemanConfig,
         b_applied=(0.0, 0.0, 0.0),
         b_offset=v[("zeeman", "b_offset")],
         delta_g=v[("ion", "delta_g")],

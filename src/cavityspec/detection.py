@@ -183,6 +183,9 @@ def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
     return bright
 
 
+MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
+
+
 def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
                     n_pulses: int, rng: np.random.Generator, *,
                     blink: BlinkConfig | None = None,
@@ -216,6 +219,10 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
     src_pulse, src_t = src_pulse[in_gate], src_t[in_gate]
 
     lam = detector.dark_rate * detector.gate_duration + background_per_pulse
+    if not lam * n_pulses <= MAX_BACKGROUND_CLICKS:
+        raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} background "
+                          "clicks expected: lower dark_rate, gate_duration "
+                          "or background_per_pulse")
     if lam > 0:
         total_bg = rng.poisson(lam * n_pulses)
         bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
@@ -259,7 +266,8 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     if max_offset < 0:
         raise DomainError(f"max_offset must be non-negative, got {max_offset}")
     if stream.n_pulses < max_offset + 2:
-        raise DomainError("not enough pulses for the requested offset range")
+        raise DomainError(f"n_pulses {stream.n_pulses} is too few for "
+                          f"max_offset {max_offset}")
     counts = stream.counts().astype(float)
     mu = counts.mean()
     if mu == 0.0:

@@ -25,6 +25,7 @@ from .errors import DomainError, IntegrationError
 
 _BOUND_TOL = 1e-9
 _MAX_REFINEMENTS = 6
+_MAX_STEPS = 10_000_000  # RK4 steps per pass: ~20 s of pure Python
 _CHUNK = 200_000  # matrices propagated per batch by pulse_excitation
 
 
@@ -90,7 +91,8 @@ class SpinRelaxParams:
         if not (self.temperature > 0 and self.spin_splitting > 0):
             raise DomainError("temperature and spin_splitting must be positive")
         if any(c < 0 for c in (self.a_direct, self.a_raman, self.a_orbach)):
-            raise DomainError("relaxation coefficients must be non-negative")
+            raise DomainError("a_direct, a_raman and a_orbach must be "
+                              "non-negative")
         if self.delta_orbach <= 0:
             raise DomainError("delta_orbach must be positive")
 
@@ -172,6 +174,9 @@ def evolve_bloch(state: BlochState, drive: DriveParams, duration: float,
 
     dt_cap = _step_limit(dt_max, drive.omega_rabi, drive.detuning, drive.gamma,
                          drive.gamma2)
+    if not duration / dt_cap <= _MAX_STEPS:
+        raise IntegrationError(f"{duration / dt_cap:.3g} RK4 steps needed "
+                               f"(drive={drive}), more than {_MAX_STEPS:,}")
     for refinement in range(_MAX_REFINEMENTS + 1):
         trajectory = _rk4_run(state, drive, duration, dt_cap / (2.0**refinement),
                               max_samples)
@@ -297,9 +302,11 @@ def _pulse_excitation_chunk(omega, delta, gam, gd, duration):
     a[:, 2, 2] = -gamma2
     rho_ss, u_ss, v_ss = _steady_arrays(omega, delta, gam, gamma2)
     xss = np.stack([rho_ss, u_ss, v_ss], axis=1)
-    propagator = _expm3_batch(a * duration)
-    # x(t) = xss + e^{At}(x0 - xss) with x0 = 0
-    rho = xss[:, 0] - np.einsum("nij,nj->ni", propagator, xss)[:, 0]
+    # extreme rates overflow here; those pairs are caught below as bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        propagator = _expm3_batch(a * duration)
+        # x(t) = xss + e^{At}(x0 - xss) with x0 = 0
+        rho = xss[:, 0] - np.einsum("nij,nj->ni", propagator, xss)[:, 0]
     bad = ~np.isfinite(rho) | (rho < -1e-6) | (rho > 1.0 + 1e-6)
     if np.any(bad):
         for i in np.flatnonzero(bad):  # rare; integrate those the slow way

@@ -125,10 +125,15 @@ class ZeemanConfig:
         return math.sqrt((ax + ox) ** 2 + (ay + oy) ** 2 + (az + oz) ** 2)
 
 
+# the ensemble table: one record per ion, with IonRecord's field names
+ION_DTYPE = np.dtype([("position", float, (3,)), ("f0", float), ("g", float),
+                      ("purcell", float)])
+
+
 def sample_ensemble(cfg: EnsembleConfig, cavity: CavityParams,
                     emitter: EmitterConstants, rng: np.random.Generator,
-                    envelope: TransverseEnvelope | None = None) -> list[IonRecord]:
-    """Draw one random ensemble.
+                    envelope: TransverseEnvelope | None = None) -> np.recarray:
+    """Draw one random ensemble as a record array of ION_DTYPE.
 
     Ion count is Poisson with mean density*site1_fraction*volume; positions
     are uniform in the region; frequencies are normal around f_center with
@@ -138,7 +143,12 @@ def sample_ensemble(cfg: EnsembleConfig, cavity: CavityParams,
     """
     if envelope is None:
         envelope = TransverseEnvelope()
-    n = int(rng.poisson(cfg.mean_count))
+    mean = cfg.mean_count
+    # refuse only a mean no draw fits under (the draw fails past ~9.2e18)
+    if not mean - 40.0 * math.sqrt(mean) <= cfg.max_count:
+        raise CapacityError(f"expected {mean:.3g} ions, far beyond "
+                            f"max_count={cfg.max_count}")
+    n = int(rng.poisson(mean))
     if n > cfg.max_count:
         raise CapacityError(
             f"sampled {n} ions, exceeding max_count={cfg.max_count}")
@@ -147,13 +157,17 @@ def sample_ensemble(cfg: EnsembleConfig, cavity: CavityParams,
     y = rng.uniform(-ly / 2.0, ly / 2.0, size=n)
     z = rng.uniform(0.0, lz, size=n)
     f0 = rng.normal(cfg.f_center, cfg.sigma_inh, size=n)
+    if np.any(f0 <= 0):
+        raise DomainError("sampled a non-positive f0: sigma_inh is too wide "
+                          "for f_center")
     g = coupling_at_depth(cavity.g_if, z, cavity.z_half) * envelope.amplitude(x, y)
-    purcell = 4.0 * g * g / (cavity.kappa * emitter.gamma0)
-    return [
-        IonRecord(position=(float(x[i]), float(y[i]), float(z[i])),
-                  f0=float(f0[i]), g=float(g[i]), purcell=float(purcell[i]))
-        for i in range(n)
-    ]
+    ions = np.recarray(n, dtype=ION_DTYPE)
+    ions.position, ions.f0, ions.g = np.column_stack((x, y, z)), f0, g
+    ions.purcell = 4.0 * g * g / (cavity.kappa * emitter.gamma0)
+    return ions
+
+
+MAX_QUADRATURE_CELLS = 100_000_000  # ~8x the default region's grid
 
 
 def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
@@ -172,6 +186,10 @@ def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
     if envelope is None:
         envelope = TransverseEnvelope()
     lx, ly, lz = cfg.region
+    cells = (lx / transverse_step) * (ly / transverse_step) * (lz / depth_step)
+    if not cells <= MAX_QUADRATURE_CELLS:
+        raise DomainError(f"region {cfg.region} needs {cells:.3g} quadrature "
+                          f"cells, more than {MAX_QUADRATURE_CELLS:,}")
     nx = max(2, int(round(lx / transverse_step)))
     ny = max(2, int(round(ly / transverse_step)))
     nz = max(2, int(round(lz / depth_step)))
@@ -193,16 +211,17 @@ def zeeman_splitting(zcfg: ZeemanConfig) -> float:
     return zcfg.delta_g * MU_BOHR * zcfg.total_field / H_PLANCK
 
 
-def zeeman_frequencies(f0: float, zcfg: ZeemanConfig) -> tuple[float, float]:
+def zeeman_frequencies(f0, zcfg: ZeemanConfig):
     """The two spin-conserving line frequencies (lower, upper), Hz."""
-    if not (f0 > 0 and np.isfinite(f0)):
-        raise DomainError(f"f0 must be positive, got {f0}")
+    if not np.all((f0 > 0) & np.isfinite(f0)):
+        raise DomainError("f0 must be positive and finite")
     half = zeeman_splitting(zcfg) / 2.0
     return (f0 - half, f0 + half)
 
 
-def zeeman_lines(f0: float, zcfg: ZeemanConfig) -> list[tuple[float, float]]:
-    """All optical lines as (frequency, weight); weights sum to 1.
+def zeeman_lines(f0, zcfg: ZeemanConfig) -> list[tuple]:
+    """All optical lines as (frequency, weight); weights sum to 1.  f0 may
+    be an array of line centres, as in zeeman_frequencies.
 
     Spin-conserving lines carry weight 1 each and spin-flip lines carry
     spin_flip_strength, before normalisation.

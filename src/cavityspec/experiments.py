@@ -57,34 +57,6 @@ class PulseSequence:
             raise DomainError("rep_period must cover the excitation pulse")
 
 
-@dataclass(frozen=True)
-class ScanPlan:
-    """Laser frequencies visited in order, all with the same pulse budget."""
-
-    grid: np.ndarray
-    pulses_per_point: int
-    cavity_drift_rate: float = 0.0  # Hz/s of uncommanded cavity motion
-
-    def __post_init__(self):
-        grid = np.ascontiguousarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if grid.ndim != 1 or len(grid) < 1:
-            raise DomainError("grid must be a non-empty 1-d array")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("grid values must be finite")
-        if len(np.unique(grid)) != len(grid):
-            raise DomainError("grid values must be distinct")
-        if self.pulses_per_point < 1:
-            raise DomainError("pulses_per_point must be at least 1")
-        if not np.isfinite(self.cavity_drift_rate):
-            raise DomainError("cavity_drift_rate must be finite")
-        if self.cavity_drift_rate != 0.0:
-            diffs = np.diff(grid)
-            if not (np.all(diffs > 0) or np.all(diffs < 0)):
-                raise DomainError(
-                    "a drifting scan must visit the grid monotonically")
-
-
 @dataclass
 class ScanResult:
     grid: np.ndarray
@@ -110,11 +82,38 @@ class ScanResult:
         return cols, meta
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Each value's position in sorted order: the key of its RNG stream."""
-    out = np.empty(len(values), dtype=np.int64)
-    out[np.argsort(values, kind="stable")] = np.arange(len(values))
-    return out
+def _point_grid(values, name: str):
+    """Scan points as a 1-d array of distinct finite floats, and each one's
+    position in sorted order: the key of its RNG stream."""
+    grid = np.ascontiguousarray(values, dtype=float)
+    if grid.ndim != 1 or len(grid) < 1:
+        raise DomainError(f"{name}: must be a non-empty 1-d array")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError(f"{name}: values must be finite")
+    order = np.argsort(grid, kind="stable")
+    if np.any(np.diff(grid[order]) == 0):
+        raise DomainError(f"{name}: values must be distinct")
+    ranks = np.empty(len(grid), dtype=np.int64)
+    ranks[order] = np.arange(len(grid))
+    return grid, ranks
+
+
+# below numpy's Poisson limit of about 9.2e18
+MAX_POINT_MEAN = 1e18
+
+
+def _background_mean(pulses_per_point, det: DetectorConfig,
+                     background_coeff, n_ph):
+    """Dark and laser-background counts expected at each point."""
+    if background_coeff < 0:
+        raise DomainError("background_coeff must be non-negative")
+    lam = pulses_per_point * (det.dark_rate * det.gate_duration
+                              + background_coeff * n_ph)
+    if not np.all(lam <= MAX_POINT_MEAN):
+        raise DomainError(f"more than {MAX_POINT_MEAN:.0e} background counts "
+                          "per point: lower background_coeff, dark_rate or "
+                          "pulses_per_point")
+    return lam
 
 
 def _child_rng(seed: int, rank: int) -> np.random.Generator:
@@ -129,21 +128,11 @@ def _child_seed(seed: int, index: int) -> int:
 
 def _validate_gate(seq: PulseSequence, det: DetectorConfig) -> None:
     if det.gate_start < seq.excite_duration:
-        raise ConfigError("collection gate opens before the drive ends")
+        raise ConfigError("collection gate opens before the drive ends: "
+                          "gate_start < excite_duration")
     if det.gate_start + det.gate_duration > seq.rep_period:
-        raise ConfigError("collection gate extends past the pulse period")
-
-
-def _expand_lines(ions, zeeman: ZeemanConfig | None):
-    """Optical line table: (frequency, ion index, weight) per transition."""
-    table = []
-    for i, ion in enumerate(ions):
-        lines = ([(ion.f0, 1.0)] if zeeman is None else zeeman_lines(
-            ion.f0, replace(zeeman, delta_g=ion.delta_g_spin)))
-        table += [(f, i, w) for f, w in lines]
-    freqs, idx, weights = zip(*table)
-    return (np.asarray(freqs), np.asarray(idx, dtype=np.int64),
-            np.asarray(weights))
+        raise ConfigError("collection gate extends past the pulse period: "
+                          "gate_start + gate_duration > rep_period")
 
 
 # The per-pulse click model of every pulsed runner; scalars or arrays.
@@ -191,40 +180,55 @@ def expected_linewidth(ion: IonRecord, cavity: CavityParams,
                                    gamma_d) / TWO_PI)
 
 
-def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
+def run_ple_scan(grid, ions, cavity: CavityParams,
                  emitter: EmitterConstants, seq: PulseSequence,
-                 det: DetectorConfig, seed: int, *,
+                 det: DetectorConfig, pulses_per_point: int, seed: int, *,
                  gamma_d: float = GAMMA_D_DEFAULT,
                  zeeman: ZeemanConfig | None = None,
                  co_scan: bool = True,
+                 cavity_drift_rate: float = 0.0,
                  background_coeff: float = 0.0) -> ScanResult:
     """Pulsed excitation scan over laser frequency.
 
     Every grid point runs pulses_per_point cycles: excite, gate, count.
-    With co_scan the cavity is servoed to the laser (plus any drift); with
-    a fixed cavity the intracavity drive and each ion's enhancement roll
-    off with the respective detunings.  Ions are Bernoulli click sources,
-    dark counts and the unresolved-ion background are Poisson.
+    ions is one IonRecord or an ensemble record array.  With co_scan the
+    cavity is servoed to the laser (plus cavity_drift_rate, Hz/s); with a
+    fixed cavity the intracavity drive and each ion's enhancement roll off
+    with the respective detunings.  Ions are Bernoulli click sources, dark
+    counts and the unresolved-ion background are Poisson.
     """
-    if not ions:
-        raise DomainError("need at least one ion")
-    if background_coeff < 0:
-        raise DomainError("background_coeff must be non-negative")
+    grid, ranks = _point_grid(grid, "grid")
+    f_ion = np.atleast_1d(ions.f0)
+    g_ion = np.atleast_1d(ions.g)
+    p_max = np.atleast_1d(ions.purcell)
+    if len(f_ion) == 0:
+        raise DomainError("need at least one ion: an ensemble's ppm, "
+                          "density_per_m3, site1_fraction or region is too low")
+    if pulses_per_point < 1:
+        raise DomainError("pulses_per_point must be at least 1")
+    if not np.isfinite(cavity_drift_rate):
+        raise DomainError("cavity_drift_rate must be finite")
+    diffs = np.diff(grid)
+    if cavity_drift_rate and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise DomainError("a drifting scan must visit the grid monotonically")
     _validate_gate(seq, det)
 
-    grid = plan.grid
     n_pts = len(grid)
-    n_ions = len(ions)
-    elapsed = np.arange(n_pts) * (plan.pulses_per_point * seq.rep_period)
+    n_ions = len(f_ion)
+    elapsed = np.arange(n_pts) * (pulses_per_point * seq.rep_period)
     f_cav = ((grid if co_scan else cavity.f_cav)
-             + plan.cavity_drift_rate * elapsed)
+             + cavity_drift_rate * elapsed)
     n_ph_res = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                          cavity.kappa, emitter.omega)
     n_ph = n_ph_res / _rolloff(TWO_PI * (grid - f_cav), cavity.kappa)
+    lam = _background_mean(pulses_per_point, det, background_coeff, n_ph)
 
-    f_line, line_ion, line_w = _expand_lines(ions, zeeman)
-    g_ion = np.array([ion.g for ion in ions])
-    p_max = np.array([ion.purcell for ion in ions])
+    # the optical lines, by ion and then by line: the same offsets from
+    # every ion's f0
+    lines = [(f_ion, 1.0)] if zeeman is None else zeeman_lines(f_ion, zeeman)
+    f_line = np.stack([f for f, _ in lines], axis=1).ravel()
+    line_ion = np.repeat(np.arange(n_ions), len(lines))
+    line_w = np.tile([w for _, w in lines], n_ions)
 
     # candidate window per line, sized at full enhancement and peak drive
     cut_hz = (CUTOFF_HALFWIDTHS * _half_width(n_ph.max(), g_ion, p_max,
@@ -259,20 +263,17 @@ def run_ple_scan(plan: ScanPlan, ions, cavity: CavityParams,
     group_pt = uniq // n_ions
     bounds = np.searchsorted(group_pt, np.arange(n_pts + 1))
 
-    lam = plan.pulses_per_point * (det.dark_rate * det.gate_duration
-                                   + background_coeff * n_ph)
-    expected = lam + plan.pulses_per_point * np.bincount(
+    expected = lam + pulses_per_point * np.bincount(
         group_pt, weights=p_group, minlength=n_pts)
-    ranks = _ranks(grid)
     counts = np.empty(n_pts, dtype=np.int64)
     for k in range(n_pts):
         gen = _child_rng(seed, ranks[k])
         sel = p_group[bounds[k]:bounds[k + 1]]
-        clicks = int(gen.binomial(plan.pulses_per_point, sel).sum()) if len(sel) else 0
+        clicks = int(gen.binomial(pulses_per_point, sel).sum()) if len(sel) else 0
         counts[k] = clicks + int(gen.poisson(lam[k]))
     return ScanResult(grid=grid.copy(), counts=counts,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed,
-                      pulses_per_point=plan.pulses_per_point, seed=seed)
+                      pulses_per_point=pulses_per_point, seed=seed)
 
 
 def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
@@ -388,10 +389,9 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     The gate stretches with the expected lifetime so every point resolves
     its own decay; each point's histogram is fit for gamma.
     """
-    detunings = np.ascontiguousarray(detunings_hz, dtype=float)
-    if detunings.ndim != 1 or len(np.unique(detunings)) != len(detunings):
-        raise DomainError("detunings must be a 1-d array of distinct values")
-    ranks = _ranks(detunings)
+    detunings, ranks = _point_grid(detunings_hz, "detunings")
+    if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
+        raise DomainError(f"gate_factor must lie in (0, 1000], got {gate_factor}")
 
     gamma_fit = np.full(len(detunings), np.nan)
     gamma_err = np.full(len(detunings), np.nan)
@@ -466,14 +466,11 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
                           gamma_d: float = GAMMA_D_DEFAULT,
                           background_coeff: float = 0.0) -> SaturationResult:
     """Peak and off-resonance click totals for a ladder of drive powers."""
-    powers = np.ascontiguousarray(powers, dtype=float)
-    if powers.ndim != 1 or len(np.unique(powers)) != len(powers):
-        raise DomainError("powers must be a 1-d array of distinct values")
+    powers, ranks = _point_grid(powers, "powers")
     if np.any(powers < 0):
         raise DomainError("powers must be non-negative")
     # one drive timing for every power
     _validate_gate(PulseSequence(0.0, excite_duration, rep_period), det)
-    ranks = _ranks(powers)
 
     n_ph = intracavity_photon_number(powers, cavity.eta_cav, cavity.kappa,
                                      emitter.omega)
@@ -482,8 +479,7 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
     p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell, detuning,
                                     emitter, gamma_d, excite_duration)
     p_click = _detected(p_exc * eta, gamma, det, excite_duration)
-    lam = pulses_per_point * (det.dark_rate * det.gate_duration
-                              + background_coeff * n_ph)
+    lam = _background_mean(pulses_per_point, det, background_coeff, n_ph)
     counts = np.empty(p_click.shape, dtype=np.int64)
     for k in range(len(powers)):
         gen = _child_rng(seed, ranks[k])
@@ -531,6 +527,8 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
         ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
         gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz, blink=blink,
         background_per_pulse=background_per_pulse, seed=seed)
+    if not len(stream):  # a numeric outcome, not a bad input
+        raise FitError(f"no click in {n_pulses} pulses: g2 is undefined")
     offsets, g2, stderr = g2_pulsed(stream, max_offset)
     signal = float(_detected(emission.p_excited * emission.eta_into_cavity,
                              emission.gamma, det, seq.excite_duration))
@@ -574,7 +572,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     """
     b_values = np.ascontiguousarray(b_values, dtype=float)
     if b_values.ndim != 1 or len(b_values) < 3:
-        raise DomainError("need at least three field values")
+        raise DomainError("need at least three fields in b_values")
     base = zeeman_base if zeeman_base is not None else ZeemanConfig()
     fwhm = expected_linewidth(ion, cavity, emitter, seq, gamma_d=gamma_d)
     splittings = np.empty(len(b_values))
@@ -585,12 +583,14 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
         predicted[i] = zeeman_splitting(cfg)
         span = max(8.0 * fwhm, 1.3 * predicted[i] + 8.0 * fwhm)
         step = fwhm / 6.0
+        _check_grid_size(span / step + 1.0, "fields, b_offset, delta_g", (
+            f"the scan at {b:g} T, splitting over linewidth (gamma0, "
+            "gamma_dephasing, purcell, power),"))
         n_half = int(math.ceil(span / 2.0 / step))
         grid = ion.f0 + np.arange(-n_half, n_half + 1) * step
-        plan = ScanPlan(grid, pulses_per_point)
-        scan = run_ple_scan(plan, [ion], cavity, emitter, seq, det,
-                            _child_seed(seed, i), gamma_d=gamma_d,
-                            zeeman=cfg)
+        scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
+                            pulses_per_point, _child_seed(seed, i),
+                            gamma_d=gamma_d, zeeman=cfg)
         baseline = float(np.median(scan.counts))
         y = scan.counts.astype(float) - baseline
         noise = math.sqrt(max(baseline, 1.0))
@@ -619,9 +619,10 @@ _ENSEMBLE_STREAM = 2**32
 MAX_GRID_POINTS = 1_000_000
 
 
-def _check_grid_size(n_points: float, where: str) -> None:
+def _check_grid_size(n_points: float, where: str,
+                     grid: str = "the grid") -> None:
     if not n_points <= MAX_GRID_POINTS:
-        raise ConfigError(f"{where}: the grid would hold {n_points:.3g} "
+        raise ConfigError(f"{where}: {grid} would hold {n_points:.3g} "
                           f"points, more than {MAX_GRID_POINTS:,}")
 
 
@@ -631,7 +632,7 @@ def scan_grid(cfg: RunConfig) -> np.ndarray:
     span, step = cfg["scan", "span"], cfg["scan", "step"]
     if step <= 0 or span <= 0:
         raise ConfigError("[scan]: span and step must be positive")
-    _check_grid_size(span / step + 1.0, "[scan] step")
+    _check_grid_size(span / step + 1.0, "[scan] step", "the span / step grid")
     n_half = int(round(span / 2.0 / step))
     offsets = np.arange(-n_half, n_half + 1) * step
     keep = np.ones(len(offsets), dtype=bool)
@@ -639,7 +640,11 @@ def scan_grid(cfg: RunConfig) -> np.ndarray:
         keep &= ~((offsets >= lo) & (offsets <= hi))
     if not np.any(keep):
         raise ConfigError("[scan]: mask removes every grid point")
-    return cfg.cavity.f_cav + cfg["scan", "center_offset"] + offsets[keep]
+    grid = cfg.cavity.f_cav + cfg["scan", "center_offset"] + offsets[keep]
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError("[scan] step: below the float spacing at the scan "
+                          "centre (frequency, center_offset)")
+    return grid
 
 
 def temperature_grid(cfg: RunConfig) -> np.ndarray:
@@ -660,15 +665,15 @@ def _ple(cfg: RunConfig):
         ions = sample_ensemble(cfg.ensemble, cfg.cavity, cfg.emitter, rng,
                                cfg.envelope)
     else:
-        ions = [cfg.ion]
-    plan = ScanPlan(scan_grid(cfg), cfg["scan", "pulses_per_point"],
-                    cavity_drift_rate=cfg["scan", "drift"])
-    res = run_ple_scan(plan, ions, cfg.cavity, cfg.emitter, cfg.sequence,
-                       cfg.detector, cfg.seed, gamma_d=cfg.gamma_d,
-                       co_scan=cfg["scan", "co_scan"],
+        ions = cfg.ion
+    res = run_ple_scan(scan_grid(cfg), ions, cfg.cavity, cfg.emitter,
+                       cfg.sequence, cfg.detector,
+                       cfg["scan", "pulses_per_point"], cfg.seed,
+                       gamma_d=cfg.gamma_d, co_scan=cfg["scan", "co_scan"],
+                       cavity_drift_rate=cfg["scan", "drift"],
                        background_coeff=cfg["scan", "background_coeff"])
     cols, meta = res.table()
-    return cols, {**meta, "config_hash": None, "n_ions": len(ions)}, None
+    return cols, {**meta, "config_hash": None, "n_ions": np.size(ions.f0)}, None
 
 
 def _lifetime(cfg: RunConfig):
@@ -685,6 +690,8 @@ def _lifetime(cfg: RunConfig):
 
 def _cavity_sweep(cfg: RunConfig):
     span, n = cfg["cavity_sweep", "span"], cfg["cavity_sweep", "n_points"]
+    if span == 0 and n > 1:
+        raise ConfigError("[cavity_sweep] span: must be non-zero for n_points > 1")
     # a single point sits on resonance rather than at the lower edge
     detunings = (np.linspace(-span / 2.0, span / 2.0, n) if n > 1
                  else np.zeros(1))
@@ -741,6 +748,8 @@ def _g2(cfg: RunConfig):
 def _spin_t1(cfg: RunConfig):
     temps = temperature_grid(cfg)
     nu_ghz = cfg["spin_t1", "nu"] / 1e9
+    if not nu_ghz > 0:
+        raise ConfigError("[spin_t1] nu: must be positive")
     rates = np.array([spin_relaxation_rate(SpinRelaxParams(
         temperature=float(t), spin_splitting=nu_ghz,
         a_direct=cfg["spin_t1", "a_direct"],
@@ -755,6 +764,9 @@ def _spin_t1(cfg: RunConfig):
 
 
 def _purcell_stats(cfg: RunConfig):
+    for key in ("fraction_min", "fraction_max"):
+        if not 0 < cfg["purcell_stats", key] <= 1:
+            raise ConfigError(f"[purcell_stats] {key}: must lie in (0, 1]")
     fracs = np.linspace(cfg["purcell_stats", "fraction_min"],
                         cfg["purcell_stats", "fraction_max"],
                         cfg["purcell_stats", "n_points"])

@@ -14,6 +14,7 @@ from cavityspec.config import build_config
 from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.experiments import EXPERIMENTS
 from cavityspec.output import read_csv, write_csv_atomic
+from cavityspec.physics import TransverseEnvelope
 
 
 def _bundle_files(bundle: str) -> dict[str, bytes]:
@@ -144,6 +145,73 @@ def test_written_files_follow_the_umask(tmp_path):
                      "lifetime.csv.fit.json", "manifest.json"]
     for name in names:
         assert os.stat(os.path.join(bundle, name)).st_mode & 0o777 == 0o644, name
+
+
+class _GuardedGenerator(np.random.Generator):
+    """Refuses the draws an unbounded rate would ask for: a Poisson mean
+    numpy cannot draw, or a click array past 100,000,000 entries."""
+
+    def poisson(self, lam=1.0, size=None):
+        assert np.all(np.asarray(lam) <= 1e18), "Poisson mean out of range"
+        return super().poisson(lam, size)
+
+    def integers(self, *args, size=None, **kwargs):
+        assert np.prod(size or 1) <= 10**8, "click array out of range"
+        return super().integers(*args, size=size, **kwargs)
+
+
+# rates whose expected counts no Poisson draw or click array can hold
+HUGE_RATES = [
+    ("ple", "[scan]\nbackground_coeff = 1e30", "background_coeff"),
+    ("saturation", "[scan]\nbackground_coeff = 1e30", "background_coeff"),
+    ("g2", "[g2]\nbackground_per_pulse = 1e15", "background_per_pulse"),
+    ("lifetime", "[lifetime]\nbackground_per_pulse = 1e15",
+     "background_per_pulse"),
+    ("lifetime", "[detector]\ndark_rate = 1e20 Hz", "dark_rate"),
+    ("g2", "[g2]\nbackground_per_pulse = 1000", "background_per_pulse"),
+    ("lifetime", "[detector]\ndark_rate = 1e9 Hz", "dark_rate"),
+]
+
+
+@pytest.mark.parametrize("experiment,text,key", HUGE_RATES,
+                         ids=[f"{e}-{t.split()[1]}={t.split()[3]}"
+                              for e, t, _ in HUGE_RATES])
+def test_huge_rate_exits_2_naming_key(tmp_path, capsys, monkeypatch,
+                                      experiment, text, key):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _GuardedGenerator(np.random.PCG64(seed)))
+    cfg = _write_cfg(tmp_path, f"experiment = {experiment}\n{text}\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (out / f"{experiment}-seed7").exists()
+
+
+def test_oversized_ensemble_region_is_a_capacity_error(tmp_path, capsys):
+    # ~3e22 ions expected: refused before the draw, exit 1 like every
+    # capacity failure
+    cfg = _write_cfg(tmp_path, "experiment = ple\n[ensemble]\nenabled = true\n"
+                               "region = (1, 1, 1) m\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_count" in err
+
+
+def test_oversized_purcell_stats_region_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    amplitude = TransverseEnvelope.amplitude
+
+    def guarded(self, x, y):
+        assert np.broadcast(x, y).size <= 10**8, "grid out of range"
+        return amplitude(self, x, y)
+
+    monkeypatch.setattr(TransverseEnvelope, "amplitude", guarded)
+    cfg = _write_cfg(tmp_path, "experiment = purcell_stats\n[ensemble]\n"
+                               "region = (1, 1, 1) mm\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "region" in err
 
 
 def test_seed_flag_changes_data_not_config_hash(tmp_path):

@@ -9,7 +9,6 @@ from cavityspec.constants import TWO_PI
 from cavityspec.ensemble import (
     EnsembleConfig,
     IonRecord,
-    Site,
     ZeemanConfig,
     ions_above_purcell,
     sample_ensemble,
@@ -37,21 +36,21 @@ def test_sampling_is_reproducible():
     cfg = EnsembleConfig(density=2e21, region=(1e-6, 1e-6, 0.2e-6))
     a = sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(11))
     b = sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(11))
-    assert a == b
+    assert np.array_equal(a, b)
     c = sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(12))
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sampled_records_satisfy_coupling_invariant():
     cfg = EnsembleConfig(density=5e21, region=(2e-6, 1e-6, 0.3e-6))
     ions = sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(3))
     assert len(ions) > 100
+    assert ions.dtype.names == ("position", "f0", "g", "purcell")
     for ion in ions:
         assert ion.position[2] >= 0.0
         assert 0.0 < ion.g <= CAV.g_if
         expected_p = 4.0 * ion.g**2 / (CAV.kappa * EMIT.gamma0)
         assert abs(ion.purcell - expected_p) <= 1e-9 * expected_p
-        assert ion.site is Site.SITE1
 
 
 def test_poisson_count_mean():
@@ -193,3 +192,32 @@ def test_ion_record_validation():
         IonRecord(position=(0.0, 0.0, -1e-9), f0=195e12, g=1.0, purcell=1.0)
     with pytest.raises(DomainError):
         IonRecord(position=(0.0, 0.0, 1e-9), f0=-195e12, g=1.0, purcell=1.0)
+
+
+def test_capacity_guard_refuses_a_mean_no_draw_fits_under():
+    # a 1 m^3 region: the Poisson draw itself would fail, so the mean is
+    # refused before drawing and the generator is left untouched
+    cfg = EnsembleConfig.from_ppm(3.0, region=(1.0, 1.0, 1.0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError, match="max_count"):
+        sample_ensemble(cfg, CAV, EMIT, rng)
+    assert rng.bit_generator.state == state
+    # a mean less than 40 sigma above max_count is drawn as before
+    near = EnsembleConfig(density=1300.0, site1_fraction=1.0,
+                          region=(1.0, 1.0, 1.0), max_count=1000)
+    with pytest.raises(CapacityError, match="sampled"):
+        sample_ensemble(near, CAV, EMIT, np.random.default_rng(1))
+
+
+def test_sampled_lines_are_positive():
+    cfg = EnsembleConfig(density=3.0e21, region=(1e-6, 1e-6, 0.2e-6),
+                         f_center=1e9, sigma_inh=1e9)
+    with pytest.raises(DomainError, match="non-positive f0"):
+        sample_ensemble(cfg, CAV, EMIT, np.random.default_rng(0))
+
+
+def test_ions_above_purcell_bounds_its_grid():
+    cfg = EnsembleConfig.from_ppm(3.0, region=(1e-3, 1e-3, 1e-3))
+    with pytest.raises(DomainError, match="region .* quadrature cells"):
+        ions_above_purcell(cfg, CAV, 0.5)

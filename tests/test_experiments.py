@@ -6,9 +6,10 @@ import pytest
 from cavityspec.analysis import fit_model, LORENTZIAN
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
-from cavityspec.ensemble import IonRecord, ZeemanConfig, zeeman_splitting
+from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
+                                 zeeman_splitting)
 from cavityspec.errors import ConfigError, DomainError
-from cavityspec.experiments import (PulseSequence, ScanPlan,
+from cavityspec.experiments import (PulseSequence,
                                     expected_linewidth, fit_enhancement,
                                     fit_lifetime, run_cavity_sweep, run_g2,
                                     run_lifetime, run_ple_scan,
@@ -25,6 +26,16 @@ F0 = CAV.f_cav
 def _ion(f0=F0, purcell=321.0686456400742):
     g = math.sqrt(purcell * CAV.kappa * EMITTER.gamma0 / 4.0)
     return IonRecord(position=(0.0, 0.0, 0.0), f0=f0, g=g, purcell=purcell)
+
+
+def _ions(*offsets):
+    """An ensemble record array: one default ion at F0 + each offset."""
+    ion = _ion()
+    ions = np.recarray(len(offsets), dtype=ION_DTYPE)
+    ions.position = 0.0
+    ions.f0 = F0 + np.asarray(offsets, dtype=float)
+    ions.g, ions.purcell = ion.g, ion.purcell
+    return ions
 
 
 def _power_for_s(s_peak, purcell):
@@ -57,15 +68,14 @@ STD_DET = DetectorConfig(eta_total=0.04, dark_rate=100.0,
 
 def test_scan_order_does_not_change_counts():
     rng = np.random.default_rng(11)
-    ions = [_ion(F0 + df) for df in (-40e6, 0.0, 55e6)]
+    ions = _ions(-40e6, 0.0, 55e6)
     grid = F0 + np.linspace(-80e6, 80e6, 41)
     seq = PulseSequence(input_power=_power_for_s(2.0, 321.0),
                         excite_duration=10e-6, rep_period=100e-6)
-    base = run_ple_scan(ScanPlan(grid, 400), ions, CAV, EMITTER, seq, STD_DET,
-                        seed=42)
+    base = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, 400, seed=42)
     perm = rng.permutation(len(grid))
-    shuffled = run_ple_scan(ScanPlan(grid[perm], 400), ions, CAV, EMITTER,
-                            seq, STD_DET, seed=42)
+    shuffled = run_ple_scan(grid[perm], ions, CAV, EMITTER, seq, STD_DET,
+                            400, seed=42)
     by_freq = dict(zip(shuffled.grid, shuffled.counts))
     assert all(by_freq[f] == c for f, c in zip(base.grid, base.counts))
 
@@ -74,14 +84,15 @@ def test_scan_drift_bookkeeping():
     grid = F0 + np.linspace(0.0, 50e6, 21)
     seq = PulseSequence(input_power=1e-12)
     rate = 50e6 / 3600.0
-    plan = ScanPlan(grid, 1000, cavity_drift_rate=rate)
-    res = run_ple_scan(plan, [_ion()], CAV, EMITTER, seq, STD_DET, seed=1)
+    res = run_ple_scan(grid, _ion(), CAV, EMITTER, seq, STD_DET, 1000, seed=1,
+                       cavity_drift_rate=rate)
     t = np.arange(21) * (1000 * seq.rep_period)
     assert np.array_equal(res.elapsed, t)
     assert np.allclose(res.cavity_freq, grid + rate * t, rtol=1e-12)
 
     with pytest.raises(DomainError):
-        ScanPlan(grid[[0, 2, 1]], 100, cavity_drift_rate=rate)
+        run_ple_scan(grid[[0, 2, 1]], _ion(), CAV, EMITTER, seq, STD_DET, 100,
+                     seed=1, cavity_drift_rate=rate)
 
 
 def test_saturated_single_ion_click_rate():
@@ -91,8 +102,8 @@ def test_saturated_single_ion_click_rate():
     seq = PulseSequence(input_power=8e-9, excite_duration=10e-6,
                         rep_period=600e-6)
     n = 200_000
-    plan = ScanPlan(np.array([ion.f0]), n)
-    res = run_ple_scan(plan, [ion], CAV, EMITTER, seq, det, seed=5)
+    res = run_ple_scan(np.array([ion.f0]), ion, CAV, EMITTER, seq, det, n,
+                       seed=5)
     p_hat = res.counts[0] / n
     p_model = res.expected[0] / n
     assert abs(p_model - 0.0199) < 8e-4
@@ -107,8 +118,7 @@ def test_low_power_linewidth_is_dephasing_limited():
     seq = PulseSequence(input_power=1e-12, excite_duration=200e-6,
                         rep_period=500e-6)
     grid = F0 + np.linspace(-30e6, 30e6, 121)
-    plan = ScanPlan(grid, 100)
-    res = run_ple_scan(plan, [ion], CAV, EMITTER, seq, det, seed=3)
+    res = run_ple_scan(grid, ion, CAV, EMITTER, seq, det, 100, seed=3)
     fwhm = _interp_fwhm(grid, res.expected)
     predicted = expected_linewidth(ion, CAV, EMITTER, seq)
     assert abs(fwhm - predicted) / predicted < 0.03
@@ -116,11 +126,11 @@ def test_low_power_linewidth_is_dephasing_limited():
 
 
 def test_scan_counts_track_expectation():
-    ions = [_ion(F0 + df) for df in (-25e6, 10e6)]
+    ions = _ions(-25e6, 10e6)
     seq = PulseSequence(input_power=_power_for_s(3.0, 321.0))
     grid = F0 + np.linspace(-60e6, 60e6, 61)
-    res = run_ple_scan(ScanPlan(grid, 2000), ions, CAV, EMITTER, seq, STD_DET,
-                       seed=9, background_coeff=0.05)
+    res = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, 2000, seed=9,
+                       background_coeff=0.05)
     z = (res.counts - res.expected) / np.sqrt(res.expected)
     chi2 = float(np.sum(z * z))
     assert 25.0 < chi2 < 120.0  # 61 dof, generous band
@@ -212,8 +222,8 @@ def test_runners_share_one_click_model():
     seq = PulseSequence(input_power=2e-10, excite_duration=8e-6)
     det = DetectorConfig(eta_total=0.04, dark_rate=0.0, gate_start=12e-6,
                          gate_duration=60e-6)
-    scan = run_ple_scan(ScanPlan(F0 + np.array([-1e6, 0.0, 1e6]), 500),
-                        [ion], CAV, EMITTER, seq, det, seed=3)
+    scan = run_ple_scan(F0 + np.array([-1e6, 0.0, 1e6]), ion, CAV, EMITTER,
+                        seq, det, 500, seed=3)
     sat = run_saturation_series(ion, CAV, EMITTER, [seq.input_power], det,
                                 pulses_per_point=700, seed=3,
                                 excite_duration=seq.excite_duration,
@@ -250,8 +260,7 @@ def test_scan_csv_roundtrip(tmp_path):
     ion = _ion()
     seq = PulseSequence(input_power=1e-12)
     grid = F0 + np.linspace(-5e6, 5e6, 11)
-    res = run_ple_scan(ScanPlan(grid, 50), [ion], CAV, EMITTER, seq, STD_DET,
-                       seed=12)
+    res = run_ple_scan(grid, ion, CAV, EMITTER, seq, STD_DET, 50, seed=12)
     path = tmp_path / "scan.csv"
     cols, meta = res.table()
     write_csv_atomic(path, cols, header={**meta, "note": "roundtrip"})
@@ -276,7 +285,44 @@ def test_runner_validation_errors():
         PulseSequence(input_power=1e-9, excite_duration=2e-4,
                       rep_period=1e-4)
     with pytest.raises(DomainError):
-        ScanPlan(np.array([1.0, 1.0]), 10)
-    good = ScanPlan(np.array([F0]), 10)
+        run_ple_scan(np.array([1.0, 1.0]), ion, CAV, EMITTER, seq, STD_DET, 10,
+                     seed=0)
     with pytest.raises(DomainError):
-        run_ple_scan(good, [], CAV, EMITTER, seq, STD_DET, seed=0)
+        run_ple_scan(np.array([F0]), _ions(), CAV, EMITTER, seq, STD_DET, 10,
+                     seed=0)
+
+
+@pytest.mark.parametrize("grid,pulses,drift,match", [
+    (np.array([]), 10, 0.0, "non-empty"),
+    (np.array([[F0]]), 10, 0.0, "non-empty 1-d"),
+    (np.array([F0, np.nan]), 10, 0.0, "finite"),
+    (np.array([F0]), 0, 0.0, "pulses_per_point"),
+    (np.array([F0]), 10, np.inf, "cavity_drift_rate"),
+], ids=["empty", "2-d", "nan", "no-pulses", "infinite-drift"])
+def test_ple_scan_rejects_a_bad_plan(grid, pulses, drift, match):
+    seq = PulseSequence(input_power=1e-12)
+    with pytest.raises(DomainError, match=match):
+        run_ple_scan(grid, _ion(), CAV, EMITTER, seq, STD_DET, pulses,
+                     seed=0, cavity_drift_rate=drift)
+
+
+def test_every_scanned_runner_checks_its_points():
+    ion = _ion()
+    seq = PulseSequence(input_power=1e-12)
+    with pytest.raises(DomainError, match="detunings: values must be distinct"):
+        run_cavity_sweep(ion, CAV, EMITTER, seq, [0.0, 1e9, 0.0], 100, seed=0)
+    with pytest.raises(DomainError, match="powers: values must be finite"):
+        run_saturation_series(ion, CAV, EMITTER, [1e-12, np.nan], STD_DET,
+                              100, seed=0)
+
+
+def test_ple_scan_takes_one_ion_or_an_ensemble():
+    # one IonRecord and a one-row ensemble are the same scan
+    seq = PulseSequence(input_power=2e-10)
+    grid = F0 + np.linspace(-20e6, 20e6, 9)
+    one = run_ple_scan(grid, _ion(), CAV, EMITTER, seq, STD_DET, 300, seed=4,
+                       zeeman=ZeemanConfig(b_applied=(2e-3, 0.0, 0.0)))
+    row = run_ple_scan(grid, _ions(0.0), CAV, EMITTER, seq, STD_DET, 300,
+                       seed=4, zeeman=ZeemanConfig(b_applied=(2e-3, 0.0, 0.0)))
+    assert np.array_equal(one.counts, row.counts)
+    assert np.array_equal(one.expected, row.expected)
