@@ -1,0 +1,185 @@
+"""Wall time and peak memory of cavityspec at default and at scale settings.
+
+    python3 bench/scale.py --out BENCH_6.json
+
+Run it from the root of a checkout; it imports cavityspec from ./src.  Every
+entry runs in a fresh interpreter, REPEATS times.  The output records, per
+entry, each run's wall time, their median, and the largest peak RSS of the
+runs, with the machine's core count.  Entries:
+
+- `run <experiment>`: `cavityspec run <experiment> --seed 7` at defaults,
+  timed from before `import cavityspec.cli` to the end of `main`;
+- `run <experiment> @ <setting>`: the same at one scale setting (SCALE);
+- `pulse_excitation 1e6 pairs`: the line-point pairs of the `ensemble_ple`
+  benchmark workload at seed 7, tiled to 1,000,000, in one call;
+- `pulse_excitation 1 pair`: one call on the first of those pairs, the
+  median of 1,000 calls counted as one run.
+
+Bundles are written to a temporary directory and deleted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
+               "spin_t1", "purcell_stats")
+# the scale settings of the experiments with a known slow path
+SCALE = {
+    "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
+        "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
+        "span = 20 GHz\nstep = 2 MHz\n",
+    "lifetime @ 1e7 background clicks": "experiment = lifetime\n[lifetime]\n"
+        "n_pulses = 1000000\nbackground_per_pulse = 10\n",
+    "lifetime @ 50 ns dead time, 2e6 clicks": "experiment = lifetime\n"
+        "[lifetime]\nn_pulses = 1000000\nbackground_per_pulse = 2\n"
+        "[detector]\ndead_time = 50 ns\n",
+    "purcell_stats @ 2048 fractions": "experiment = purcell_stats\n"
+        "[purcell_stats]\nn_points = 2048\n",
+    "g2 @ 1e7 pulses": "experiment = g2\n[g2]\nn_pulses = 10000000\n",
+}
+ENTRIES = ([f"run {e}" for e in EXPERIMENTS] + [f"run {s}" for s in SCALE]
+           + ["pulse_excitation 1e6 pairs", "pulse_excitation 1 pair"])
+REPEATS = 3
+PAIRS = 1_000_000
+ONE_PAIR_CALLS = 1000
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _run_main(target: str, out: str) -> None:
+    from cavityspec.cli import main
+    code = main(["run", target, "--seed", "7", "--output", out])
+    if code != 0:
+        raise SystemExit(f"cavityspec run {target} exited {code}")
+
+
+def capture_pairs(path: str) -> None:
+    """Save the ensemble_ple workload's pulse_excitation inputs to path."""
+    sys.path.insert(0, ROOT)
+    from cavityspec import experiments
+    from perfbench.workloads import WORKLOADS
+
+    calls = []
+    real = experiments.pulse_excitation
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    experiments.pulse_excitation = spy
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(WORKLOADS["ensemble_ple"].config)
+            with contextlib.redirect_stdout(io.StringIO()):
+                _run_main(cfg, tmp)
+    finally:
+        experiments.pulse_excitation = real
+    columns, durations = [], set()
+    for *rates, duration in calls:
+        columns.append(np.stack([a.ravel() for a in np.broadcast_arrays(
+            *(np.asarray(r, dtype=float) for r in rates))]))
+        durations.add(float(duration))
+    (duration,) = durations
+    np.savez(path, pairs=np.concatenate(columns, axis=1), duration=duration)
+
+
+def child(name: str, pairs_path: str) -> dict:
+    """Run one entry once in this interpreter; its seconds and peak RSS."""
+    if name.startswith("run "):
+        label = name[4:]
+        with tempfile.TemporaryDirectory() as tmp:
+            target = label
+            if label in SCALE:
+                target = os.path.join(tmp, "run.cfg")
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(SCALE[label])
+            start = time.perf_counter()
+            _run_main(target, tmp)
+            seconds = time.perf_counter() - start
+        return {"seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
+
+    from cavityspec.dynamics import pulse_excitation
+    saved = np.load(pairs_path)
+    pairs, duration = saved["pairs"], float(saved["duration"])
+    if name.endswith("1 pair"):
+        one = [float(x) for x in pairs[:, 0]]
+        times = []
+        for _ in range(ONE_PAIR_CALLS):
+            start = time.perf_counter()
+            pulse_excitation(*one, duration)
+            times.append(time.perf_counter() - start)
+        seconds = statistics.median(times)
+    else:
+        tiled = np.tile(pairs, -(-PAIRS // pairs.shape[1]))[:, :PAIRS].copy()
+        start = time.perf_counter()
+        pulse_excitation(*tiled, duration)
+        seconds = time.perf_counter() - start
+    return {"seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--pairs", help=argparse.SUPPRESS)
+    parser.add_argument("--capture", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    if args.capture:
+        capture_pairs(args.capture)
+        return 0
+    if args.child:
+        print(json.dumps(child(args.child, args.pairs)))
+        return 0
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = os.path.join(tmp, "pairs.npz")
+        me = [sys.executable, os.path.abspath(__file__), "--out", args.out]
+        # in a child too: Linux carries a process's peak RSS across exec, so
+        # every later child would report this one's
+        subprocess.run(me + ["--capture", pairs], check=True, cwd=ROOT)
+        for name in ENTRIES:
+            runs = []
+            for _ in range(REPEATS):
+                done = subprocess.run(me + ["--child", name, "--pairs", pairs],
+                                      check=True, cwd=ROOT, text=True,
+                                      capture_output=True)
+                runs.append(json.loads(done.stdout.splitlines()[-1]))
+            seconds = [r["seconds"] for r in runs]
+            results[name] = {
+                "median_s": statistics.median(seconds),
+                "runs_s": seconds,
+                "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+            }
+            print(f"{name:45s} {results[name]['median_s']:9.4f} s  "
+                  f"{results[name]['peak_rss_mb']:7.1f} MB", flush=True)
+    report = {"cores": os.cpu_count(), "repeats": REPEATS,
+              "python": sys.version.split()[0], "numpy": np.__version__,
+              "entries": results}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,9 +7,12 @@ with rho_ge = u + i v and gamma2 = gamma/2 + gamma_d:
     d rho_ge / dt = -(gamma2 + i delta) rho_ge + i (Omega/2) (2 rho_ee - 1)
 
 All rates are angular (rad/s).  evolve_bloch integrates with fixed-step RK4
-at step min(dt_max, 1/(50 max_rate)); pulse_excitation solves the same
-linear system exactly through a batched matrix exponential and is the fast
-path used by scans.
+at step min(dt_max, 1/(50 max_rate)) and is the reference the fast path is
+tested against.  pulse_excitation, the fast path used by scans, solves the
+same linear system exactly from the ground state in closed form: the
+solution is a sum over the roots of the system's characteristic cubic
+(Torrey, Phys. Rev. 76, 1059 (1949)), written through divided differences of
+the exponential, which stay finite and accurate as roots meet.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .errors import DomainError, IntegrationError
 _BOUND_TOL = 1e-9
 _MAX_REFINEMENTS = 6
 _MAX_STEPS = 10_000_000  # RK4 steps per pass: ~20 s of pure Python
-_CHUNK = 200_000  # matrices propagated per batch by pulse_excitation
+_CHUNK = 200_000  # line-point pairs solved per batch by pulse_excitation
+_NEWTON_MAX = 100  # cap on _real_root's steps; a triple root takes ~30
+_TAYLOR_TERMS = 19  # h_k / (k + 2)! < 1e-17 beyond this on _exp3's series
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,9 @@ def _steady_arrays(omega, delta, gamma, gamma2):
     gamma2 = np.asarray(gamma2, dtype=float)
     denom = omega**2 * gamma2 + gamma * (delta**2 + gamma2**2)
     rho = 0.5 * omega**2 * gamma2 / denom
-    scale = 0.5 * omega * (2.0 * rho - 1.0) / (gamma2**2 + delta**2)
+    # = Omega (2 rho - 1) / (2 (gamma2^2 + delta^2)), without the cancellation
+    # in 2 rho - 1 under a drive far above saturation
+    scale = -0.5 * omega * gamma / denom
     return rho, scale * delta, scale * gamma2
 
 
@@ -247,35 +254,20 @@ def _rk4_run(state, drive, duration, dt_cap, max_samples):
     return BlochTrajectory(times[:idx], rho_arr[:idx], u_arr[:idx], v_arr[:idx])
 
 
-def _expm3_batch(m: np.ndarray) -> np.ndarray:
-    """exp(M) for a stack of 3x3 matrices via scaling-and-squaring Taylor."""
-    norm = np.max(np.sum(np.abs(m), axis=2), axis=1)
-    s = np.zeros(len(m), dtype=int)
-    big = norm > 0.25
-    s[big] = np.ceil(np.log2(norm[big] / 0.25)).astype(int)
-    x = m / np.exp2(s.astype(float))[:, None, None]
-    eye = np.broadcast_to(np.eye(3), m.shape)
-    result = eye.copy()
-    term = eye.copy()
-    for k in range(1, 13):  # remainder < 0.25^13/13! ~ 2e-18 at this norm
-        term = term @ x / k
-        result += term
-    for level in range(1, int(s.max(initial=0)) + 1):
-        mask = s >= level
-        result[mask] = result[mask] @ result[mask]
-    return result
-
-
 def pulse_excitation(omega_rabi, detuning, gamma, gamma_d, duration):
     """Excited-state population after a constant drive pulse from the ground state.
 
-    Exact solution of the linear Bloch system, broadcast over the inputs;
-    equivalent to evolve_bloch but vectorised for scans.
+    Exact closed form (see _pulse_excitation_chunk) of the linear system that
+    evolve_bloch integrates, broadcast over the inputs for whole scans at once.
     """
     if duration < 0 or not np.isfinite(duration):
         raise DomainError(f"duration must be non-negative, got {duration}")
-    omega, delta, gam, gd = np.broadcast_arrays(
+    arrays = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (omega_rabi, detuning, gamma, gamma_d)))
+    for name, a in zip(("omega_rabi", "detuning", "gamma", "gamma_d"), arrays):
+        if not np.all(np.isfinite(a)):
+            raise DomainError(f"{name} must be finite")
+    omega, delta, gam, gd = arrays
     if np.any(gam <= 0) or np.any(omega < 0) or np.any(gd < 0):
         raise DomainError("gamma must be positive; omega_rabi and gamma_d non-negative")
     shape = omega.shape
@@ -290,30 +282,154 @@ def pulse_excitation(omega_rabi, detuning, gamma, gamma_d, duration):
 
 
 def _pulse_excitation_chunk(omega, delta, gam, gd, duration):
+    """rho_ee(T) = rho_ss - [e^{AT} x_ss]_0 for x = (rho_ee, u, v), x(0) = 0.
+
+    A = [[-gamma, 0, -Omega], [0, -gamma2, delta], [Omega, -delta, -gamma2]]
+    has the characteristic cubic
+        P(s) = (s + gamma)((s + gamma2)^2 + delta^2) + Omega^2 (s + gamma2)
+    with a real root r (_real_root) and a pair c +- nu, where nu^2 = D may
+    have either sign.  Row 0 of (sI - A)^-1 x_ss, the Laplace transform of
+    [e^{At} x_ss]_0, is N(s) / P(s) with
+        N(s) = ((s + gamma2)^2 + delta^2) rho_ss + Omega delta u_ss
+               - Omega (s + gamma2) v_ss,
+    so [e^{AT} x_ss]_0 is the divided difference of N(s) e^{sT} over the
+    roots.  By Leibniz's rule that is
+        N(r) E[r, c+nu, c-nu] + (N'(c) + rho_ss (r - c)) E[c+nu, c-nu]
+        + rho_ss (e^{(c+nu)T} + e^{(c-nu)T}) / 2,
+    E the divided differences of e^{sT}, each a function of D that is entire,
+    so the pair may be real, repeated or complex.  The rates are divided by
+    the largest of them, S, so that no square overflows; sigma = S T turns
+    the scaled roots back into exponents.
+    """
     gamma2 = gam / 2.0 + gd
-    n = len(omega)
-    a = np.zeros((n, 3, 3))
-    a[:, 0, 0] = -gam
-    a[:, 0, 2] = -omega
-    a[:, 1, 1] = -gamma2
-    a[:, 1, 2] = delta
-    a[:, 2, 0] = omega
-    a[:, 2, 1] = -delta
-    a[:, 2, 2] = -gamma2
-    rho_ss, u_ss, v_ss = _steady_arrays(omega, delta, gam, gamma2)
-    xss = np.stack([rho_ss, u_ss, v_ss], axis=1)
-    # extreme rates overflow here; those pairs are caught below as bad
-    with np.errstate(over="ignore", invalid="ignore"):
-        propagator = _expm3_batch(a * duration)
-        # x(t) = xss + e^{At}(x0 - xss) with x0 = 0
-        rho = xss[:, 0] - np.einsum("nij,nj->ni", propagator, xss)[:, 0]
-    bad = ~np.isfinite(rho) | (rho < -1e-6) | (rho > 1.0 + 1e-6)
-    if np.any(bad):
-        for i in np.flatnonzero(bad):  # rare; integrate those the slow way
-            drive = DriveParams(float(omega[i]), float(delta[i]), float(gam[i]),
-                                float(gd[i]))
-            rho[i] = evolve_bloch(GROUND, drive, duration).final.rho_ee
-    return np.clip(rho, 0.0, 1.0)
+    top = np.maximum(np.maximum(omega, np.abs(delta)), np.maximum(gam, gamma2))
+    w, d, g, g2 = (a / top for a in (omega, delta, gam, gamma2))
+    with np.errstate(over="ignore"):
+        sigma = top * duration
+    if not np.all(np.isfinite(sigma)):
+        raise DomainError(f"a {duration} s pulse at rates up to {np.max(top):.3g} "
+                          f"rad/s turns through more than 1.8e308 rad")
+    rho_ss, u_ss, v_ss = _steady_arrays(w, d, g, g2)
+    r = _real_root(w, d, g, g2)
+    # P(s) / (s - r) = (s - c)^2 - D, from synthetic division in s + g2
+    y = r + g2
+    h = (g + r) / 2.0
+    big_d = h * h - (d * d + w * w + y * (g + r))
+    c = -g2 - h
+    m = -y - h  # c - r
+    e_mean, e_pair = _pair_exp(sigma * c, big_d, sigma)
+    e_three = _exp3(sigma * r, sigma * c, m, big_d, sigma, e_mean, e_pair)
+    n_r = (y * y + d * d) * rho_ss + w * d * u_ss - w * y * v_ss
+    decay = (n_r * e_three + ((y - h) * rho_ss - w * v_ss) * e_pair
+             + rho_ss * e_mean)
+    return np.clip(rho_ss - decay, 0.0, 1.0)
+
+
+def _real_root(w, d, g, g2):
+    """A real root of P(s) = (s + g)((s + g2)^2 + d^2) + w^2 (s + g2).
+
+    The symmetric part of A is -diag(g, g2, g2), so every root has a real
+    part in [-max(g, g2), -min(g, g2)], and P(-g) = w^2 (g2 - g) and
+    P(-g2) = (g - g2) d^2 have opposite signs.  Newton's method started at the
+    end of that interval on the same side of the inflection point
+    -(g + 2 g2) / 3 as a root moves monotonically onto it: P is convex above
+    the inflection and concave below it.  An element stops once P reaches
+    the root's sign or a step no longer moves it; at a double root Newton
+    slows to halving the distance, which costs steps, not accuracy.
+    """
+    w2, d2 = w * w, d * d
+
+    def cubic(s):
+        a, b = s + g, s + g2
+        q = b * b + d2
+        return a * q + w2 * b, a, b, q
+
+    above = cubic(-(g + 2.0 * g2) / 3.0)[0] <= 0  # a root above the inflection
+    s = np.where(above, -np.minimum(g, g2), -np.maximum(g, g2))
+    side = np.where(above, 1.0, -1.0)
+    root = s.copy()
+    idx = np.arange(len(s))
+    for _ in range(_NEWTON_MAX):
+        p, a, b, q = cubic(s)
+        short = side * p > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(short, s - p / (q + 2.0 * a * b + w2), s)
+        going = new != s
+        s = new
+        if not going.all():
+            root[idx] = s
+            idx, s, side, g, g2, w2, d2 = (
+                x[going] for x in (idx, s, side, g, g2, w2, d2))
+            if not len(idx):
+                break
+    root[idx] = s
+    return root
+
+
+def _pair_exp(c, big_d, sigma):
+    """Mean and divided difference (times sigma) of e^x over c +- sigma sqrt(D).
+
+    D < 0 gives e^c cos and e^c sin / nu; D > 0 the same through cosh and
+    sinh, taken from the larger exponent down so that neither overflows.
+    """
+    nu = np.sqrt(np.abs(big_d))
+    e_c = np.exp(c)
+    arg = sigma * nu
+    mean = e_c * np.cos(arg)
+    diff = e_c * sigma * np.sinc(arg / np.pi)
+    real = big_d > 0
+    if real.any():
+        arg_r, nu_r = arg[real], nu[real]
+        e_top = np.exp(c[real] + arg_r)
+        mean[real] = e_top * (1.0 + np.exp(-2.0 * arg_r)) / 2.0
+        diff[real] = -e_top * np.expm1(-2.0 * arg_r) / (2.0 * nu_r)
+    return mean, diff
+
+
+def _exp2(a, b):
+    """Divided difference of e^x over {a, b}, robust as a -> b."""
+    gap = np.abs(a - b)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(gap > 0, -np.expm1(-gap) / gap, 1.0)
+    return np.exp(np.maximum(a, b)) * ratio
+
+
+def _exp3(r, c, m, big_d, sigma, e_mean, e_pair):
+    """sigma^2 times the divided difference of e^x over {r, c + nu, c - nu}.
+
+    r and c are exponents; m = (c - r) / sigma and D = (nu / sigma)^2 are
+    scaled.  The divided difference is entire in (m, D) and is evaluated in
+    whichever of three equal forms keeps its accuracy there: a series when
+    both nodes of the pair lie within 1 of r; when the pair is real and r
+    may sit on one of its nodes, the difference of the two two-node divided
+    differences over the pair's gap; else the closed form over
+    (c - r)^2 - nu^2, which those two cases keep away from zero.
+    """
+    nu = np.sqrt(np.abs(big_d))
+    reach = sigma * np.maximum(np.abs(m), nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.exp(r) - e_mean + m * e_pair) / (m * m - big_d)
+    apart = (big_d > 0) & (2.0 * nu >= np.abs(m)) & (reach > 0.5)
+    if apart.any():
+        r_a, c_a, nu_a = r[apart], c[apart], sigma[apart] * nu[apart]
+        gap = _exp2(r_a, c_a + nu_a) - _exp2(r_a, c_a - nu_a)
+        out[apart] = sigma[apart] * gap / (2.0 * nu[apart])
+    near = reach <= 0.5
+    if near.any():
+        # e^r sum_k h_k / (k + 2)!, h_k the complete symmetric polynomials of
+        # the nodes relative to r: h_k = 2 m h_{k-1} - (m^2 - D) h_{k-2}
+        s_n = sigma[near]
+        m_n, nu_n = s_n * m[near], s_n * nu[near]
+        k_n = m_n * m_n - np.copysign(nu_n * nu_n, big_d[near])
+        h_prev, h = np.zeros_like(m_n), np.ones_like(m_n)
+        total = h / 2.0
+        factorial = 2.0
+        for k in range(1, _TAYLOR_TERMS):
+            h, h_prev = 2.0 * m_n * h - k_n * h_prev, h
+            factorial *= k + 2
+            total += h / factorial
+        out[near] = np.exp(r[near]) * s_n * s_n * total
+    return out
 
 
 def window_capture_fraction(gamma, gate_start, gate_duration, decay_start):

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from cavityspec import dynamics, experiments
 from cavityspec.cli import main
 from cavityspec.config import build_config
 from cavityspec.dynamics import intracavity_photon_number
@@ -126,6 +127,26 @@ def test_ple_scan_far_from_every_line(tmp_path, capsys):
     np.testing.assert_allclose(cols["expected"],
                                cfg["scan", "pulses_per_point"] * per_pulse,
                                rtol=1e-11)
+
+
+def test_saturation_far_off_resonance(tmp_path, monkeypatch):
+    # the off row is 6.9e10 THz from the line, where the excitation is
+    # ~1e-30: the run gives that number, not an overflow or an RK4 error
+    excitation = []
+
+    def spy(*args):
+        excitation.append(dynamics.pulse_excitation(*args))
+        return excitation[-1]
+
+    monkeypatch.setattr(experiments, "pulse_excitation", spy)
+    cfg = _write_cfg(tmp_path, "experiment = saturation\n\n[saturation]\n"
+                               "off_detuning = 6.9e10 THz\n")
+    out = str(tmp_path / "o")
+    assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
+    assert main(["inspect", os.path.join(out, "saturation-seed7")]) == 0
+    (p_exc,) = excitation
+    assert np.all(p_exc[1] <= 1e-20)
+    assert np.all(p_exc[0] > 1e-3)  # the on-resonance row still excites
 
 
 def test_written_files_follow_the_umask(tmp_path):

@@ -1,6 +1,7 @@
 """Integrator, exact-propagator, photon-yield, and spin-relaxation tests."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -136,6 +137,20 @@ def test_pulse_excitation_shapes_and_edges():
     assert pulse_excitation(TWO_PI * 1e6, 0.0, GAMMA_OP, GAMMA_D_OP, 0.0) == 0.0
     with pytest.raises(DomainError):
         pulse_excitation(TWO_PI * 1e6, 0.0, 0.0, GAMMA_D_OP, 1e-6)
+    with pytest.raises(DomainError, match="1.8e308 rad"):
+        pulse_excitation(TWO_PI * 1e6, 1e307, GAMMA_OP, GAMMA_D_OP, 100.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position,name", enumerate(
+    ("omega_rabi", "detuning", "gamma", "gamma_d")))
+def test_pulse_excitation_rejects_non_finite(position, name, bad):
+    args = [TWO_PI * 1e6, TWO_PI * 1e6, GAMMA_OP, GAMMA_D_OP]
+    args[position] = np.array([args[position], bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            pulse_excitation(*args, 10e-6)
 
 
 def test_intracavity_photon_number_at_one_nanowatt():
