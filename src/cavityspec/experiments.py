@@ -64,22 +64,6 @@ class ScanResult:
     expected: np.ndarray
     cavity_freq: np.ndarray
     elapsed: np.ndarray
-    pulses_per_point: int
-    seed: int
-
-    def table(self):
-        """Frequencies are emitted relative to origin_hz (the first grid
-        value) so 12 significant digits keep sub-Hz resolution."""
-        origin = float(self.grid[0])
-        meta = {"axis": "laser_frequency",
-                "pulses_per_point": self.pulses_per_point,
-                "seed": self.seed, "origin_hz": repr(origin)}
-        cols = [("laser_offset_hz", self.grid - origin),
-                ("counts", self.counts.astype(float)),
-                ("expected", self.expected),
-                ("cavity_offset_hz", self.cavity_freq - origin),
-                ("elapsed_s", self.elapsed)]
-        return cols, meta
 
 
 def _point_grid(values, name: str):
@@ -272,8 +256,7 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
         clicks = int(gen.binomial(pulses_per_point, sel).sum()) if len(sel) else 0
         counts[k] = clicks + int(gen.poisson(lam[k]))
     return ScanResult(grid=grid.copy(), counts=counts,
-                      expected=expected, cavity_freq=f_cav, elapsed=elapsed,
-                      pulses_per_point=pulses_per_point, seed=seed)
+                      expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 
 
 def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
@@ -319,14 +302,6 @@ class LifetimeResult:
     bin_counts: np.ndarray
     gamma: float        # decay rate used by the simulation
     p_excited: float
-    seed: int
-
-    def table(self):
-        meta = {"gamma_true": self.gamma, "p_excited": self.p_excited,
-                "seed": self.seed}
-        cols = [("time_s", self.bin_mids),
-                ("counts", self.bin_counts.astype(float))]
-        return cols, meta
 
 
 def run_lifetime(ion: IonRecord, cavity: CavityParams,
@@ -346,7 +321,7 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
     mids, bin_counts = _gate_histogram(stream, det, n_bins)
     return LifetimeResult(stream=stream, bin_mids=mids,
                           bin_counts=bin_counts, gamma=float(emission.gamma),
-                          p_excited=float(emission.p_excited), seed=seed)
+                          p_excited=float(emission.p_excited))
 
 
 def fit_lifetime(result: LifetimeResult) -> FitResult:
@@ -363,17 +338,6 @@ class CavitySweepResult:
     gamma_expected: np.ndarray
     purcell_fit: np.ndarray
     converged: np.ndarray
-    pulses_per_point: int
-    seed: int
-
-    def table(self):
-        meta = {"pulses_per_point": self.pulses_per_point, "seed": self.seed}
-        cols = [("cavity_detuning_hz", self.detuning_hz),
-                ("gamma_fit", self.gamma_fit),
-                ("gamma_err", self.gamma_err),
-                ("gamma_expected", self.gamma_expected),
-                ("purcell_fit", self.purcell_fit)]
-        return cols, meta
 
 
 def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
@@ -423,8 +387,7 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     return CavitySweepResult(detuning_hz=detunings, gamma_fit=gamma_fit,
                              gamma_err=gamma_err,
                              gamma_expected=gamma_expected,
-                             purcell_fit=purcell, converged=converged,
-                             pulses_per_point=pulses_per_point, seed=seed)
+                             purcell_fit=purcell, converged=converged)
 
 
 def fit_enhancement(result: CavitySweepResult) -> FitResult:
@@ -443,17 +406,6 @@ class SaturationResult:
     off_counts: np.ndarray
     expected_on: np.ndarray
     expected_off: np.ndarray
-    pulses_per_point: int
-    seed: int
-
-    def table(self):
-        meta = {"pulses_per_point": self.pulses_per_point, "seed": self.seed}
-        cols = [("input_power_w", self.powers),
-                ("on_counts", self.on_counts.astype(float)),
-                ("off_counts", self.off_counts.astype(float)),
-                ("expected_on", self.expected_on),
-                ("expected_off", self.expected_off)]
-        return cols, meta
 
 
 def run_saturation_series(ion: IonRecord, cavity: CavityParams,
@@ -489,8 +441,7 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
     expected = pulses_per_point * p_click + lam
     return SaturationResult(powers=powers, on_counts=counts[0],
                             off_counts=counts[1], expected_on=expected[0],
-                            expected_off=expected[1],
-                            pulses_per_point=pulses_per_point, seed=seed)
+                            expected_off=expected[1])
 
 
 @dataclass
@@ -502,16 +453,6 @@ class G2Result:
     signal_per_pulse: float
     background_per_pulse: float
     stream: ClickStream
-
-    def table(self):
-        meta = {"floor_predicted": self.floor_predicted,
-                "signal_per_pulse": self.signal_per_pulse,
-                "background_per_pulse": self.background_per_pulse,
-                "seed": self.stream.seed}
-        cols = [("offset", self.offsets.astype(float)),
-                ("g2", self.g2),
-                ("stderr", self.stderr)]
-        return cols, meta
 
 
 def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
@@ -547,14 +488,6 @@ class ZeemanSeriesResult:
     splittings: np.ndarray
     predicted: np.ndarray
     slope_fit: FitResult
-
-    def table(self):
-        meta = {"slope_hz_per_t": self.slope_fit.params["slope"],
-                "intercept_hz": self.slope_fit.params["intercept"]}
-        cols = [("b_field_t", self.b_values),
-                ("splitting_hz", self.splittings),
-                ("predicted_hz", self.predicted)]
-        return cols, meta
 
 
 def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
@@ -672,8 +605,17 @@ def _ple(cfg: RunConfig):
                        gamma_d=cfg.gamma_d, co_scan=cfg["scan", "co_scan"],
                        cavity_drift_rate=cfg["scan", "drift"],
                        background_coeff=cfg["scan", "background_coeff"])
-    cols, meta = res.table()
-    return cols, {**meta, "config_hash": None, "n_ions": np.size(ions.f0)}, None
+    # frequencies relative to origin_hz, the first grid value, so that 12
+    # significant digits keep sub-Hz resolution
+    origin = float(res.grid[0])
+    cols = [("laser_offset_hz", res.grid - origin), ("counts", res.counts),
+            ("expected", res.expected),
+            ("cavity_offset_hz", res.cavity_freq - origin),
+            ("elapsed_s", res.elapsed)]
+    return cols, {"axis": "laser_frequency",
+                  "pulses_per_point": cfg["scan", "pulses_per_point"],
+                  "seed": cfg.seed, "origin_hz": repr(origin),
+                  "config_hash": None, "n_ions": np.size(ions.f0)}, None
 
 
 def _lifetime(cfg: RunConfig):
@@ -685,7 +627,9 @@ def _lifetime(cfg: RunConfig):
                        background_per_pulse=cfg["lifetime",
                                                 "background_per_pulse"],
                        n_bins=cfg["lifetime", "n_bins"])
-    return (*res.table(), res.stream)
+    cols = [("time_s", res.bin_mids), ("counts", res.bin_counts)]
+    return cols, {"gamma_true": res.gamma, "p_excited": res.p_excited,
+                  "seed": cfg.seed}, res.stream
 
 
 def _cavity_sweep(cfg: RunConfig):
@@ -702,7 +646,12 @@ def _cavity_sweep(cfg: RunConfig):
                            dark_rate=cfg.detector.dark_rate,
                            n_bins=cfg["cavity_sweep", "n_bins"],
                            gate_factor=cfg["cavity_sweep", "gate_factor"])
-    return (*res.table(), None)
+    cols = [("cavity_detuning_hz", res.detuning_hz),
+            ("gamma_fit", res.gamma_fit), ("gamma_err", res.gamma_err),
+            ("gamma_expected", res.gamma_expected),
+            ("purcell_fit", res.purcell_fit)]
+    return cols, {"pulses_per_point": cfg["cavity_sweep", "pulses_per_point"],
+                  "seed": cfg.seed}, None
 
 
 def _saturation(cfg: RunConfig):
@@ -721,7 +670,11 @@ def _saturation(cfg: RunConfig):
                                 gamma_d=cfg.gamma_d,
                                 background_coeff=cfg["scan",
                                                      "background_coeff"])
-    return (*res.table(), None)
+    cols = [("input_power_w", res.powers), ("on_counts", res.on_counts),
+            ("off_counts", res.off_counts), ("expected_on", res.expected_on),
+            ("expected_off", res.expected_off)]
+    return cols, {"pulses_per_point": cfg["scan", "pulses_per_point"],
+                  "seed": cfg.seed}, None
 
 
 def _zeeman(cfg: RunConfig):
@@ -730,7 +683,10 @@ def _zeeman(cfg: RunConfig):
                             cfg.seed, zeeman_base=cfg.zeeman,
                             pulses_per_point=cfg["zeeman", "pulses_per_point"],
                             gamma_d=cfg.gamma_d)
-    return (*res.table(), None)
+    cols = [("b_field_t", res.b_values), ("splitting_hz", res.splittings),
+            ("predicted_hz", res.predicted)]
+    return cols, {"slope_hz_per_t": res.slope_fit.params["slope"],
+                  "intercept_hz": res.slope_fit.params["intercept"]}, None
 
 
 def _g2(cfg: RunConfig):
@@ -742,7 +698,11 @@ def _g2(cfg: RunConfig):
                  gamma_d=cfg.gamma_d, blink=blink,
                  background_per_pulse=cfg["g2", "background_per_pulse"],
                  max_offset=cfg["g2", "max_offset"])
-    return (*res.table(), res.stream)
+    cols = [("offset", res.offsets), ("g2", res.g2), ("stderr", res.stderr)]
+    return cols, {"floor_predicted": res.floor_predicted,
+                  "signal_per_pulse": res.signal_per_pulse,
+                  "background_per_pulse": res.background_per_pulse,
+                  "seed": cfg.seed}, res.stream
 
 
 def _spin_t1(cfg: RunConfig):
@@ -770,9 +730,8 @@ def _purcell_stats(cfg: RunConfig):
     fracs = np.linspace(cfg["purcell_stats", "fraction_min"],
                         cfg["purcell_stats", "fraction_max"],
                         cfg["purcell_stats", "n_points"])
-    counts = np.array([ions_above_purcell(cfg.ensemble, cfg.cavity, float(f),
-                                          envelope=cfg.envelope)
-                       for f in fracs])
+    counts = ions_above_purcell(cfg.ensemble, cfg.cavity, fracs,
+                                envelope=cfg.envelope)
     cols = [("p_star_fraction", fracs), ("expected_count", counts)]
     return cols, {"config_hash": None, "seed": cfg.seed}, None
 

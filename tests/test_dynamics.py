@@ -1,8 +1,7 @@
-"""Integrator, exact-propagator, photon-yield, and spin-relaxation tests."""
+"""Integrator, exact-propagator, and spin-relaxation tests."""
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from cavityspec.dynamics import (
     BlochState,
     DriveParams,
     SpinRelaxParams,
-    emitted_photons_per_pulse,
     evolve_bloch,
     intracavity_photon_number,
     pulse_excitation,
@@ -179,33 +177,6 @@ def test_window_capture_fraction_values():
         window_capture_fraction(-1.0, 10e-6, 82e-6, 10e-6)
     with pytest.raises(DomainError):
         window_capture_fraction(GAMMA_OP, 10e-6, 0.0, 10e-6)
-
-
-def test_emitted_photons_saturated_window():
-    drive = DriveParams(TWO_PI * 1.3e6, 0.0, GAMMA_OP, GAMMA_D_OP)
-    pulse = SimpleNamespace(excite_duration=10e-6, gate_start=10e-6,
-                            gate_duration=82e-6)
-    photons = emitted_photons_per_pulse(drive, pulse)
-    rho_end = evolve_bloch(GROUND, drive, 10e-6).final.rho_ee
-    expected = rho_end * window_capture_fraction(drive.gamma, 10e-6, 82e-6, 10e-6)
-    assert photons == pytest.approx(expected, rel=1e-5)
-    # the fully saturated figure: rho_ss ~ 0.5 at this operating point
-    assert photons == pytest.approx(0.3022091919690052, rel=0.01)
-
-
-def test_emitted_photons_gate_overlapping_drive():
-    drive = DriveParams(TWO_PI * 1.3e6, 0.0, GAMMA_OP, GAMMA_D_OP)
-    pulse = SimpleNamespace(excite_duration=10e-6, gate_start=5e-6,
-                            gate_duration=87e-6)
-    overlap = emitted_photons_per_pulse(drive, pulse)
-    disjoint = emitted_photons_per_pulse(
-        drive, SimpleNamespace(excite_duration=10e-6, gate_start=10e-6,
-                               gate_duration=82e-6))
-    assert overlap > disjoint  # extra 5 us of gated emission under the drive
-    assert overlap < drive.gamma * 92e-6  # crude unit-population bound
-
-    silent = DriveParams(0.0, 0.0, GAMMA_OP, GAMMA_D_OP)
-    assert emitted_photons_per_pulse(silent, pulse) == 0.0
 
 
 def test_spin_t1_reference_points():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityspec import ensemble
 from cavityspec.constants import TWO_PI
 from cavityspec.ensemble import (
     EnsembleConfig,
@@ -130,10 +131,28 @@ def test_ions_above_purcell_grid_convergence():
 
 def test_ions_above_purcell_monotone_in_threshold():
     cfg = EnsembleConfig(density=1e22, region=(1e-6, 0.6e-6, 0.12e-6))
-    counts = [ions_above_purcell(cfg, CAV, f) for f in (0.1, 0.2, 0.4, 0.8)]
-    assert all(a > b for a, b in zip(counts, counts[1:]))
+    fractions = (0.1, 0.2, 0.4, 0.8)
+    for counts in ([ions_above_purcell(cfg, CAV, f) for f in fractions],
+                   ions_above_purcell(cfg, CAV, np.array(fractions))):
+        assert all(a > b for a, b in zip(counts, counts[1:]))
     with pytest.raises(DomainError):
         ions_above_purcell(cfg, CAV, 0.0)
+
+
+def test_ions_above_purcell_array_matches_scalars(monkeypatch):
+    cfg = EnsembleConfig(density=1e22, region=(1e-6, 0.6e-6, 0.12e-6))
+    fractions = np.linspace(0.05, 1.0, 7)
+    one = [ions_above_purcell(cfg, CAV, f) for f in fractions]
+    assert all(isinstance(c, float) for c in one)
+    assert np.array_equal(ions_above_purcell(cfg, CAV, fractions), one)
+    # 120 depths: two fractions per block, so four blocks
+    monkeypatch.setattr(ensemble, "_THRESHOLD_BLOCK", 250)
+    assert np.array_equal(ions_above_purcell(cfg, CAV, fractions), one)
+    counts = ions_above_purcell(cfg, CAV, fractions.reshape(1, 7))
+    assert counts.shape == (1, 7) and np.array_equal(counts[0], one)
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(DomainError):
+            ions_above_purcell(cfg, CAV, np.array([0.5, bad, 0.2]))
 
 
 def test_zeeman_slope_and_offset():

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from cavityspec.analysis import fit_model, LORENTZIAN
+from cavityspec.config import build_config
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
 from cavityspec.errors import ConfigError, DomainError
-from cavityspec.experiments import (PulseSequence,
+from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
                                     expected_linewidth, fit_enhancement,
                                     fit_lifetime, run_cavity_sweep, run_g2,
                                     run_lifetime, run_ple_scan,
-                                    run_saturation_series, run_zeeman_series)
+                                    run_saturation_series, run_zeeman_series,
+                                    scan_grid)
 from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.output import read_csv, write_csv_atomic
 from cavityspec.physics import CavityParams, EmitterConstants
@@ -256,20 +258,57 @@ def test_zeeman_series_recovers_slope_and_offset():
     assert 1e6 < res.slope_fit.params["intercept"] < 3.5e6
 
 
+# each experiment's column names and header keys, in the order they are
+# written: a table's order is part of its bytes
+SCHEMAS = {
+    "ple": (["laser_offset_hz", "counts", "expected", "cavity_offset_hz",
+             "elapsed_s"],
+            ["axis", "pulses_per_point", "seed", "origin_hz", "config_hash",
+             "n_ions"]),
+    "lifetime": (["time_s", "counts"], ["gamma_true", "p_excited", "seed"]),
+    "cavity_sweep": (["cavity_detuning_hz", "gamma_fit", "gamma_err",
+                      "gamma_expected", "purcell_fit"],
+                     ["pulses_per_point", "seed"]),
+    "saturation": (["input_power_w", "on_counts", "off_counts", "expected_on",
+                    "expected_off"], ["pulses_per_point", "seed"]),
+    "zeeman": (["b_field_t", "splitting_hz", "predicted_hz"],
+               ["slope_hz_per_t", "intercept_hz"]),
+    "g2": (["offset", "g2", "stderr"],
+           ["floor_predicted", "signal_per_pulse", "background_per_pulse",
+            "seed"]),
+    "spin_t1": (["temperature_k", "rate_per_s", "t1_s"],
+                ["config_hash", "nu_ghz", "seed"]),
+    "purcell_stats": (["p_star_fraction", "expected_count"],
+                      ["config_hash", "seed"]),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_table_schema(name):
+    cfg = build_config({("", "experiment"): name, ("", "seed"): "5"})
+    cols, header, _ = EXPERIMENTS[name](cfg)
+    names, keys = SCHEMAS[name]
+    assert [k for k, _ in cols] == names
+    assert list(header) == keys
+    assert len({len(col) for _, col in cols}) == 1
+    if "seed" in header:
+        assert header["seed"] == 5
+
+
 def test_scan_csv_roundtrip(tmp_path):
-    ion = _ion()
-    seq = PulseSequence(input_power=1e-12)
-    grid = F0 + np.linspace(-5e6, 5e6, 11)
-    res = run_ple_scan(grid, ion, CAV, EMITTER, seq, STD_DET, 50, seed=12)
+    cfg = build_config({("", "seed"): "12", ("scan", "span"): "10 MHz",
+                        ("scan", "step"): "1 MHz",
+                        ("scan", "pulses_per_point"): "50"})
+    cols, header, _ = EXPERIMENTS["ple"](cfg)
     path = tmp_path / "scan.csv"
-    cols, meta = res.table()
-    write_csv_atomic(path, cols, header={**meta, "note": "roundtrip"})
-    header, cols = read_csv(path)
+    write_csv_atomic(path, cols, header={**header, "note": "roundtrip"})
+    header, read = read_csv(path)
     assert header["seed"] == "12"
+    assert header["pulses_per_point"] == "50"
     assert header["note"] == "roundtrip"
-    rebuilt = float(header["origin_hz"]) + cols["laser_offset_hz"]
-    assert np.allclose(rebuilt, grid, rtol=0, atol=0.5)  # sub-Hz after offsets
-    assert np.array_equal(cols["counts"].astype(int), res.counts)
+    rebuilt = float(header["origin_hz"]) + read["laser_offset_hz"]
+    assert np.allclose(rebuilt, scan_grid(cfg), rtol=0, atol=0.5)  # sub-Hz after offsets
+    assert np.array_equal(read["counts"], dict(cols)["counts"])
 
 
 def test_runner_validation_errors():
