@@ -1,6 +1,6 @@
 """Wall time and peak memory of cavityspec at default and at scale settings.
 
-    python3 bench/scale.py --out BENCH_6.json
+    python3 bench/scale.py --out BENCH_8.json
 
 Run it from the root of a checkout; it imports cavityspec from ./src.  Every
 entry runs in a fresh interpreter, REPEATS times.  The output records, per
@@ -37,7 +37,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
-# the scale settings of the experiments with a known slow path
+# one scale setting per experiment, two for lifetime's two slow paths
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
@@ -50,6 +50,14 @@ SCALE = {
     "purcell_stats @ 2048 fractions": "experiment = purcell_stats\n"
         "[purcell_stats]\nn_points = 2048\n",
     "g2 @ 1e7 pulses": "experiment = g2\n[g2]\nn_pulses = 10000000\n",
+    "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"
+        "[cavity_sweep]\nn_points = 1001\npulses_per_point = 100000\n",
+    "saturation @ 200,000 powers": "experiment = saturation\n[saturation]\n"
+        "n_points = 200000\n",
+    "zeeman @ 100 fields, 1-100 mT": "experiment = zeeman\n[zeeman]\nfields = "
+        + ", ".join(f"{b} mT" for b in range(1, 101)) + "\n",
+    "spin_t1 @ 600,001 temperatures": "experiment = spin_t1\n[spin_t1]\n"
+        "temp_grid = 2:8:1e-5 K\n",
 }
 ENTRIES = ([f"run {e}" for e in EXPERIMENTS] + [f"run {s}" for s in SCALE]
            + ["pulse_excitation 1e6 pairs", "pulse_excitation 1 pair"])

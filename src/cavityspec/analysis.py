@@ -17,6 +17,9 @@ from .errors import DomainError, FitError
 
 _REL_TOL = 1e-8
 _MAX_REJECTS = 50
+_MAX_ITER = 200
+PEAK_THRESHOLD = 3.0  # count_peaks keeps amplitudes above this many sigma
+_MAX_PEAKS = 100_000
 
 
 @dataclass
@@ -207,7 +210,7 @@ MODELS = {m.name: m for m in (EXPONENTIAL, LORENTZIAN, GAUSSIAN, LINEAR,
                               BUNCHING)}
 
 
-def fit_model(model, x, y, p0=None, weights=None, max_iter=200) -> FitResult:
+def fit_model(model, x, y, weights=None) -> FitResult:
     """Damped least squares with analytic Jacobians.
 
     weights multiply squared residuals; the default 1/max(|y|, 1) treats y
@@ -230,10 +233,7 @@ def fit_model(model, x, y, p0=None, weights=None, max_iter=200) -> FitResult:
         if w.shape != y.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise FitError("weights must be positive, finite, and match y")
 
-    p = np.asarray(model.initial_guess(x, y) if p0 is None else p0, dtype=float)
-    if p.shape != (n_par,):
-        raise FitError(f"{model.name} expects {n_par} parameters")
-
+    p = np.asarray(model.initial_guess(x, y), dtype=float)
     chi2 = _chi2(model, x, y, w, p)
     if not np.isfinite(chi2):
         raise FitError("initial parameters give a non-finite residual")
@@ -241,7 +241,7 @@ def fit_model(model, x, y, p0=None, weights=None, max_iter=200) -> FitResult:
     lam = 1e-3
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         # wild trial parameters may overflow inside the model; the step
         # acceptance test below already discards any non-finite outcome
         with np.errstate(all="ignore"):
@@ -323,16 +323,14 @@ class PeakList:
         return len(self.centers)
 
 
-def count_peaks(x, y, width, noise_sigma, *, threshold=3.0, mask=None,
-                max_peaks=100_000) -> PeakList:
+def count_peaks(x, y, width, noise_sigma) -> PeakList:
     """Greedy matched-filter extraction of same-width peaks.
 
     Repeatedly take the highest residual point, fit a unit Lorentzian of the
     given width there by linear least squares, and subtract it; stop once
-    the fitted amplitude drops below threshold * noise_sigma.  Peaks closer
-    than width/2 to an already-extracted one are not double counted: they
-    are unresolved by construction.  mask=False points are invisible to the
-    detector (excluded from both search and amplitude sums).
+    the fitted amplitude drops below PEAK_THRESHOLD * noise_sigma.  Peaks
+    closer than width/2 to an already-extracted one are not double counted:
+    they are unresolved by construction.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -340,19 +338,13 @@ def count_peaks(x, y, width, noise_sigma, *, threshold=3.0, mask=None,
         raise DomainError("x and y must be 1-d arrays of the same length")
     if width <= 0 or noise_sigma <= 0:
         raise DomainError("width and noise_sigma must be positive")
-    if mask is None:
-        usable = np.ones(len(x), dtype=bool)
-    else:
-        usable = np.asarray(mask, dtype=bool)
-        if usable.shape != x.shape:
-            raise DomainError("mask must match the grid length")
-    available = usable.copy()
+    available = np.ones(len(x), dtype=bool)
     residual = y.astype(float).copy()
-    floor = threshold * noise_sigma
+    floor = PEAK_THRESHOLD * noise_sigma
     centers: list[float] = []
     amplitudes: list[float] = []
     neg_inf = -np.inf
-    while len(centers) < max_peaks:
+    while len(centers) < _MAX_PEAKS:
         if not np.any(available):
             break
         search = np.where(available, residual, neg_inf)
@@ -361,8 +353,7 @@ def count_peaks(x, y, width, noise_sigma, *, threshold=3.0, mask=None,
             break
         u = 2.0 * (x - x[i]) / width
         line = 1.0 / (1.0 + u * u)
-        lu = line[usable]
-        a_hat = float(np.dot(lu, residual[usable]) / np.dot(lu, lu))
+        a_hat = float(np.dot(line, residual) / np.dot(line, line))
         if a_hat < floor:
             break
         residual -= a_hat * line
@@ -370,7 +361,7 @@ def count_peaks(x, y, width, noise_sigma, *, threshold=3.0, mask=None,
         amplitudes.append(a_hat)
         available &= np.abs(x - x[i]) >= width / 2.0
     else:
-        raise FitError(f"peak extraction exceeded {max_peaks} components")
+        raise FitError(f"peak extraction exceeded {_MAX_PEAKS} components")
     order = np.argsort(centers)
     return PeakList(np.asarray(centers)[order], np.asarray(amplitudes)[order],
                     residual)

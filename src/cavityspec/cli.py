@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import MODELS, count_peaks, fit_model
+from .analysis import MODELS, PEAK_THRESHOLD, count_peaks, fit_model
 from .config import RunConfig, build_config, dump_config, parse_config_text
 from .errors import (CapacityError, ConfigError, DomainError, FitError,
                      IntegrationError)
@@ -132,7 +132,6 @@ def _cmd_fit(args) -> int:
         print(f"note: skipping {int(np.sum(~finite))} non-finite rows",
               file=sys.stderr)
         x, y = x[finite], y[finite]
-        cols = {k: v[finite] for k, v in cols.items()}
     if len(x) == 0:
         raise ConfigError(f"{args.data}: no finite data rows")
     out_path = args.output or args.data + ".fit.json"
@@ -149,21 +148,16 @@ def _cmd_fit(args) -> int:
                   "baseline": baseline,
                   "centers": [float(c) for c in peaks.centers],
                   "amplitudes": [float(a) for a in peaks.amplitudes]}
-        print(f"peaks found: {peaks.count} "
-              f"(width {args.width:g}, threshold 3 x {noise:g})")
+        print(f"peaks found: {peaks.count} (width {args.width:g}, "
+              f"threshold {PEAK_THRESHOLD:g} x {noise:g})")
         write_json_atomic(out_path, result)
         return 0
 
-    weights = None
-    if args.weights == "uniform":
-        weights = np.ones_like(y)
-    elif "weight" in cols:
-        weights = cols["weight"]
     keep = slice(None)
     if args.model == "bunching":
         keep = x > 0  # the zero-offset point is antibunched, not bunching
     fit = fit_model(MODELS[args.model], x[keep], y[keep], weights=(
-        weights[keep] if weights is not None else None))
+        np.ones_like(y[keep]) if args.weights == "uniform" else None))
     print(f"model       {fit.model}")
     state = "yes" if fit.converged else "NO"
     print(f"converged   {state} ({fit.n_iter} iterations)")

@@ -208,10 +208,7 @@ SETTINGS: dict[tuple[str, str], tuple[Kind, str]] = {
     ("cavity", "eta_cav"): (Kind.PLAIN, "0.16"),
     ("cavity", "g_interface"): (Kind.FREQ, "2.62 MHz"),
     ("cavity", "z_half"): (Kind.LENGTH, "45 nm"),
-    ("cavity", "interface_fraction"): (Kind.PLAIN, "0.36"),
     ("emitter", "gamma0"): (Kind.FREQ, "14 Hz"),
-    ("emitter", "beta"): (Kind.PLAIN, "0.21"),
-    ("emitter", "n_host"): (Kind.PLAIN, "1.80"),
     ("emitter", "frequency"): (Kind.FREQ, "195 THz"),
     ("emitter", "gamma_dephasing"): (Kind.FREQ, "3.1 MHz"),
     ("ion", "offset"): (Kind.FREQ, "0 Hz"),
@@ -378,13 +375,10 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
         kappa=TWO_PI * v[("cavity", "kappa")],
         eta_cav=v[("cavity", "eta_cav")],
         g_if=TWO_PI * v[("cavity", "g_interface")],
-        z_half=v[("cavity", "z_half")],
-        interface_intensity_fraction=v[("cavity", "interface_fraction")])
+        z_half=v[("cavity", "z_half")])
     emitter = _build(
         "emitter", EmitterConstants,
         gamma0=TWO_PI * v[("emitter", "gamma0")],
-        beta=v[("emitter", "beta")],
-        n_host=v[("emitter", "n_host")],
         omega=TWO_PI * v[("emitter", "frequency")])
     gamma_d = TWO_PI * v[("emitter", "gamma_dephasing")]
     if gamma_d < 0:

@@ -23,6 +23,7 @@ from .output import write_bytes_atomic
 _BINARY_MAGIC = b"CSPK"
 _BINARY_VERSION = 1
 _RECORD_DTYPE = np.dtype([("pulse_index", "<u8"), ("t_ns", "<f8")])
+_SOJOURN_BLOCK = 2048  # telegraph sojourn pairs drawn per block
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class BlinkConfig:
     """Telegraph intensity switching: stationary bright fraction and the
     correlation time of the bright/dark process."""
 
-    enabled: bool = False
     p_bright: float = 1.0
     switch_time: float = 800e-6  # s
 
@@ -143,44 +143,27 @@ class ClickStream:
 
 
 def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
-    """Per-pulse bright flags for the stationary two-state telegraph."""
+    """Per-pulse bright flags for the stationary two-state telegraph.
+
+    Sojourn lengths are geometric and alternate from a stationary first
+    state; they are drawn in blocks of _SOJOURN_BLOCK pairs until they
+    cover n_pulses, and a state that is never left lasts to the end.
+    """
     decay = math.exp(-rep_period / switch_time)
-    flip_from_bright = (1.0 - p_bright) * (1.0 - decay)
-    flip_from_dark = p_bright * (1.0 - decay)
-    bright = np.empty(n_pulses, dtype=bool)
-    state = bool(rng.random() < p_bright)
-    filled = 0
-    while filled < n_pulses:
-        flip_a = flip_from_bright if state else flip_from_dark
-        flip_b = flip_from_dark if state else flip_from_bright
-        if flip_a <= 0.0:  # absorbing state: stay put for the remainder
-            bright[filled:] = state
-            break
-        block = 2048
-        runs = np.empty(2 * block, dtype=np.int64)
-        runs[0::2] = rng.geometric(flip_a, size=block)
-        runs[1::2] = rng.geometric(max(flip_b, 1e-12), size=block)
-        states = np.empty(2 * block, dtype=bool)
-        states[0::2] = state
-        states[1::2] = not state
-        cum = np.cumsum(runs)
-        remaining = n_pulses - filled
-        k = int(np.searchsorted(cum, remaining)) + 1
-        if k > len(runs):  # block exhausted; even run count, state unchanged
-            k = len(runs)
-        use = runs[:k].copy()
-        overshoot = int(cum[k - 1]) - remaining
-        if overshoot > 0:
-            use[-1] -= overshoot
-        chunk = np.repeat(states[:k], use)
-        bright[filled:filled + len(chunk)] = chunk
-        filled += len(chunk)
-        if overshoot > 0:
-            # resuming an interrupted sojourn is free: runs are memoryless
-            state = bool(states[k - 1])
-        else:
-            state = not bool(states[k - 1])
-    return bright
+    first = bool(rng.random() < p_bright)
+    leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
+    leave_a, leave_b = leave if first else leave[::-1]
+    lengths, total = [], 0
+    while total < n_pulses and leave_a > 0.0:
+        runs = np.empty(2 * _SOJOURN_BLOCK, dtype=np.int64)
+        runs[0::2] = rng.geometric(leave_a, size=_SOJOURN_BLOCK)
+        runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=_SOJOURN_BLOCK)
+        ends = np.minimum(np.cumsum(np.minimum(runs, n_pulses)),
+                          n_pulses - total)
+        lengths.append(np.diff(ends, prepend=0))
+        total += int(ends[-1])
+    lengths = np.concatenate(lengths) if lengths else [n_pulses, 0]
+    return np.repeat(np.tile([first, not first], len(lengths) // 2), lengths)
 
 
 MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
@@ -205,7 +188,7 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
         raise DomainError(f"rep_period must be positive, got {rep_period}")
 
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
-    if blink is not None and blink.enabled and blink.p_bright < 1.0:
+    if blink is not None and blink.p_bright < 1.0:
         bright = _telegraph_bright(n_pulses, blink.p_bright, rep_period,
                                    blink.switch_time, rng)
         fire = rng.random(n_pulses) < (p_click * bright)

@@ -327,7 +327,7 @@ def _pulse_excitation_chunk(omega, delta, gam, gd, duration):
     c = -g2 - h
     m = -y - h  # c - r
     e_mean, e_pair = _pair_exp(sigma * c, big_d, sigma)
-    e_three = _exp3(sigma * r, sigma * c, m, big_d, sigma, e_mean, e_pair)
+    e_three = _exp3(sigma * r, m, big_d, sigma, e_mean, e_pair)
     n_r = (y * y + d * d) * rho_ss + w * d * u_ss - w * y * v_ss
     decay = (n_r * e_three + ((y - h) * rho_ss - w * v_ss) * e_pair
              + rho_ss * e_mean)
@@ -395,34 +395,20 @@ def _pair_exp(c, big_d, sigma):
     return mean, diff
 
 
-def _exp2(a, b):
-    """Divided difference of e^x over {a, b}, robust as a -> b."""
-    gap = np.abs(a - b)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(gap > 0, -np.expm1(-gap) / gap, 1.0)
-    return np.exp(np.maximum(a, b)) * ratio
-
-
-def _exp3(r, c, m, big_d, sigma, e_mean, e_pair):
+def _exp3(r, m, big_d, sigma, e_mean, e_pair):
     """sigma^2 times the divided difference of e^x over {r, c + nu, c - nu}.
 
-    r and c are exponents; m = (c - r) / sigma and D = (nu / sigma)^2 are
-    scaled.  The divided difference is entire in (m, D) and is evaluated in
-    whichever of three equal forms keeps its accuracy there: a series when
-    both nodes of the pair lie within 1 of r; when the pair is real and r
-    may sit on one of its nodes, the difference of the two two-node divided
-    differences over the pair's gap; else the closed form over
-    (c - r)^2 - nu^2, which those two cases keep away from zero.
+    r is an exponent; m = (c - r) / sigma and D = (nu / sigma)^2 are
+    scaled.  The divided difference is entire in (m, D) and is evaluated as
+    a series when both nodes of the pair lie within 1 of r, else in closed
+    form over (c - r)^2 - nu^2.  When the pair is real, _real_root has
+    returned the root beyond the inflection point (r + 2c) / 3 from both
+    nodes, so |m| >= 3 nu and that denominator is at least 8 nu^2.
     """
     nu = np.sqrt(np.abs(big_d))
     reach = sigma * np.maximum(np.abs(m), nu)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (np.exp(r) - e_mean + m * e_pair) / (m * m - big_d)
-    apart = (big_d > 0) & (2.0 * nu >= np.abs(m)) & (reach > 0.5)
-    if apart.any():
-        r_a, c_a, nu_a = r[apart], c[apart], sigma[apart] * nu[apart]
-        gap = _exp2(r_a, c_a + nu_a) - _exp2(r_a, c_a - nu_a)
-        out[apart] = sigma[apart] * gap / (2.0 * nu[apart])
     near = reach <= 0.5
     if near.any():
         # e^r sum_k h_k / (k + 2)!, h_k the complete symmetric polynomials of

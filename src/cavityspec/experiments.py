@@ -473,7 +473,7 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
     offsets, g2, stderr = g2_pulsed(stream, max_offset)
     signal = float(_detected(emission.p_excited * emission.eta_into_cavity,
                              emission.gamma, det, seq.excite_duration))
-    if blink is not None and blink.enabled:
+    if blink is not None:
         signal *= blink.p_bright
     background = det.dark_rate * det.gate_duration + background_per_pulse
     floor = g2_background_floor(signal / background) if background > 0 else 0.0
@@ -690,7 +690,7 @@ def _zeeman(cfg: RunConfig):
 
 
 def _g2(cfg: RunConfig):
-    blink = (BlinkConfig(enabled=True, p_bright=cfg["g2", "p_bright"],
+    blink = (BlinkConfig(p_bright=cfg["g2", "p_bright"],
                          switch_time=cfg["g2", "switch_time"])
              if cfg["g2", "blink"] else None)
     res = run_g2(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,

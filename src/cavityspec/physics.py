@@ -34,15 +34,12 @@ class CavityParams:
     eta_cav: float      # waveguide (out)coupling fraction kappa_wg/kappa
     g_if: float         # single-emitter coupling at the interface peak, rad/s
     z_half: float       # depth over which |E|^2 halves, m
-    interface_intensity_fraction: float = 0.36  # |E|^2 at the interface / global max
 
     def __post_init__(self):
         _require_positive(f_cav=self.f_cav, kappa=self.kappa, g_if=self.g_if,
                           z_half=self.z_half)
         if not 0.0 <= self.eta_cav <= 1.0:
             raise DomainError(f"eta_cav must lie in [0, 1], got {self.eta_cav}")
-        if not 0.0 < self.interface_intensity_fraction <= 1.0:
-            raise DomainError("interface_intensity_fraction must lie in (0, 1]")
 
     @classmethod
     def default(cls) -> "CavityParams":
@@ -54,25 +51,19 @@ class CavityParams:
 class EmitterConstants:
     """Bare-emitter constants of the optical transition."""
 
-    gamma0: float              # free-space (bulk) decay rate, rad/s
-    beta: float                # branching ratio of the monitored transition
-    n_host: float              # host refractive index
-    omega: float               # transition angular frequency, rad/s
-    tau0: float | None = None  # bare lifetime 1/gamma0, s; derived when omitted
+    gamma0: float         # free-space (bulk) decay rate, rad/s
+    omega: float          # transition angular frequency, rad/s
+    beta: float = 0.21    # branching ratio of the monitored transition
+    n_host: float = 1.80  # host refractive index
 
     def __post_init__(self):
         _require_positive(gamma0=self.gamma0, n_host=self.n_host, omega=self.omega)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.tau0 is None:
-            object.__setattr__(self, "tau0", 1.0 / self.gamma0)
-        elif abs(self.gamma0 * self.tau0 - 1.0) > 1e-9:
-            raise DomainError("tau0 inconsistent with gamma0: gamma0*tau0 must be 1")
 
     @classmethod
     def default(cls) -> "EmitterConstants":
-        return cls(gamma0=TWO_PI * 14.0, beta=0.21, n_host=1.80,
-                   omega=TWO_PI * 195e12)
+        return cls(gamma0=TWO_PI * 14.0, omega=TWO_PI * 195e12)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Fit engine, model Jacobians, and peak extraction."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -121,6 +119,8 @@ def test_count_peaks_on_flat_noise_finds_nothing():
     y = rng.normal(0.0, 0.1, len(x))
     peaks = count_peaks(x, y, width=0.3, noise_sigma=0.1)
     assert peaks.count == 0
+    with pytest.raises(DomainError):
+        count_peaks(x, y, width=-1.0, noise_sigma=0.1)
 
 
 def test_count_peaks_recovers_separated_lines():
@@ -145,20 +145,6 @@ def test_count_peaks_recovers_separated_lines():
     # a second pass over the residual finds nothing new
     again = count_peaks(x, peaks.residual, width=width, noise_sigma=0.1)
     assert again.count == 0
-
-
-def test_count_peaks_mask_hides_a_region():
-    x = np.arange(0.0, 20.0, 0.02)
-    width = 0.3
-    y = np.zeros_like(x)
-    for c in (5.0, 10.0, 15.0):
-        y += 8.0 / (1.0 + (2.0 * (x - c) / width) ** 2)
-    mask = np.abs(x - 10.0) > 1.0
-    peaks = count_peaks(x, y, width=width, noise_sigma=0.1, mask=mask)
-    assert peaks.count == 2
-    assert np.all(np.abs(peaks.centers - 10.0) > 1.0)
-    with pytest.raises(DomainError):
-        count_peaks(x, y, width=-1.0, noise_sigma=0.1)
 
 
 def test_density_envelope_recovers_hidden_peaks():

@@ -280,6 +280,24 @@ def test_fit_empty_csv(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+def test_fit_skips_non_finite_rows(tmp_path, capsys):
+    rows = [(x, 3.0 + 2.0 * x + 0.1 * (-1) ** x) for x in range(8)]
+    fits = {}
+    for name, extra in (("finite", []), ("with_nan", [(3.5, "nan")])):
+        path = str(tmp_path / f"{name}.csv")
+        with open(path, "w") as fh:
+            fh.write("x,y\n")
+            fh.writelines(f"{x},{y}\n" for x, y in sorted(rows + extra))
+        fit_path = str(tmp_path / f"{name}.json")
+        assert main(["fit", path, "--model", "linear",
+                     "--output", fit_path]) == 0
+        with open(fit_path) as fh:
+            fits[name] = json.load(fh)
+        err = capsys.readouterr().err
+    assert "note: skipping 1 non-finite rows" in err
+    assert fits["with_nan"] == fits["finite"]
+
+
 def test_fit_exponential_recovers_lifetime(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "\n".join([
         "experiment = lifetime",
@@ -399,6 +417,11 @@ def test_inspect_flags_tampering(tmp_path, capsys):
         fh.write("tampered\n")
     assert main(["inspect", bundle]) == 1
     assert "MODIFIED" in capsys.readouterr().out
+    os.remove(os.path.join(bundle, "clicks.bin"))
+    assert main(["inspect", bundle]) == 1
+    assert "clicks.bin" in [line.split()[0] for line in
+                            capsys.readouterr().out.splitlines()
+                            if "MISSING" in line]
     assert main(["inspect", str(tmp_path / "nowhere")]) == 2
 
 

@@ -14,8 +14,8 @@ from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
 def test_default_config_hash_is_pinned():
     # config.txt, and so every bundle's hash, follows the SETTINGS order
     cfg = build_config({("", "experiment"): "ple"})
-    assert cfg.config_hash() == ("ba3f57b023d1599e6607ea1296afc265"
-                                 "abadc6eb726b7b4b62e3875b334664d6")
+    assert cfg.config_hash() == ("eb71fa8b37d3a76dd552471d5f7677c0"
+                                 "de6d447997f356e4310331ec7a5288b6")
     assert dump_config(cfg).startswith("experiment = ple\nseed = 1\n\n"
                                        "[cavity]\nfrequency = 195.1188 THz\n")
 
@@ -218,3 +218,13 @@ def test_load_config_file(tmp_path):
     assert cfg["lifetime", "n_pulses"] == 500
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.cfg")
+
+
+@pytest.mark.parametrize("section,key", [("cavity", "interface_fraction"),
+                                         ("emitter", "beta"),
+                                         ("emitter", "n_host")])
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, section, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"experiment = ple\n[{section}]\n{key} = 0.5\n")
+    assert main(["run", str(path), "--output", str(tmp_path / "o")]) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from cavityspec.detection import (
     ClickStream,
     DetectorConfig,
     EmissionModel,
+    _telegraph_bright,
     bunching_profile,
     g2_background_floor,
     g2_pulsed,
@@ -83,7 +84,7 @@ def test_zero_delay_dip_survives_detector_loss():
 
 
 def test_blinking_builds_the_analytic_bunching_tail():
-    blink = BlinkConfig(enabled=True, p_bright=0.3, switch_time=500e-6)
+    blink = BlinkConfig(p_bright=0.3, switch_time=500e-6)
     rep = 100e-6
     rng = np.random.default_rng(97)
     stream = simulate_clicks(_emitter(0.8, eta=0.1), WIDE_GATE, 600_000, rng,
@@ -97,12 +98,45 @@ def test_blinking_builds_the_analytic_bunching_tail():
     assert expected[1] > expected[8] > 1.0
 
 
+def _sojourn_loop(n_pulses, p_bright, rep_period, switch_time, rng):
+    """Reference telegraph: one sojourn at a time, the same draws."""
+    decay = math.exp(-rep_period / switch_time)
+    state = bool(rng.random() < p_bright)
+    leave = {True: (1 - p_bright) * (1 - decay), False: p_bright * (1 - decay)}
+    flags = []
+    while len(flags) < n_pulses:
+        if leave[state] <= 0:
+            return np.array(flags + [state] * (n_pulses - len(flags)))
+        runs_a = rng.geometric(leave[state], size=2048)
+        runs_b = rng.geometric(max(leave[not state], 1e-12), size=2048)
+        for pair in zip(runs_a, runs_b):
+            for on, run in zip((state, not state), pair):
+                flags += [on] * int(min(run, n_pulses))
+            if len(flags) >= n_pulses:
+                break
+    return np.array(flags[:n_pulses])
+
+
+@pytest.mark.parametrize("n_pulses,p_bright,switch_time", [
+    (1, 0.5, 800e-6), (4096, 0.3, 500e-6), (30_000, 0.5, 800e-6),
+    (50_000, 0.02, 1e-2), (20_000, 0.9, 1e-6), (3_000, 0.5, 1e6),
+    # the first sojourn is drawn at the int64 maximum
+    (5_000, 1 - 1e-12, 1.0), (5_000, 1e-12, 1.0)])
+def test_telegraph_matches_a_sojourn_loop(n_pulses, p_bright, switch_time):
+    fast, slow = np.random.default_rng(8), np.random.default_rng(8)
+    flags = _telegraph_bright(n_pulses, p_bright, 100e-6, switch_time, fast)
+    reference = _sojourn_loop(n_pulses, p_bright, 100e-6, switch_time, slow)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, reference)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def test_bunching_profile_shape():
-    blink = BlinkConfig(enabled=True, p_bright=0.25, switch_time=800e-6)
+    blink = BlinkConfig(p_bright=0.25, switch_time=800e-6)
     prof = bunching_profile(blink, 100e-6, 4)
     assert prof[0] == pytest.approx(1.0 / 0.25, rel=1e-12)
     assert np.all(np.diff(prof) < 0)
-    steady = bunching_profile(BlinkConfig(enabled=True, p_bright=1.0), 100e-6, 4)
+    steady = bunching_profile(BlinkConfig(p_bright=1.0), 100e-6, 4)
     assert np.all(steady == 1.0)
 
 

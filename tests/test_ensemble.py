@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cavityspec import ensemble
-from cavityspec.constants import TWO_PI
 from cavityspec.ensemble import (
     EnsembleConfig,
     IonRecord,

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cavityspec.analysis import fit_model, LORENTZIAN
 from cavityspec.config import build_config
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
@@ -210,8 +209,7 @@ def test_g2_floor_and_blinking():
     assert abs(noisy.g2[0] - noisy.floor_predicted) < 4 * noisy.stderr[0]
 
     blinky = run_g2(ion, CAV, EMITTER, seq, quiet, n_pulses=400_000, seed=6,
-                    blink=BlinkConfig(enabled=True, p_bright=0.4,
-                                      switch_time=400e-6))
+                    blink=BlinkConfig(p_bright=0.4, switch_time=400e-6))
     assert blinky.g2[1] > 1.2
     assert blinky.g2[1] > blinky.g2[8]
 

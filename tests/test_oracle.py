@@ -11,10 +11,13 @@ rho_ee by ~1e-11, and up to 1e21 for |delta|.
 """
 
 import math
+from unittest import mock
 
 import mpmath
+import numpy as np
 from hypothesis import example, given, strategies as st
 
+from cavityspec import dynamics
 from cavityspec.dynamics import (GROUND, DriveParams, _step_limit,
                                  evolve_bloch, pulse_excitation)
 
@@ -67,8 +70,15 @@ def _exact(omega, delta, gamma, gamma_d, duration):
 @example((3e6, 1e25, GAMMA, GAMMA_D, T))                        # |delta| = 1e25
 def test_pulse_excitation_matches_oracles(drive):
     omega, delta, gamma, gamma_d, duration = drive
-    fast = pulse_excitation(omega, delta, gamma, gamma_d, duration)
+    with mock.patch.object(dynamics, "_exp3", wraps=dynamics._exp3) as exp3:
+        fast = pulse_excitation(omega, delta, gamma, gamma_d, duration)
     assert abs(fast - _exact(*drive)) <= 1e-10
+    # _exp3's closed form needs |c - r| > 2 nu for a real pair; _real_root
+    # gives |c - r| >= 3 nu (up to rounding)
+    for call in exp3.call_args_list:
+        _, m, big_d = call.args[:3]
+        real = big_d > 0
+        assert np.all(np.abs(m[real]) >= 3.0 * np.sqrt(big_d[real]) * (1 - 1e-9))
     params = DriveParams(omega, delta, gamma, gamma_d)
     angle = math.hypot(omega, delta) * duration
     dt = _step_limit(1e-6, omega, delta, gamma, params.gamma2)

@@ -146,15 +146,6 @@ def test_cavity_params_quality_factor():
         CavityParams(f_cav=195e12, kappa=-1.0, eta_cav=0.16, g_if=1.0, z_half=45e-9)
 
 
-def test_emitter_constants_tau0_consistency():
-    em = EmitterConstants.default()
-    assert em.tau0 == pytest.approx(0.011368210221, rel=1e-9)
-    assert em.gamma0 * em.tau0 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        EmitterConstants(gamma0=TWO_PI * 14.0, beta=0.21, n_host=1.80,
-                         omega=TWO_PI * 195e12, tau0=1.0)
-
-
 def test_transverse_envelope():
     env = TransverseEnvelope()
     assert env.amplitude(0.0, 0.0) == 1.0

@@ -1,4 +1,5 @@
-"""Every value the config parser meets ends a run in one of three ways.
+"""Every value the config parser meets ends a run in one of three ways,
+and every setting changes some output.
 
 One SETTINGS key gets a drawn value of its kind, across many decades, zero
 and both signs; `cavityspec run` then exits 0 with a bundle that `inspect`
@@ -9,12 +10,17 @@ exception may escape main.  The other keys hold small runs.
 import contextlib
 import io
 import os
+import re
 import tempfile
 
+import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
 from cavityspec.cli import main
-from cavityspec.config import _UNITS, COUNT_LIMITS, SETTINGS, Kind
+from cavityspec.config import (_UNITS, COUNT_LIMITS, SETTINGS, Kind,
+                               build_config)
+from cavityspec.errors import (CapacityError, ConfigError, DomainError,
+                               FitError, IntegrationError)
 from cavityspec.experiments import EXPERIMENTS
 
 # sizes that do not matter to the property, kept small
@@ -154,3 +160,79 @@ def test_every_config_value_ends_cleanly(case, ensemble, small):
                      if line.startswith("error: ")]
             assert code in (1, 2) and error, (code, err)
             assert code == 1 or key in error[0], err
+
+
+# Every setting must change some output.  Each key is perturbed in turn
+# from a small run; some experiment's table or exit code has to move.
+REDUCED = {**SMALL,
+           # ~1,400 ions: half of max_count is too few
+           ("ensemble", "region"): "(1, 0.5, 0.1) um",
+           ("ensemble", "max_count"): "2000"}
+
+# settings a key acts through, held in both runs
+SPIN_FLIP = {("zeeman", "spin_flip_strength"): "0.1", ("zeeman", "sum_g"): "3"}
+BLINK = {("g2", "blink"): "true", ("g2", "p_bright"): "0.5"}
+CONTEXT = {("zeeman", "spin_flip_strength"): SPIN_FLIP,
+           ("zeeman", "sum_g"): SPIN_FLIP,
+           ("g2", "blink"): {("g2", "p_bright"): "0.5"},
+           ("g2", "p_bright"): BLINK, ("g2", "switch_time"): BLINK,
+           # background puts two clicks inside one gate
+           ("detector", "dead_time"): {("lifetime", "background_per_pulse"):
+                                       "2"},
+           # room for the gate to open earlier or the period to shorten
+           ("detector", "gate_start"): {("sequence", "excite"): "5 us"},
+           ("sequence", "period"): {("detector", "gate_duration"): "70 us"},
+           **{key: {("ensemble", "enabled"): "true"} for key in SETTINGS
+              if (key[0] == "ensemble" and key[1] != "enabled")
+              or key == ("cavity", "g_interface")}}
+
+# the value a zero-valued key of each kind moves to
+NONZERO = {Kind.PLAIN: "0.5", Kind.FREQ: "5 MHz", Kind.TIME: "10 us",
+           Kind.DRIFT: "1 MHz/s", Kind.INTERVALS: "(-2, 2) MHz"}
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
+
+
+def _perturbed(kind: Kind, text: str) -> str:
+    """A different valid value: a flag flips, a count halves, zero becomes
+    non-zero and any other number shrinks by a tenth."""
+    if kind is Kind.BOOL:
+        return "false" if text == "true" else "true"
+    if kind in (Kind.COUNT, Kind.NATURAL):
+        return str(int(text) // 2)
+    if not any(float(n) for n in NUMBER.findall(text)):
+        return NONZERO[kind]
+    return NUMBER.sub(lambda n: f"{float(n.group()) * 0.9:.6g}", text)
+
+
+def _outcome(entries, experiment):
+    """The data table, or the exit code the CLI would give."""
+    try:
+        cfg = build_config({**entries, ("", "experiment"): experiment})
+        cols, header, _ = EXPERIMENTS[experiment](cfg)
+    except (ConfigError, DomainError):
+        return 2
+    except (FitError, IntegrationError, CapacityError):
+        return 1
+    return [(name, np.asarray(col, dtype=float).tobytes())
+            for name, col in cols], repr(header)
+
+
+def test_every_setting_changes_an_output():
+    baselines = {}
+    dead = []
+    for key, (kind, default) in SETTINGS.items():
+        if key[0] == "":  # experiment, seed, output_dir
+            continue
+        base = {**REDUCED, **CONTEXT.get(key, {})}
+        moved = {**base, key: _perturbed(kind, base.get(key, default))}
+        # the experiments that read the key's section first
+        for experiment in dict.fromkeys([*READERS.get(key[0], ()),
+                                         *EXPERIMENTS]):
+            ctx = (experiment, tuple(sorted(base.items())))
+            if ctx not in baselines:
+                baselines[ctx] = _outcome(base, experiment)
+            if _outcome(moved, experiment) != baselines[ctx]:
+                break
+        else:
+            dead.append(f"[{key[0]}] {key[1]}")
+    assert dead == []
