@@ -336,8 +336,10 @@ def count_peaks(x, y, width, noise_sigma) -> PeakList:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d arrays of the same length")
-    if width <= 0 or noise_sigma <= 0:
-        raise DomainError("width and noise_sigma must be positive")
+    for name, value in (("width", width), ("noise_sigma", noise_sigma)):
+        if not (value > 0 and math.isfinite(value)):
+            raise DomainError(f"{name} must be positive and finite, "
+                              f"got {value}")
     available = np.ones(len(x), dtype=bool)
     residual = y.astype(float).copy()
     floor = PEAK_THRESHOLD * noise_sigma

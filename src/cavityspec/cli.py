@@ -27,8 +27,8 @@ from .config import RunConfig, build_config, dump_config, parse_config_text
 from .errors import (CapacityError, ConfigError, DomainError, FitError,
                      IntegrationError)
 from .experiments import EXPERIMENTS
-from .output import (read_csv, write_csv_atomic, write_json_atomic,
-                     write_text_atomic)
+from .output import (read_csv, read_text, write_csv_atomic,
+                     write_json_atomic, write_text_atomic)
 
 
 def _execute(cfg: RunConfig, outdir: str, fmt: str) -> list[str]:
@@ -61,8 +61,8 @@ def _cmd_run(args) -> int:
     if args.target in EXPERIMENTS:
         entries = {("", "experiment"): args.target}
     elif os.path.exists(args.target):
-        with open(args.target, encoding="utf-8") as fh:
-            entries = parse_config_text(fh.read(), source=args.target)
+        entries = parse_config_text(read_text(args.target, "config file"),
+                                    source=args.target)
     else:
         raise ConfigError(
             f"{args.target!r} is neither an experiment name "
@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
     if args.temp_grid is not None:
         entries[("spin_t1", "temp_grid")] = f"{args.temp_grid} K"
     if args.nu is not None:
-        entries[("spin_t1", "nu")] = f"{args.nu:g} GHz"
+        entries[("spin_t1", "nu")] = f"{args.nu!r} GHz"
     cfg = build_config(entries)
 
     outdir = os.path.join(cfg.output_dir, f"{cfg.experiment}-seed{cfg.seed}")
@@ -117,10 +117,7 @@ def _estimate_noise(y: np.ndarray) -> float:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        header, cols = read_csv(args.data)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.data}: {exc}") from None
+    header, cols = read_csv(args.data)
     names = list(cols)
     if len(names) < 2:
         raise ConfigError(f"{args.data}: need at least two columns, "
@@ -138,9 +135,11 @@ def _cmd_fit(args) -> int:
 
     if args.model == "peaks":
         baseline = float(np.median(y))
-        noise = args.noise_sigma if args.noise_sigma else _estimate_noise(y)
-        if noise <= 0:
-            raise ConfigError("noise sigma is zero; pass --noise-sigma")
+        noise = args.noise_sigma
+        if noise is None:
+            noise = _estimate_noise(y)
+            if noise <= 0:
+                raise ConfigError("noise sigma is zero; pass --noise-sigma")
         peaks = count_peaks(x, y - baseline, width=args.width,
                             noise_sigma=noise)
         result = {"model": "peaks", "count": peaks.count,
@@ -175,20 +174,24 @@ def _cmd_inspect(args) -> int:
     if os.path.isdir(path):
         path = os.path.join(path, "manifest.json")
     try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest: {exc}") from None
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(read_text(path, "manifest"))
+    # the decoder recurses once per nesting level
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not a manifest: {exc}") from None
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not (isinstance(files, dict) and all(
+            isinstance(d, str) and os.path.basename(n) == n
+            for n, d in files.items())):
+        raise ConfigError(f"{path}: not a manifest: 'files' must map plain "
+                          "file names to SHA-256 digests")
     for key in ("experiment", "seed", "config_hash", "package_version",
                 "format"):
         print(f"{key:<16} {manifest.get(key)}")
     bundle_dir = os.path.dirname(path)
     bad = 0
-    for name, digest in sorted(manifest.get("files", {}).items()):
+    for name, digest in sorted(files.items()):
         target = os.path.join(bundle_dir, name)
-        if not os.path.exists(target):
+        if not os.path.isfile(target):
             status = "MISSING"
             bad += 1
         elif _sha256_file(target) != digest:
@@ -199,7 +202,7 @@ def _cmd_inspect(args) -> int:
         print(f"  {name:<20} {status}  {digest[:16]}")
     # files the manifest does not list (say, a fit written here) are shown,
     # not failed
-    listed = set(manifest.get("files", {})) | {os.path.basename(path)}
+    listed = set(files) | {os.path.basename(path)}
     for name in sorted(set(os.listdir(bundle_dir or ".")) - listed):
         print(f"  {name:<20} UNLISTED")
     return 1 if bad else 0

@@ -24,7 +24,7 @@ from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
                        ZeemanConfig)
 from .errors import ConfigError, DomainError
 from .experiments import EXPERIMENTS, MAX_GRID_POINTS, PulseSequence
-from .output import sha256_text
+from .output import read_text, sha256_text
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope
 
 
@@ -304,7 +304,6 @@ class RunConfig:
     output_dir: str
     cavity: CavityParams
     emitter: EmitterConstants
-    gamma_d: float
     ion: IonRecord
     detector: DetectorConfig
     sequence: PulseSequence
@@ -379,17 +378,14 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
     emitter = _build(
         "emitter", EmitterConstants,
         gamma0=TWO_PI * v[("emitter", "gamma0")],
-        omega=TWO_PI * v[("emitter", "frequency")])
-    gamma_d = TWO_PI * v[("emitter", "gamma_dephasing")]
-    if gamma_d < 0:
-        raise _fail("[emitter] gamma_dephasing", "must be non-negative")
+        omega=TWO_PI * v[("emitter", "frequency")],
+        gamma_d=TWO_PI * v[("emitter", "gamma_dephasing")])
 
     purcell = v[("ion", "purcell")]
     g_ion = math.sqrt(max(purcell, 0.0) * cavity.kappa * emitter.gamma0 / 4.0)
     ion = _build("ion", IonRecord, position=(0.0, 0.0, 0.0),
                  f0=cavity.f_cav + v[("ion", "offset")],
-                 g=g_ion, purcell=purcell,
-                 delta_g_spin=v[("ion", "delta_g")])
+                 g=g_ion, purcell=purcell)
 
     detector = _build(
         "detector", DetectorConfig,
@@ -431,18 +427,14 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
     return RunConfig(
         experiment=experiment, seed=v[("", "seed")],
         output_dir=v[("", "output_dir")], cavity=cavity, emitter=emitter,
-        gamma_d=gamma_d, ion=ion, detector=detector, sequence=sequence,
+        ion=ion, detector=detector, sequence=sequence,
         ensemble=ensemble, envelope=envelope, zeeman=zeeman, values=v,
         raw=raw)
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return build_config(parse_config_text(text, source=str(path)))
+    return build_config(parse_config_text(read_text(path, "config file"),
+                                          source=str(path)))
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -206,14 +206,11 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
         raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} background "
                           "clicks expected: lower dark_rate, gate_duration "
                           "or background_per_pulse")
-    if lam > 0:
-        total_bg = rng.poisson(lam * n_pulses)
-        bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
-        bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
-        pulse = np.concatenate([src_pulse, bg_pulse])
-        t = np.concatenate([src_t, bg_t])
-    else:
-        pulse, t = src_pulse, src_t
+    total_bg = rng.poisson(lam * n_pulses)
+    bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
+    bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
+    pulse = np.concatenate([src_pulse, bg_pulse])
+    t = np.concatenate([src_t, bg_t])
 
     order = np.lexsort((t, pulse))
     pulse, t = pulse[order], t[order]

@@ -33,14 +33,12 @@ class IonRecord:
     f0: optical transition frequency, Hz
     g: cavity coupling at the ion's position, rad/s
     purcell: 4 g^2 / (kappa gamma0) for the owning cavity
-    delta_g_spin: difference of ground/excited spin g-factors
     """
 
     position: tuple[float, float, float]
     f0: float
     g: float
     purcell: float
-    delta_g_spin: float = 1.55
     site: Site = Site.SITE1
 
     def __post_init__(self):
@@ -74,12 +72,11 @@ class EnsembleConfig:
             raise DomainError("max_count must be at least 1")
 
     @classmethod
-    def from_ppm(cls, ppm: float, yttrium_density: float = YTTRIUM_SITE_DENSITY,
-                 **kwargs) -> "EnsembleConfig":
+    def from_ppm(cls, ppm: float, **kwargs) -> "EnsembleConfig":
         """Doping quoted in parts per million of host sites."""
-        if not (ppm > 0 and yttrium_density > 0):
-            raise DomainError("ppm and yttrium_density must be positive")
-        return cls(density=ppm * 1e-6 * yttrium_density, **kwargs)
+        if not ppm > 0:
+            raise DomainError("ppm must be positive")
+        return cls(density=ppm * 1e-6 * YTTRIUM_SITE_DENSITY, **kwargs)
 
     @property
     def volume(self) -> float:

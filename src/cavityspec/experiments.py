@@ -34,8 +34,6 @@ from .physics import CavityParams, EmitterConstants
 if TYPE_CHECKING:
     from .config import RunConfig
 
-GAMMA_D_DEFAULT = TWO_PI * 3.1e6  # pure dephasing at the standard temperature
-
 # beyond this many power-broadened half-widths an ion's tail is dropped
 CUTOFF_HALFWIDTHS = 30.0
 
@@ -132,18 +130,18 @@ def _decay(purcell, emitter: EmitterConstants):
     return emitter.gamma0 * (1.0 + purcell), purcell / (1.0 + purcell)
 
 
-def _half_width(n_ph, g, purcell, emitter, gamma_d):
+def _half_width(n_ph, g, purcell, emitter):
     """Power-broadened half-width of a line driven by n_ph cavity photons."""
     gamma, _ = _decay(purcell, emitter)
-    gamma2 = gamma / 2.0 + gamma_d
+    gamma2 = gamma / 2.0 + emitter.gamma_d
     return gamma2 * np.sqrt(1.0 + n_ph * g ** 2 / (gamma * gamma2))
 
 
-def _excitation(n_ph, g, purcell, detuning, emitter, gamma_d, duration):
+def _excitation(n_ph, g, purcell, detuning, emitter, duration):
     """Excited population after the drive, decay rate, cavity branching."""
     gamma, eta = _decay(purcell, emitter)
-    p_exc = pulse_excitation(np.sqrt(n_ph) * g, detuning, gamma, gamma_d,
-                             duration)
+    p_exc = pulse_excitation(np.sqrt(n_ph) * g, detuning, gamma,
+                             emitter.gamma_d, duration)
     return p_exc, gamma, eta
 
 
@@ -155,19 +153,17 @@ def _detected(p_emit, gamma, det: DetectorConfig, decay_start):
 
 
 def expected_linewidth(ion: IonRecord, cavity: CavityParams,
-                       emitter: EmitterConstants, seq: PulseSequence, *,
-                       gamma_d: float = GAMMA_D_DEFAULT) -> float:
+                       emitter: EmitterConstants, seq: PulseSequence) -> float:
     """Power-broadened FWHM in Hz with the cavity tracking the laser."""
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega)
-    return float(2.0 * _half_width(n_ph, ion.g, ion.purcell, emitter,
-                                   gamma_d) / TWO_PI)
+    return float(2.0 * _half_width(n_ph, ion.g, ion.purcell, emitter)
+                 / TWO_PI)
 
 
 def run_ple_scan(grid, ions, cavity: CavityParams,
                  emitter: EmitterConstants, seq: PulseSequence,
                  det: DetectorConfig, pulses_per_point: int, seed: int, *,
-                 gamma_d: float = GAMMA_D_DEFAULT,
                  zeeman: ZeemanConfig | None = None,
                  co_scan: bool = True,
                  cavity_drift_rate: float = 0.0,
@@ -216,7 +212,7 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
 
     # candidate window per line, sized at full enhancement and peak drive
     cut_hz = (CUTOFF_HALFWIDTHS * _half_width(n_ph.max(), g_ion, p_max,
-                                              emitter, gamma_d)
+                                              emitter)
               / TWO_PI)[line_ion]
 
     # (point, line) pairs inside the window, by point and then by line
@@ -237,7 +233,7 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
                                       cavity.kappa)
     p_exc, gamma, eta = _excitation(n_ph[pt], g_ion[ion_idx], p_eff,
                                     TWO_PI * (grid[pt] - f_line[ln]),
-                                    emitter, gamma_d, seq.excite_duration)
+                                    emitter, seq.excite_duration)
     p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
                         seq.excite_duration)
     uniq, inverse = np.unique(pt * n_ions + ion_idx, return_inverse=True)
@@ -259,7 +255,7 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 
 
-def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
+def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *,
                 laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
                 gate_factor=None, **clicks):
     """Drive one ion with seq's pulse and sample its clicks.
@@ -273,7 +269,7 @@ def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *, gamma_d,
                                      cavity.kappa, emitter.omega) / roll
     p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell / roll,
                                     TWO_PI * laser_detuning_hz, emitter,
-                                    gamma_d, seq.excite_duration)
+                                    seq.excite_duration)
     if gate_factor is not None:
         det = replace(det, gate_start=seq.excite_duration,
                       gate_duration=gate_factor / gamma)
@@ -307,7 +303,6 @@ class LifetimeResult:
 def run_lifetime(ion: IonRecord, cavity: CavityParams,
                  emitter: EmitterConstants, seq: PulseSequence,
                  det: DetectorConfig, n_pulses: int, seed: int, *,
-                 gamma_d: float = GAMMA_D_DEFAULT,
                  laser_detuning_hz: float = 0.0,
                  cavity_detuning_hz: float = 0.0,
                  background_per_pulse: float = 0.0,
@@ -315,7 +310,7 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
     """Time-tag the gated decay after each excitation pulse."""
     emission, _, stream = _ion_clicks(
         ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
-        gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz,
+        laser_detuning_hz=laser_detuning_hz,
         cavity_detuning_hz=cavity_detuning_hz,
         background_per_pulse=background_per_pulse, seed=seed)
     mids, bin_counts = _gate_histogram(stream, det, n_bins)
@@ -343,7 +338,6 @@ class CavitySweepResult:
 def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                      emitter: EmitterConstants, seq: PulseSequence,
                      detunings_hz, pulses_per_point: int, seed: int, *,
-                     gamma_d: float = GAMMA_D_DEFAULT,
                      eta_total: float = 0.04,
                      dark_rate: float = 0.0,
                      n_bins: int = 48,
@@ -365,8 +359,8 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     for k, delta in enumerate(detunings):
         emission, det_k, stream = _ion_clicks(
             ion, cavity, emitter, seq, det, pulses_per_point,
-            _child_rng(seed, ranks[k]), gamma_d=gamma_d,
-            cavity_detuning_hz=delta, gate_factor=gate_factor, seed=seed)
+            _child_rng(seed, ranks[k]), cavity_detuning_hz=delta,
+            gate_factor=gate_factor)
         gamma_expected[k] = emission.gamma
         mids, hist = _gate_histogram(stream, det_k, n_bins)
         mids = mids - det_k.gate_start
@@ -415,7 +409,6 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
                           excite_duration: float = 10e-6,
                           rep_period: float = 100e-6,
                           off_detuning_hz: float = 200e6,
-                          gamma_d: float = GAMMA_D_DEFAULT,
                           background_coeff: float = 0.0) -> SaturationResult:
     """Peak and off-resonance click totals for a ladder of drive powers."""
     powers, ranks = _point_grid(powers, "powers")
@@ -429,7 +422,7 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
     # row 0 with the laser on the ion, row 1 off_detuning_hz from it
     detuning = np.array([[0.0], [TWO_PI * off_detuning_hz]])
     p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell, detuning,
-                                    emitter, gamma_d, excite_duration)
+                                    emitter, excite_duration)
     p_click = _detected(p_exc * eta, gamma, det, excite_duration)
     lam = _background_mean(pulses_per_point, det, background_coeff, n_ph)
     counts = np.empty(p_click.shape, dtype=np.int64)
@@ -458,16 +451,13 @@ class G2Result:
 def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
            seq: PulseSequence, det: DetectorConfig, n_pulses: int,
            seed: int, *,
-           gamma_d: float = GAMMA_D_DEFAULT,
            blink: BlinkConfig | None = None,
            background_per_pulse: float = 0.0,
-           laser_detuning_hz: float = 0.0,
            max_offset: int = 10) -> G2Result:
     """Pulse-wise autocorrelation of one driven ion."""
     emission, _, stream = _ion_clicks(
         ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
-        gamma_d=gamma_d, laser_detuning_hz=laser_detuning_hz, blink=blink,
-        background_per_pulse=background_per_pulse, seed=seed)
+        blink=blink, background_per_pulse=background_per_pulse, seed=seed)
     if not len(stream):  # a numeric outcome, not a bad input
         raise FitError(f"no click in {n_pulses} pulses: g2 is undefined")
     offsets, g2, stderr = g2_pulsed(stream, max_offset)
@@ -493,9 +483,9 @@ class ZeemanSeriesResult:
 def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                       emitter: EmitterConstants, seq: PulseSequence,
                       det: DetectorConfig, b_values, seed: int, *,
-                      zeeman_base: ZeemanConfig | None = None,
-                      pulses_per_point: int = 3000,
-                      gamma_d: float = GAMMA_D_DEFAULT) -> ZeemanSeriesResult:
+                      pulses_per_point: int,
+                      zeeman_base: ZeemanConfig | None = None
+                      ) -> ZeemanSeriesResult:
     """Measure the line splitting at several applied fields along x.
 
     Each field value gets its own small scan; the two spin lines are found
@@ -507,12 +497,11 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     if b_values.ndim != 1 or len(b_values) < 3:
         raise DomainError("need at least three fields in b_values")
     base = zeeman_base if zeeman_base is not None else ZeemanConfig()
-    fwhm = expected_linewidth(ion, cavity, emitter, seq, gamma_d=gamma_d)
+    fwhm = expected_linewidth(ion, cavity, emitter, seq)
     splittings = np.empty(len(b_values))
     predicted = np.empty(len(b_values))
     for i, b in enumerate(b_values):
-        cfg = replace(base, b_applied=(float(b), 0.0, 0.0),
-                      delta_g=ion.delta_g_spin)
+        cfg = replace(base, b_applied=(float(b), 0.0, 0.0))
         predicted[i] = zeeman_splitting(cfg)
         span = max(8.0 * fwhm, 1.3 * predicted[i] + 8.0 * fwhm)
         step = fwhm / 6.0
@@ -523,7 +512,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
         grid = ion.f0 + np.arange(-n_half, n_half + 1) * step
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
                             pulses_per_point, _child_seed(seed, i),
-                            gamma_d=gamma_d, zeeman=cfg)
+                            zeeman=cfg)
         baseline = float(np.median(scan.counts))
         y = scan.counts.astype(float) - baseline
         noise = math.sqrt(max(baseline, 1.0))
@@ -602,7 +591,7 @@ def _ple(cfg: RunConfig):
     res = run_ple_scan(scan_grid(cfg), ions, cfg.cavity, cfg.emitter,
                        cfg.sequence, cfg.detector,
                        cfg["scan", "pulses_per_point"], cfg.seed,
-                       gamma_d=cfg.gamma_d, co_scan=cfg["scan", "co_scan"],
+                       co_scan=cfg["scan", "co_scan"],
                        cavity_drift_rate=cfg["scan", "drift"],
                        background_coeff=cfg["scan", "background_coeff"])
     # frequencies relative to origin_hz, the first grid value, so that 12
@@ -621,7 +610,6 @@ def _ple(cfg: RunConfig):
 def _lifetime(cfg: RunConfig):
     res = run_lifetime(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
                        cfg.detector, cfg["lifetime", "n_pulses"], cfg.seed,
-                       gamma_d=cfg.gamma_d,
                        laser_detuning_hz=cfg["lifetime", "laser_detuning"],
                        cavity_detuning_hz=cfg["lifetime", "cavity_detuning"],
                        background_per_pulse=cfg["lifetime",
@@ -641,8 +629,7 @@ def _cavity_sweep(cfg: RunConfig):
                  else np.zeros(1))
     res = run_cavity_sweep(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
                            detunings, cfg["cavity_sweep", "pulses_per_point"],
-                           cfg.seed, gamma_d=cfg.gamma_d,
-                           eta_total=cfg.detector.eta_total,
+                           cfg.seed, eta_total=cfg.detector.eta_total,
                            dark_rate=cfg.detector.dark_rate,
                            n_bins=cfg["cavity_sweep", "n_bins"],
                            gate_factor=cfg["cavity_sweep", "gate_factor"])
@@ -667,7 +654,6 @@ def _saturation(cfg: RunConfig):
                                 rep_period=cfg.sequence.rep_period,
                                 off_detuning_hz=cfg["saturation",
                                                     "off_detuning"],
-                                gamma_d=cfg.gamma_d,
                                 background_coeff=cfg["scan",
                                                      "background_coeff"])
     cols = [("input_power_w", res.powers), ("on_counts", res.on_counts),
@@ -681,8 +667,7 @@ def _zeeman(cfg: RunConfig):
     res = run_zeeman_series(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
                             cfg.detector, np.asarray(cfg["zeeman", "fields"]),
                             cfg.seed, zeeman_base=cfg.zeeman,
-                            pulses_per_point=cfg["zeeman", "pulses_per_point"],
-                            gamma_d=cfg.gamma_d)
+                            pulses_per_point=cfg["zeeman", "pulses_per_point"])
     cols = [("b_field_t", res.b_values), ("splitting_hz", res.splittings),
             ("predicted_hz", res.predicted)]
     return cols, {"slope_hz_per_t": res.slope_fit.params["slope"],
@@ -695,7 +680,7 @@ def _g2(cfg: RunConfig):
              if cfg["g2", "blink"] else None)
     res = run_g2(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
                  cfg.detector, cfg["g2", "n_pulses"], cfg.seed,
-                 gamma_d=cfg.gamma_d, blink=blink,
+                 blink=blink,
                  background_per_pulse=cfg["g2", "background_per_pulse"],
                  max_offset=cfg["g2", "max_offset"])
     cols = [("offset", res.offsets), ("g2", res.g2), ("stderr", res.stderr)]

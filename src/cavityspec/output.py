@@ -72,34 +72,44 @@ def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def read_text(path, what: str) -> str:
+    """A UTF-8 text file's contents; any failure to read it is a ConfigError
+    naming what the file was meant to be and its path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by write_csv_atomic: (header dict, column dict)."""
     header = {}
     names = None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    header[key.strip()] = value.strip()
-                continue
-            if names is None:
-                names = [c.strip() for c in line.split(",")]
-                continue
-            cells = line.split(",")
-            if len(cells) != len(names):
-                raise ConfigError(
-                    f"{path}: line {lineno}: expected {len(names)} columns, got {len(cells)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: line {lineno}: malformed data row {line!r}") from exc
+    # read_text's newline translation leaves "\n" as the only line end
+    for lineno, raw in enumerate(read_text(path, "data file").split("\n"), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if ":" in body:
+                key, _, value = body.partition(":")
+                header[key.strip()] = value.strip()
+            continue
+        if names is None:
+            names = [c.strip() for c in line.split(",")]
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ConfigError(
+                f"{path}: line {lineno}: expected {len(names)} columns, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: line {lineno}: malformed data row {line!r}") from exc
     if names is None:
         raise ConfigError(f"{path}: no column header found")
     if not rows:

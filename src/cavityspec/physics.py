@@ -53,11 +53,15 @@ class EmitterConstants:
 
     gamma0: float         # free-space (bulk) decay rate, rad/s
     omega: float          # transition angular frequency, rad/s
+    gamma_d: float = TWO_PI * 3.1e6  # pure dephasing, rad/s
     beta: float = 0.21    # branching ratio of the monitored transition
     n_host: float = 1.80  # host refractive index
 
     def __post_init__(self):
         _require_positive(gamma0=self.gamma0, n_host=self.n_host, omega=self.omega)
+        if not (self.gamma_d >= 0.0 and math.isfinite(self.gamma_d)):
+            raise DomainError(f"gamma_d must be non-negative and finite, "
+                              f"got {self.gamma_d}")
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta}")
 

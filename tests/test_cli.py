@@ -256,6 +256,36 @@ def test_run_rejects_unknown_target(tmp_path, capsys):
     assert "nosuch" in err and "ple" in err
 
 
+NOT_UTF8 = b"experiment = g2\n# \xff\xfe\n"
+
+
+# (command, file name, its bytes); no file name means the directory itself
+@pytest.mark.parametrize("command, name, content", [
+    ("run", None, None),
+    ("run", "run.cfg", NOT_UTF8),
+    ("fit", "data.csv", NOT_UTF8),
+    ("inspect", "manifest.json", NOT_UTF8),
+    ("inspect", "manifest.json", b"[]"),
+    ("inspect", "manifest.json", b'"str"'),
+    ("inspect", "manifest.json", b'{"files": 5}'),
+    ("inspect", "manifest.json", b'{"files": {"x": 5}}'),
+    ("inspect", "manifest.json", b'{"files": {"../x": "0"}}'),
+    ("inspect", "manifest.json", b"[" * 100_000),
+], ids=["run-directory", "run-not-utf8", "fit-not-utf8", "inspect-not-utf8",
+        "manifest-list", "manifest-string", "files-number",
+        "digest-number", "name-with-separator", "nested-too-deep"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, name, content):
+    path = tmp_path
+    if name is not None:
+        path = tmp_path / name
+        path.write_bytes(content)
+    extra = {"run": ["--output", str(tmp_path / "o")],
+             "fit": ["--model", "linear"]}.get(command, [])
+    assert main([command, str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_run_reports_config_line_number(tmp_path, capsys):
     cfg = _write_cfg(tmp_path,
                      "experiment = ple\n\n[cavity]\nkappa = 3.85\n")
@@ -373,6 +403,14 @@ def test_spin_t1_grid_flags(tmp_path):
     assert cols["t1_s"][i4] == pytest.approx(1.63547e-3, rel=1e-4)
 
 
+def test_nu_flag_keeps_every_digit(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["run", "spin_t1", "--nu", "9.123456789",
+                 "--output", out]) == 0
+    with open(os.path.join(out, "spin_t1-seed1", "config.txt")) as fh:
+        assert "nu = 9.123456789 GHz\n" in fh.read()
+
+
 def test_purcell_stats_counts_decrease(tmp_path):
     out = str(tmp_path / "o")
     assert main(["run", "purcell_stats", "--output", out]) == 0
@@ -422,6 +460,12 @@ def test_inspect_flags_tampering(tmp_path, capsys):
     assert "clicks.bin" in [line.split()[0] for line in
                             capsys.readouterr().out.splitlines()
                             if "MISSING" in line]
+    # a listed name that is not a regular file is missing too
+    os.mkdir(os.path.join(bundle, "clicks.bin"))
+    assert main(["inspect", bundle]) == 1
+    assert "clicks.bin" in [line.split()[0] for line in
+                            capsys.readouterr().out.splitlines()
+                            if "MISSING" in line]
     assert main(["inspect", str(tmp_path / "nowhere")]) == 2
 
 
@@ -442,6 +486,25 @@ def test_peaks_model_counts_separable_lines(tmp_path, capsys):
         found = json.load(fh)
     assert found["count"] == 3
     assert np.allclose(sorted(found["centers"]), centers, atol=width)
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--width", "nan", "width"), ("--width", "inf", "width"),
+    ("--noise-sigma", "nan", "noise_sigma"),
+    ("--noise-sigma", "inf", "noise_sigma"),
+    ("--noise-sigma", "0", "noise_sigma"),
+])
+def test_peaks_model_rejects_bad_width_or_noise(tmp_path, capsys, flag,
+                                                value, name):
+    x = np.linspace(0.0, 1e9, 401)
+    y = 5.0 + 40.0 / (1.0 + (2.0 * (x - 5e8) / 6e6) ** 2) + np.cos(x / 1e7)
+    path = str(tmp_path / "scan.csv")
+    write_csv_atomic(path, [("frequency_hz", x), ("counts", y)], header={})
+    out = str(tmp_path / "peaks.json")
+    assert main(["fit", path, "--model", "peaks", flag, value,
+                 "--output", out]) == 2
+    assert name in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_fit_bunching_skips_zero_offset(tmp_path):

@@ -9,6 +9,7 @@ from cavityspec.config import (COUNT_LIMITS, build_config, dump_config,
 from cavityspec.constants import TWO_PI
 from cavityspec.errors import ConfigError
 from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
+from cavityspec.physics import EmitterConstants
 
 
 def test_default_config_hash_is_pinned():
@@ -80,6 +81,11 @@ def test_derived_quantities():
 
     dense = build_config({("ensemble", "density_per_m3"): "2.805e22"})
     assert dense.ensemble.density == 2.805e22
+
+    # pure dephasing is the emitter's, in rad/s
+    assert build_config({("emitter", "gamma_dephasing"): "5 MHz"}
+                        ).emitter.gamma_d == TWO_PI * 5e6
+    assert build_config().emitter.gamma_d == EmitterConstants.default().gamma_d
 
 
 def test_scan_grid_and_mask():

@@ -251,7 +251,7 @@ def test_zeeman_series_recovers_slope_and_offset():
     slope = res.slope_fit.params["slope"]
     expect = zeeman_splitting(ZeemanConfig(b_applied=(1.0, 0.0, 0.0),
                                            b_offset=(0.0, 0.0, 0.0),
-                                           delta_g=ion.delta_g_spin))
+                                           delta_g=ZeemanConfig().delta_g))
     assert abs(slope - expect) / expect < 0.01
     assert 1e6 < res.slope_fit.params["intercept"] < 3.5e6
 

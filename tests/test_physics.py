@@ -146,6 +146,12 @@ def test_cavity_params_quality_factor():
         CavityParams(f_cav=195e12, kappa=-1.0, eta_cav=0.16, g_if=1.0, z_half=45e-9)
 
 
+@pytest.mark.parametrize("gamma_d", [-1.0, math.inf, math.nan])
+def test_emitter_rejects_bad_dephasing(gamma_d):
+    with pytest.raises(DomainError, match="gamma_d"):
+        EmitterConstants(gamma0=GAMMA0, omega=TWO_PI * 195e12, gamma_d=gamma_d)
+
+
 def test_transverse_envelope():
     env = TransverseEnvelope()
     assert env.amplitude(0.0, 0.0) == 1.0
