@@ -108,11 +108,6 @@ class ClickStream:
     def __len__(self) -> int:
         return len(self.pulse_index)
 
-    def counts(self) -> np.ndarray:
-        """Clicks per pulse, length n_pulses."""
-        return np.bincount(self.pulse_index.astype(np.int64),
-                           minlength=self.n_pulses)
-
     def to_binary(self, path) -> None:
         records = np.empty(len(self), dtype=_RECORD_DTYPE)
         records["pulse_index"] = self.pulse_index
@@ -212,27 +207,63 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
     pulse = np.concatenate([src_pulse, bg_pulse])
     t = np.concatenate([src_t, bg_t])
 
-    order = np.lexsort((t, pulse))
+    order = _click_order(pulse, t)
     pulse, t = pulse[order], t[order]
     if detector.dead_time > 0 and len(pulse) > 1:
         pulse, t = _prune_dead_time(pulse, t, detector.dead_time)
     return ClickStream(pulse, t, n_pulses=n_pulses, seed=seed)
 
 
+def _click_order(pulse, t):
+    """The permutation np.lexsort((t, pulse)) gives, in about a third of
+    its time.
+
+    Clicks are ranked by time (ties by position, as a stable sort would),
+    then one uint64 key per click, pulse * n + rank, is sorted: the keys
+    are unique, so any sort gives the same order.  The key stays below
+    2**64 while n_pulses and the n clicks are both below 4e9, and 4e9
+    pulses already take 32 GB of draws.
+    """
+    n = len(t)
+    by_t = np.argsort(t)
+    t_sorted = t[by_t]
+    tie = np.flatnonzero(t_sorted[1:] == t_sorted[:-1])
+    if len(tie):
+        pos = np.union1d(tie, tie + 1)
+        tied = by_t[pos]
+        by_t[pos] = tied[np.lexsort((tied, t_sorted[pos]))]
+    del t_sorted  # the peak memory stays at lexsort's
+    key = pulse[by_t]
+    key *= np.uint64(n)
+    key += np.arange(n, dtype=np.uint64)
+    key.sort()
+    if n:
+        key %= np.uint64(n)
+    return by_t[key]
+
+
 def _prune_dead_time(pulse, t, dead_time):
+    """Drop each click that follows the last kept click of its pulse by
+    less than dead_time.
+
+    Pulses advance in lockstep: step k settles the k-th click of every
+    pulse that has one, so there are as many steps as the longest pulse
+    has clicks.
+    """
     keep = np.ones(len(pulse), dtype=bool)
     starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
-    bounds = np.r_[starts, len(pulse)]
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        if e - s < 2:
-            continue
-        last = t[s]
-        for j in range(s + 1, e):
-            if t[j] - last < dead_time:
-                keep[j] = False
-            else:
-                last = t[j]
-    return pulse[keep], t[keep]
+    end = np.r_[starts[1:], len(pulse)]
+    j, last = starts + 1, t[starts]
+    while True:
+        active = j < end
+        j, end, last = j[active], end[active], last[active]
+        if not len(j):
+            return pulse[keep], t[keep]
+        t_j = t[j]
+        dead = t_j - last < dead_time
+        keep[j[dead]] = False
+        last = np.where(dead, last, t_j)
+        j += 1
 
 
 def g2_pulsed(stream: ClickStream, max_offset: int = 10):
@@ -242,24 +273,48 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     <n(n-1)>/<n>^2; offsets m >= 1 use <n_i n_{i+m}>/<n>^2.  The standard
     error treats the per-pulse products as independent samples and ignores
     the (smaller) uncertainty of the mean rate.
+
+    The work scales with the clicked pulses, not with n_pulses.  One pass
+    over the pulse-sorted stream gives each clicked pulse p and its count
+    c.  Offset m has L = n_pulses - m products x; only the K products at
+    clicked pulses can be nonzero: c(c - 1) for m = 0, and c_i c_j over
+    the pairs p_j = p_i + m for m >= 1.  The sum of x is an exact int64,
+    so mean = sum(x) / L equals the mean over all L products; the variance
+    sums (x - mean)^2 over the K products in float64 and adds
+    (L - K) mean^2 for the zeros.
     """
     if max_offset < 0:
         raise DomainError(f"max_offset must be non-negative, got {max_offset}")
     if stream.n_pulses < max_offset + 2:
         raise DomainError(f"n_pulses {stream.n_pulses} is too few for "
                           f"max_offset {max_offset}")
-    counts = stream.counts().astype(float)
-    mu = counts.mean()
-    if mu == 0.0:
+    pulse = stream.pulse_index
+    if not len(pulse):
         raise DomainError("click stream is empty; g2 is undefined")
+    if np.any(pulse[1:] < pulse[:-1]):
+        pulse = np.sort(pulse)
+    starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
+    p = pulse[starts].astype(np.int64)
+    c = np.diff(np.r_[starts, len(pulse)])
+    mu = len(pulse) / stream.n_pulses
     offsets = np.arange(max_offset + 1)
     g2 = np.empty(max_offset + 1)
     stderr = np.empty(max_offset + 1)
     mu_sq = mu * mu
     for m in offsets:
-        x = counts * (counts - 1.0) if m == 0 else counts[:-m] * counts[m:]
-        g2[m] = x.mean() / mu_sq
-        stderr[m] = x.std(ddof=1) / math.sqrt(len(x)) / mu_sq
+        if m == 0:
+            x = c * (c - 1)
+        else:
+            partner = p + m
+            j = np.searchsorted(p, partner)
+            pair = p[np.minimum(j, len(p) - 1)] == partner
+            x = c[pair] * c[j[pair]]
+        n = stream.n_pulses - m
+        mean = x.sum() / n
+        var = ((np.square(x - mean).sum() + (n - len(x)) * mean * mean)
+               / (n - 1))
+        g2[m] = mean / mu_sq
+        stderr[m] = math.sqrt(var) / math.sqrt(n) / mu_sq
     return offsets, g2, stderr
 
 

@@ -340,6 +340,7 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                      detunings_hz, pulses_per_point: int, seed: int, *,
                      eta_total: float = 0.04,
                      dark_rate: float = 0.0,
+                     dead_time: float = 0.0,
                      n_bins: int = 48,
                      gate_factor: float = 6.0) -> CavitySweepResult:
     """Lifetime versus cavity-ion detuning, laser parked on the ion.
@@ -355,7 +356,8 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     gamma_err = np.full(len(detunings), np.nan)
     gamma_expected = np.empty(len(detunings))
     converged = np.zeros(len(detunings), dtype=bool)
-    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate)
+    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
+                         dead_time=dead_time)
     for k, delta in enumerate(detunings):
         emission, det_k, stream = _ion_clicks(
             ion, cavity, emitter, seq, det, pulses_per_point,
@@ -631,6 +633,7 @@ def _cavity_sweep(cfg: RunConfig):
                            detunings, cfg["cavity_sweep", "pulses_per_point"],
                            cfg.seed, eta_total=cfg.detector.eta_total,
                            dark_rate=cfg.detector.dark_rate,
+                           dead_time=cfg.detector.dead_time,
                            n_bins=cfg["cavity_sweep", "n_bins"],
                            gate_factor=cfg["cavity_sweep", "gate_factor"])
     cols = [("cavity_detuning_hz", res.detuning_hz),

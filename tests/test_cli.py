@@ -106,6 +106,26 @@ def test_single_point_cavity_sweep_sits_on_resonance(tmp_path):
     assert abs(purcell - 320.0) / 320.0 < 0.05
 
 
+def test_cavity_sweep_honours_detector_dead_time(tmp_path):
+    # dark counts crowd each stretched gate; a 5 us dead time drops some
+    sweeps = []
+    for dead in ("0 s", "5 us"):
+        cfg = _write_cfg(tmp_path, "experiment = cavity_sweep\n\n"
+                                   "[detector]\ndark_rate = 2 kHz\n"
+                                   f"dead_time = {dead}\n\n"
+                                   "[cavity_sweep]\nn_points = 5\n")
+        out = str(tmp_path / dead.replace(" ", ""))
+        assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
+        _, cols = read_csv(os.path.join(out, "cavity_sweep-seed7",
+                                        "cavity_sweep.csv"))
+        sweeps.append(cols)
+    free, dead = sweeps
+    assert np.array_equal(free["gamma_expected"], dead["gamma_expected"])
+    assert np.isfinite(dead["gamma_fit"]).any()
+    assert not np.array_equal(free["gamma_fit"], dead["gamma_fit"],
+                              equal_nan=True)
+
+
 def test_ple_scan_far_from_every_line(tmp_path, capsys):
     # the only ion sits 10 GHz from a 10 MHz scan: no line-point pair, so
     # every point expects dark counts plus background and nothing else

@@ -1,9 +1,15 @@
-"""Click simulation and pulsed correlation statistics."""
+"""Click simulation and pulsed correlation statistics.
+
+The sparse g2_pulsed, the click ordering and the vectorised dead-time
+pruning are checked against the dense, lexsort and per-click loop versions
+they replaced, kept here as oracles.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import (
@@ -11,6 +17,8 @@ from cavityspec.detection import (
     ClickStream,
     DetectorConfig,
     EmissionModel,
+    _click_order,
+    _prune_dead_time,
     _telegraph_bright,
     bunching_profile,
     g2_background_floor,
@@ -24,6 +32,12 @@ WIDE_GATE = DetectorConfig(eta_total=1.0, dark_rate=0.0, gate_start=0.0,
 FAST_DECAY = 1e6  # photons land well inside any gate used here
 
 
+def _counts(stream):
+    """Clicks per pulse, length n_pulses."""
+    return np.bincount(stream.pulse_index.astype(np.int64),
+                       minlength=stream.n_pulses)
+
+
 def _emitter(p_excited, eta=1.0, gamma=FAST_DECAY, decay_start=0.0):
     return EmissionModel(p_excited=p_excited, gamma=gamma,
                          eta_into_cavity=eta, decay_start=decay_start)
@@ -32,7 +46,7 @@ def _emitter(p_excited, eta=1.0, gamma=FAST_DECAY, decay_start=0.0):
 def test_ideal_single_emitter_never_coincides():
     rng = np.random.default_rng(20260819)
     stream = simulate_clicks(_emitter(1.0), WIDE_GATE, 20_000, rng)
-    counts = stream.counts()
+    counts = _counts(stream)
     assert counts.max() == 1
     assert counts.min() == 1  # unit efficiency, gate catches everything
     offsets, g2, stderr = g2_pulsed(stream, max_offset=5)
@@ -148,7 +162,7 @@ def test_dark_and_background_rates_add():
     lam = 100.0 * 82e-6 + 0.01
     stream = simulate_clicks(_emitter(0.0), det, n, rng,
                              background_per_pulse=0.01)
-    mean = stream.counts().mean()
+    mean = _counts(stream).mean()
     assert abs(mean - lam) < 4 * math.sqrt(lam / n)
     # all arrivals stay inside the gate
     assert stream.t_in_pulse.min() >= 10e-6
@@ -174,13 +188,13 @@ def test_dead_time_collapses_multiple_clicks():
                          gate_duration=82e-6, dead_time=100e-6)
     stream = simulate_clicks(_emitter(0.0), det, 5_000, rng,
                              background_per_pulse=3.0)
-    assert stream.counts().max() == 1
+    assert _counts(stream).max() == 1
     rng = np.random.default_rng(15)
     free = simulate_clicks(_emitter(0.0),
                            DetectorConfig(eta_total=1.0, dark_rate=0.0,
                                           gate_start=0.0, gate_duration=82e-6),
                            5_000, rng, background_per_pulse=3.0)
-    assert free.counts().max() > 1
+    assert _counts(free).max() > 1
     # pruning never reorders or moves surviving clicks
     assert np.all(np.isin(stream.t_in_pulse, free.t_in_pulse))
 
@@ -239,3 +253,124 @@ def test_validation():
         g2_pulsed(stream, max_offset=100)
     with pytest.raises(DomainError):
         simulate_clicks(_emitter(0.5), WIDE_GATE, 0, rng)
+
+
+def _g2_dense(stream, max_offset):
+    """Reference g2_pulsed: every pulse's count, products over all pulses."""
+    counts = _counts(stream).astype(float)
+    mu = counts.mean()
+    g2 = np.empty(max_offset + 1)
+    stderr = np.empty(max_offset + 1)
+    mu_sq = mu * mu
+    for m in range(max_offset + 1):
+        x = counts * (counts - 1.0) if m == 0 else counts[:-m] * counts[m:]
+        g2[m] = x.mean() / mu_sq
+        stderr[m] = x.std(ddof=1) / math.sqrt(len(x)) / mu_sq
+    return g2, stderr
+
+
+@st.composite
+def click_streams(draw):
+    """(stream, max_offset): a few clicked pulses, up to 400 clicks each,
+    anywhere in up to 10^5 pulses, and any allowed max_offset."""
+    n_pulses = draw(st.one_of(st.integers(2, 40),
+                              st.integers(2, 10 ** 5)))
+    pulses = st.one_of(st.integers(0, n_pulses - 1),
+                       st.sampled_from([0, n_pulses - 1]))
+    per_pulse = draw(st.dictionaries(pulses, st.integers(1, 400),
+                                     min_size=1, max_size=30))
+    pulse = np.repeat(np.array(sorted(per_pulse), dtype=np.uint64),
+                      [per_pulse[p] for p in sorted(per_pulse)])
+    max_offset = draw(st.integers(0, min(12, n_pulses - 2)))
+    if n_pulses <= 40:
+        max_offset = draw(st.sampled_from([max_offset, n_pulses - 2]))
+    stream = ClickStream(pulse, np.zeros(len(pulse)), n_pulses=n_pulses)
+    return stream, max_offset
+
+
+def _stream(n_pulses, per_pulse):
+    pulse = np.repeat(np.arange(n_pulses, dtype=np.uint64), per_pulse)
+    return ClickStream(pulse, np.zeros(len(pulse)), n_pulses=n_pulses)
+
+
+# one click in the first and one in the last pulse: offsets 1..n-2 have
+# no pair; max_offset = n_pulses - 2
+@example((_stream(6, [1, 0, 0, 0, 0, 1]), 4))
+# clicks only in the last pulse, one offset
+@example((_stream(3, [0, 0, 7]), 1))
+# many clicks in every pulse
+@example((_stream(5, [400, 399, 1, 400, 250]), 3))
+# products of 1e10, whose int64 squares would overflow
+@example((_stream(4, [100_000, 0, 100_000, 3]), 2))
+@given(click_streams())
+def test_sparse_g2_matches_the_dense_sums(case):
+    stream, max_offset = case
+    offsets, g2, stderr = g2_pulsed(stream, max_offset)
+    g2_ref, stderr_ref = _g2_dense(stream, max_offset)
+    assert np.array_equal(offsets, np.arange(max_offset + 1))
+    assert np.array_equal(g2, g2_ref)
+    np.testing.assert_allclose(stderr, stderr_ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 11, 23])
+def test_sparse_g2_writes_the_dense_strings(seed):
+    """The g2 experiment's stream, printed as its CSV prints: %.12g."""
+    rng = np.random.default_rng(seed)
+    blink = BlinkConfig(p_bright=0.5, switch_time=800e-6)
+    stream = simulate_clicks(_emitter(0.3, eta=0.1), WIDE_GATE, 300_000, rng,
+                             blink=blink, background_per_pulse=0.002)
+    _, g2, stderr = g2_pulsed(stream, 10)
+    g2_ref, stderr_ref = _g2_dense(stream, 10)
+    assert (["%.12g" % v for v in (*g2, *stderr)]
+            == ["%.12g" % v for v in (*g2_ref, *stderr_ref)])
+
+
+def test_g2_accepts_a_stream_out_of_pulse_order():
+    pulse = np.array([4, 0, 4, 2, 1, 4], dtype=np.uint64)
+    shuffled = ClickStream(pulse, np.zeros(6), n_pulses=6)
+    ordered = ClickStream(np.sort(pulse), np.zeros(6), n_pulses=6)
+    for a, b in zip(g2_pulsed(shuffled, 3), g2_pulsed(ordered, 3)):
+        assert np.array_equal(a, b)
+
+
+@st.composite
+def raw_clicks(draw):
+    """Unsorted (pulse, t) with repeated pulses and repeated times."""
+    n = draw(st.integers(0, 120))
+    n_pulses = draw(st.integers(1, 50))
+    pulse = draw(st.lists(st.integers(0, n_pulses - 1), min_size=n,
+                          max_size=n))
+    times = st.one_of(st.sampled_from([0.0, 1e-6, 2e-6, 5e-5]),
+                      st.floats(0.0, 1e-4))
+    t = draw(st.lists(times, min_size=n, max_size=n))
+    return np.array(pulse, dtype=np.uint64), np.array(t, dtype=float)
+
+
+@given(raw_clicks())
+def test_click_order_is_lexsort(clicks):
+    pulse, t = clicks
+    assert np.array_equal(_click_order(pulse, t), np.lexsort((t, pulse)))
+
+
+def _prune_loop(pulse, t, dead_time):
+    """Reference pruning: one click at a time, from each pulse's first."""
+    keep = np.ones(len(pulse), dtype=bool)
+    last = None
+    for j in range(len(pulse)):
+        if j and pulse[j] == pulse[j - 1] and t[j] - last < dead_time:
+            keep[j] = False
+        else:
+            last = t[j]
+    return pulse[keep], t[keep]
+
+
+@given(raw_clicks(), st.sampled_from([1e-9, 1e-6, 3e-6, 1e-5, 1.0]))
+def test_vectorised_dead_time_matches_a_click_loop(clicks, dead_time):
+    pulse, t = clicks
+    assume(len(pulse) > 1)  # simulate_clicks prunes from two clicks on
+    order = np.lexsort((t, pulse))
+    pulse, t = pulse[order], t[order]
+    fast = _prune_dead_time(pulse, t, dead_time)
+    slow = _prune_loop(pulse, t, dead_time)
+    assert np.array_equal(fast[0], slow[0])
+    assert np.array_equal(fast[1], slow[1])
