@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,28 +243,71 @@ def _click_order(pulse, t):
     return by_t[key]
 
 
+# _prune_dead_time's cost model, in units of one click settled in a
+# lockstep step: a step's numpy calls cost about _STEP_COST of them, a
+# walked pulse about _WALK_COST per click it keeps (timed on numpy 2.4)
+_STEP_COST = 300.0
+_WALK_COST = 50.0
+_WALK_CHECK = 16  # lockstep steps between choices
+
+
 def _prune_dead_time(pulse, t, dead_time):
     """Drop each click that follows the last kept click of its pulse by
     less than dead_time.
 
     Pulses advance in lockstep: step k settles the k-th click of every
-    pulse that has one, so there are as many steps as the longest pulse
-    has clicks.
+    pulse that has one.  Every _WALK_CHECK steps, if walking the pulses
+    still active one by one, a jump per kept click, would cost less than
+    lockstep to the end of the longest, they are handed to _walk_pulses.
     """
     keep = np.ones(len(pulse), dtype=bool)
     starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
     end = np.r_[starts[1:], len(pulse)]
     j, last = starts + 1, t[starts]
+    step = 0
     while True:
         active = j < end
         j, end, last = j[active], end[active], last[active]
         if not len(j):
             return pulse[keep], t[keep]
+        step += 1
+        if step % _WALK_CHECK == 0:
+            left = end - j
+            # a pulse keeps at most one click per dead_time of its span
+            kept = np.minimum(left, (t[end - 1] - last) / dead_time + 1.0)
+            if (_WALK_COST * kept.sum()
+                    < left.max() * (_STEP_COST + len(left))):
+                _walk_pulses(t, j, end, last, dead_time, keep)
+                return pulse[keep], t[keep]
         t_j = t[j]
         dead = t_j - last < dead_time
         keep[j[dead]] = False
         last = np.where(dead, last, t_j)
         j += 1
+
+
+def _walk_pulses(t, starts, ends, lasts, dead_time, keep):
+    """Settle clicks starts[i]:ends[i] of each pulse after a kept click at
+    lasts[i], jumping by bisection from each kept click to the next."""
+    for start, stop, last in zip(starts.tolist(), ends.tolist(),
+                                 lasts.tolist()):
+        times = t[start:stop].tolist()
+        kept = []
+        i = 0
+        while True:
+            c = bisect_left(times, last + dead_time, i)
+            # the sum is rounded: settle c by the loop's own test
+            while c > i and times[c - 1] - last >= dead_time:
+                c -= 1
+            while c < len(times) and times[c] - last < dead_time:
+                c += 1
+            if c == len(times):
+                break
+            kept.append(c)
+            last, i = times[c], c + 1
+        mask = np.zeros(len(times), dtype=bool)
+        mask[kept] = True
+        keep[start:stop] = mask
 
 
 def g2_pulsed(stream: ClickStream, max_offset: int = 10):

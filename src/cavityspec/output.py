@@ -17,9 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-
-def format_number(x) -> str:
-    return "%.12g" % float(x)
+_CSV_BLOCK = 4096  # rows formatted per tolist() in write_csv_atomic
 
 
 def sha256_text(text: str) -> str:
@@ -67,8 +65,12 @@ def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
     n = len(arrays[0]) if arrays else 0
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have equal length")
-    for i in range(n):
-        lines.append(",".join(format_number(a[i]) for a in arrays))
+    row = ",".join(["%.12g"] * len(arrays))
+    # a block of rows at a time: no copy of the whole table, and a Python
+    # float for the cells of one block only
+    for start in range(0, n, _CSV_BLOCK):
+        block = np.column_stack([a[start:start + _CSV_BLOCK] for a in arrays])
+        lines.extend(row % tuple(r) for r in block.tolist())
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

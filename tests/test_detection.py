@@ -6,11 +6,13 @@ they replaced, kept here as oracles.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from cavityspec import detection
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import (
     BlinkConfig,
@@ -334,10 +336,10 @@ def test_g2_accepts_a_stream_out_of_pulse_order():
 
 
 @st.composite
-def raw_clicks(draw):
+def raw_clicks(draw, max_clicks=120, max_pulses=50):
     """Unsorted (pulse, t) with repeated pulses and repeated times."""
-    n = draw(st.integers(0, 120))
-    n_pulses = draw(st.integers(1, 50))
+    n = draw(st.integers(0, max_clicks))
+    n_pulses = draw(st.integers(1, max_pulses))
     pulse = draw(st.lists(st.integers(0, n_pulses - 1), min_size=n,
                           max_size=n))
     times = st.one_of(st.sampled_from([0.0, 1e-6, 2e-6, 5e-5]),
@@ -364,13 +366,53 @@ def _prune_loop(pulse, t, dead_time):
     return pulse[keep], t[keep]
 
 
-@given(raw_clicks(), st.sampled_from([1e-9, 1e-6, 3e-6, 1e-5, 1.0]))
-def test_vectorised_dead_time_matches_a_click_loop(clicks, dead_time):
-    pulse, t = clicks
-    assume(len(pulse) > 1)  # simulate_clicks prunes from two clicks on
+DEAD_TIMES = st.sampled_from([1e-9, 1e-6, 3e-6, 1e-5, 1.0])
+
+
+def _check_pruning(pulse, t, dead_time):
     order = np.lexsort((t, pulse))
     pulse, t = pulse[order], t[order]
     fast = _prune_dead_time(pulse, t, dead_time)
     slow = _prune_loop(pulse, t, dead_time)
     assert np.array_equal(fast[0], slow[0])
     assert np.array_equal(fast[1], slow[1])
+
+
+@given(raw_clicks(), DEAD_TIMES)
+def test_vectorised_dead_time_matches_a_click_loop(clicks, dead_time):
+    pulse, t = clicks
+    assume(len(pulse) > 1)  # simulate_clicks prunes from two clicks on
+    _check_pruning(pulse, t, dead_time)
+
+
+# few pulses of many clicks, which lockstep hands to the per-pulse walk
+@given(raw_clicks(max_clicks=400, max_pulses=3), DEAD_TIMES)
+def test_walked_dead_time_matches_a_click_loop(clicks, dead_time):
+    pulse, t = clicks
+    assume(len(pulse) > 1)
+    _check_pruning(pulse, t, dead_time)
+
+
+def test_long_pulses_leave_lockstep_for_the_walk():
+    rng = np.random.default_rng(3)
+    pulse = np.repeat(np.arange(3, dtype=np.uint64), 5000)
+    t = rng.random(15_000) * 1e-4
+    t[:40] = 2e-6  # a run of equal times
+    with mock.patch.object(detection, "_walk_pulses",
+                           wraps=detection._walk_pulses) as walk:
+        _check_pruning(pulse, t, 5e-8)
+    assert walk.called
+
+
+def test_walk_settles_rounded_gaps_as_the_loop():
+    # t1 - t0 rounds up to the dead time though t0 + dead time rounds above
+    # t1, and t3 - t2 rounds below it though t3 is t2 + dead time rounded:
+    # bisection on the rounded sum alone misplaces both
+    dead = 5.084741201379321e-06
+    t = np.array([2.3439488134573915e-07, 5.31913608272506e-06,
+                  1.003655057153186e-04, 1.0545024691669792e-04])
+    keep = np.ones(4, dtype=bool)
+    detection._walk_pulses(t, np.array([1]), np.array([4]), t[:1], dead, keep)
+    assert keep.tolist() == [True, True, True, False]
+    assert np.array_equal(t[keep], _prune_loop(np.zeros(4, np.uint64), t,
+                                                dead)[1])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cavityspec import experiments, output
 from cavityspec.config import build_config
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
@@ -79,6 +80,44 @@ def test_scan_order_does_not_change_counts():
                             400, seed=42)
     by_freq = dict(zip(shuffled.grid, shuffled.counts))
     assert all(by_freq[f] == c for f, c in zip(base.grid, base.counts))
+
+
+class _PerPointDraws:
+    """A point's generator as the runners built it before streams were
+    derived in bulk: its own SeedSequence, and binomial always handed an
+    array of p."""
+
+    def __init__(self, seed, rank):
+        self._gen = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(int(rank),)))
+
+    def binomial(self, n, p):
+        return self._gen.binomial(n, np.atleast_1d(p)).sum()
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_bulk_streams_draw_as_per_point_seed_sequences(monkeypatch):
+    seq = PulseSequence(input_power=2e-10)
+    # points with no ion, one, and three or four ions in their window
+    ions = _ions(-150e6, -3e6, 0.0, 2e6)
+    grid = F0 + np.linspace(-400e6, 400e6, 81)[::-1]
+
+    def run():
+        ple = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, 300, seed=5)
+        sat = run_saturation_series(_ion(), CAV, EMITTER,
+                                    np.geomspace(1e-9, 1e-14, 12), STD_DET,
+                                    500, seed=9)
+        sweep = run_cavity_sweep(_ion(), CAV, EMITTER, seq,
+                                 [1e9, -2e9, 0.0], 3000, seed=3)
+        return [ple.counts, sat.on_counts, sat.off_counts, sweep.gamma_fit]
+
+    bulk = run()
+    monkeypatch.setattr(experiments, "_point_rngs", lambda seed, ranks: (
+        _PerPointDraws(seed, rank) for rank in ranks))
+    for a, b in zip(bulk, run(), strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_scan_drift_bookkeeping():
@@ -307,6 +346,18 @@ def test_scan_csv_roundtrip(tmp_path):
     rebuilt = float(header["origin_hz"]) + read["laser_offset_hz"]
     assert np.allclose(rebuilt, scan_grid(cfg), rtol=0, atol=0.5)  # sub-Hz after offsets
     assert np.array_equal(read["counts"], dict(cols)["counts"])
+
+
+def test_csv_prints_every_cell_at_12_digits(tmp_path, monkeypatch):
+    monkeypatch.setattr(output, "_CSV_BLOCK", 2)  # rows span two blocks
+    path = tmp_path / "cells.csv"
+    write_csv_atomic(path, [("a", np.array([np.nan, -0.0, 1 / 3])),
+                            ("b", np.array([np.inf, -np.inf, 1e-300])),
+                            ("c", np.array([7, 2**60, -5]))])
+    assert path.read_text() == ("a,b,c\nnan,inf,7\n-0,-inf,1.15292150461e+18\n"
+                                "0.333333333333,1e-300,-5\n")
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv_atomic(path, [("a", [1.0]), ("b", [1.0, 2.0])])
 
 
 def test_runner_validation_errors():
