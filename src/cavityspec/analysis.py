@@ -1,14 +1,17 @@
 """Model fitting and spectrum reduction.
 
 A small Levenberg-Marquardt engine drives a fixed set of models with
-analytic Jacobians.  On top of it sit the spectrum tools: a greedy
-matched-filter peak counter for dense scans and a density-envelope fit
-that extrapolates through masked windows.
+analytic Jacobians, over one fit or a stack of independent fits at once.
+On top of it sit the spectrum tools: a greedy matched-filter peak counter
+for dense scans and a density-envelope fit that extrapolates through
+masked windows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +48,25 @@ class FitResult:
         }
 
 
+def _columns(p):
+    """Parameters of shape (..., k) as k arrays of shape (..., 1).
+
+    Each broadcasts against x of shape (..., n), so a model evaluates a
+    single parameter vector on one row or a stack of them on a stack of rows.
+    """
+    p = np.asarray(p, dtype=float)
+    return [p[..., j, None] for j in range(p.shape[-1])]
+
+
+def _pow(v, n):
+    """v ** n as a float64 scalar computes it: libm's pow, element by element.
+
+    numpy's array power squares, or takes a SIMD pow, and for ~0.1% of
+    inputs either differs from libm in the last bit, which moves whole fits.
+    """
+    return np.array([t ** n for t in v.ravel()]).reshape(v.shape)
+
+
 class ExponentialModel:
     """amplitude * exp(-x / tau) + offset"""
 
@@ -52,13 +74,14 @@ class ExponentialModel:
     param_names = ("amplitude", "tau", "offset")
 
     def __call__(self, x, p):
-        a, tau, c = p
+        a, tau, c = _columns(p)
         return a * np.exp(-x / tau) + c
 
     def jacobian(self, x, p):
-        a, tau, _ = p
+        a, tau, _ = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / tau**2, np.ones_like(x)], axis=1)
+        return np.stack([e, a * x * e / _pow(tau, 2), np.ones_like(x)],
+                        axis=-1)
 
     def initial_guess(self, x, y):
         tail = max(1, len(y) // 10)
@@ -87,12 +110,12 @@ class LorentzianModel:
     param_names = ("amplitude", "center", "width", "offset")
 
     def __call__(self, x, p):
-        a, x0, w, c = p
+        a, x0, w, c = _columns(p)
         u = 2.0 * (x - x0) / w
         return a / (1.0 + u * u) + c
 
     def jacobian(self, x, p):
-        a, x0, w, _ = p
+        a, x0, w, _ = _columns(p)
         u = 2.0 * (x - x0) / w
         den = (1.0 + u * u) ** 2
         return np.stack([
@@ -100,14 +123,14 @@ class LorentzianModel:
             4.0 * a * u / (w * den),
             2.0 * a * u * u / (w * den),
             np.ones_like(x),
-        ], axis=1)
+        ], axis=-1)
 
     def initial_guess(self, x, y):
         return _peak_guess(x, y, sigma=False)
 
     def canonical(self, p):
         p = p.copy()
-        p[2] = abs(p[2])
+        p[..., 2] = abs(p[..., 2])
         return p
 
 
@@ -118,22 +141,22 @@ class GaussianModel:
     param_names = ("amplitude", "center", "sigma", "offset")
 
     def __call__(self, x, p):
-        a, x0, s, c = p
+        a, x0, s, c = _columns(p)
         return a * np.exp(-((x - x0) ** 2) / (2.0 * s * s)) + c
 
     def jacobian(self, x, p):
-        a, x0, s, _ = p
+        a, x0, s, _ = _columns(p)
         d = x - x0
         e = np.exp(-(d * d) / (2.0 * s * s))
-        return np.stack([e, a * e * d / s**2, a * e * d * d / s**3,
-                         np.ones_like(x)], axis=1)
+        return np.stack([e, a * e * d / _pow(s, 2), a * e * d * d / _pow(s, 3),
+                         np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
         return _peak_guess(x, y, sigma=True)
 
     def canonical(self, p):
         p = p.copy()
-        p[2] = abs(p[2])
+        p[..., 2] = abs(p[..., 2])
         return p
 
 
@@ -144,10 +167,11 @@ class LinearModel:
     param_names = ("slope", "intercept")
 
     def __call__(self, x, p):
-        return p[0] * x + p[1]
+        slope, intercept = _columns(p)
+        return slope * x + intercept
 
     def jacobian(self, x, p):
-        return np.stack([x, np.ones_like(x)], axis=1)
+        return np.stack([x, np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
         return np.asarray(np.polyfit(x, y, 1), dtype=float)
@@ -163,13 +187,13 @@ class BunchingModel:
     param_names = ("amplitude", "switch_time")
 
     def __call__(self, x, p):
-        a, tau = p
+        a, tau = _columns(p)
         return 1.0 + a * np.exp(-x / tau)
 
     def jacobian(self, x, p):
-        a, tau = p
+        a, tau = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / tau**2], axis=1)
+        return np.stack([e, a * x * e / _pow(tau, 2)], axis=-1)
 
     def initial_guess(self, x, y):
         a0 = float(y[0] - 1.0)
@@ -210,104 +234,217 @@ MODELS = {m.name: m for m in (EXPONENTIAL, LORENTZIAN, GAUSSIAN, LINEAR,
                               BUNCHING)}
 
 
+@contextlib.contextmanager
+def _quiet():
+    """The engine's numpy state: wild trial parameters may overflow, and a
+    degenerate row makes polyfit warn; the step tests below already discard
+    any non-finite outcome, so neither reaches the caller."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.RankWarning)
+        yield
+
+
 def fit_model(model, x, y, weights=None) -> FitResult:
     """Damped least squares with analytic Jacobians.
 
     weights multiply squared residuals; the default 1/max(|y|, 1) treats y
     as counts.  Convergence is declared when the accepted step changes every
-    parameter by less than 1e-8 relative.
+    parameter by less than 1e-8 relative.  This is fit_models on one row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of the same length")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise FitError("fit input contains non-finite values")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)[None]
+    (result,) = fit_models(model, x[None], y[None], weights)
+    if isinstance(result, FitError):
+        raise result
+    return result
+
+
+def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
+    """fit_model on every row of 2-d x and y, run as one batched engine.
+
+    Rows are independent: each keeps its own parameters, chi2, damping and
+    counters, and its result equals fit_model on that row alone, bit for
+    bit, whatever else is in the stack.  A row fit_model would refuse comes
+    back as that FitError in place of a FitResult.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 2:
+        raise FitError("x and y must be 2-d arrays of the same shape")
     n_par = len(model.param_names)
-    if len(x) <= n_par:
-        raise FitError(f"need more than {n_par} points to fit {model.name}")
     if weights is None:
         w = 1.0 / np.maximum(np.abs(y), 1.0)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
+        if w.shape != y.shape:
             raise FitError("weights must be positive, finite, and match y")
-
-    p = np.asarray(model.initial_guess(x, y), dtype=float)
-    chi2 = _chi2(model, x, y, w, p)
-    if not np.isfinite(chi2):
-        raise FitError("initial parameters give a non-finite residual")
-    history = [chi2]
-    lam = 1e-3
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, _MAX_ITER + 1):
-        # wild trial parameters may overflow inside the model; the step
-        # acceptance test below already discards any non-finite outcome
-        with np.errstate(all="ignore"):
-            jac = model.jacobian(x, p)
-            jw = jac * w[:, None]
-            hess = jac.T @ jw
-            grad = jw.T @ (y - model(x, p))
-        accepted = False
-        for _ in range(_MAX_REJECTS):
-            damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-300))
-            try:
-                step = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
+    finite = np.all(np.isfinite(x), axis=1) & np.all(np.isfinite(y), axis=1)
+    good_w = np.all(w > 0, axis=1) & np.all(np.isfinite(w), axis=1)
+    results: list[FitResult | FitError | None] = [None] * len(y)
+    for i in range(len(y)):
+        if not finite[i]:
+            results[i] = FitError("fit input contains non-finite values")
+        elif x.shape[1] <= n_par:
+            results[i] = FitError(f"need more than {n_par} points to fit "
+                                  f"{model.name}")
+        elif not good_w[i]:
+            results[i] = FitError("weights must be positive, finite, and "
+                                  "match y")
+    with _quiet():
+        guesses = {}
+        for i, r in enumerate(results):
+            if r is not None:
                 continue
-            p_try = p + step
-            chi2_try = _chi2(model, x, y, w, p_try)
-            if np.isfinite(chi2_try) and chi2_try <= chi2:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        rel = np.max(np.abs(step) / np.maximum(np.abs(p_try), 1e-300))
-        # parameters sitting at zero: judge the step in residual units instead
-        scale = np.sqrt(np.maximum(np.diag(hess), 1e-300))
-        scaled_step = np.linalg.norm(scale * step)
-        scaled_p = np.linalg.norm(scale * p_try)
-        p, chi2 = p_try, chi2_try
-        history.append(chi2)
-        lam = max(lam / 10.0, 1e-12)
-        if rel < _REL_TOL or scaled_step <= _REL_TOL * (_REL_TOL + scaled_p):
-            converged = True
-            break
+            try:
+                guesses[i] = model.initial_guess(x[i], y[i])
+            # polyfit's least squares fails on degenerate rows (all x zero)
+            except np.linalg.LinAlgError as exc:
+                results[i] = FitError(f"initial guess failed: {exc}")
+        rows = np.array(list(guesses), dtype=np.intp)
+        p = np.array(list(guesses.values()),
+                     dtype=float).reshape(len(rows), n_par)
+        chi2 = _chi2(model, x[rows], y[rows], w[rows], p)
+        for i in rows[~np.isfinite(chi2)]:
+            results[i] = FitError("initial parameters give a non-finite "
+                                  "residual")
+        keep = np.isfinite(chi2)
+        rows, p, chi2 = rows[keep], p[keep], chi2[keep]
+        x, y, w = x[rows], y[rows], w[rows]
+        p, chi2, converged, n_iter, history = _levenberg_marquardt(
+            model, x, y, w, p, chi2)
+        p = model.canonical(p)
+        stderr = _param_errors(model, x, y, w, p, chi2)
+    for j, i in enumerate(rows):
+        results[i] = FitResult(
+            model=model.name,
+            params=dict(zip(model.param_names, p[j].tolist())),
+            stderr=dict(zip(model.param_names, stderr[j].tolist())),
+            residual_norm=math.sqrt(chi2[j]),
+            converged=bool(converged[j]),
+            n_iter=int(n_iter[j]),
+            history=history[j],
+        )
+    return results
 
-    p = model.canonical(p)
-    stderr = _param_errors(model, x, y, w, p, chi2)
-    return FitResult(
-        model=model.name,
-        params=dict(zip(model.param_names, (float(v) for v in p))),
-        stderr=dict(zip(model.param_names, stderr)),
-        residual_norm=math.sqrt(chi2),
-        converged=converged,
-        n_iter=n_iter,
-        history=history,
-    )
+
+def _levenberg_marquardt(model, x, y, w, p, chi2):
+    """Damped Gauss-Newton on every row at once, from p with residual chi2.
+
+    Each round, every live row tries one damped step.  A rejected step (or
+    a singular damped matrix) multiplies that row's damping by 10, and 50
+    rejects in a row end its fit.  An accepted step divides the damping by
+    10 and starts the row's next iteration, with a new Hessian, unless the
+    step met the convergence test or the row used up its iterations.
+    """
+    n_rows, n_par = p.shape
+    p_end, chi2_end = p.copy(), chi2.copy()
+    p, chi2 = p.copy(), chi2.copy()
+    converged = np.zeros(n_rows, dtype=bool)
+    n_iter = np.ones(n_rows, dtype=int)
+    history = [[c] for c in chi2.tolist()]
+    # the live rows' state; a row that finishes is written out and dropped
+    rows = np.arange(n_rows)
+    lam = np.full(n_rows, 1e-3)
+    rejects = np.zeros(n_rows, dtype=int)
+    its = n_iter.copy()
+    hess = np.empty((n_rows, n_par, n_par))
+    grad = np.empty((n_rows, n_par))
+    stale = np.ones(n_rows, dtype=bool)   # rows that moved since their Hessian
+    while rows.size:
+        n_stale = np.count_nonzero(stale)
+        if n_stale:
+            sel = slice(None) if n_stale == rows.size else stale
+            xs, ps = x[sel], p[sel]
+            jac = model.jacobian(xs, ps)
+            jw = jac * w[sel][..., None]
+            hess[sel] = jac.mT @ jw
+            # an (n, 1) column keeps matmul on its matrix-vector routine
+            resid = y[sel] - model(xs, ps)
+            grad[sel] = (jw.mT @ resid[..., None])[..., 0]
+        floor = np.maximum(hess.diagonal(axis1=1, axis2=2), 1e-300)
+        damping = np.zeros_like(hess)
+        damping.reshape(rows.size, -1)[:, ::n_par + 1] = floor
+        step, solved = _stacked(np.linalg.solve,
+                                hess + lam[:, None, None] * damping,
+                                grad[..., None])
+        step = step[..., 0]
+        p_try = p + step
+        chi2_try = _chi2(model, x, y, w, p_try)
+        accepted = solved & np.isfinite(chi2_try) & (chi2_try <= chi2)
+        lam = np.where(accepted, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
+        rejects = np.where(accepted, 0, rejects + 1)
+        done = accepted
+        if np.count_nonzero(accepted):
+            rel = (np.abs(step) / np.maximum(np.abs(p_try), 1e-300)).max(axis=1)
+            # parameters sitting at zero: judge the step in residual units
+            scale = np.sqrt(floor)
+            done = accepted & ((rel < _REL_TOL) | (
+                _norm(scale * step) <= _REL_TOL * (_REL_TOL
+                                                   + _norm(scale * p_try))))
+            np.copyto(p, p_try, where=accepted[:, None])
+            np.copyto(chi2, chi2_try, where=accepted)
+            for i, c, moved in zip(rows.tolist(), chi2_try.tolist(),
+                                   accepted.tolist()):
+                if moved:
+                    history[i].append(c)
+        out = done | (accepted & (its == _MAX_ITER)) | (rejects == _MAX_REJECTS)
+        stale = accepted & ~out
+        its += stale
+        if np.count_nonzero(out):
+            ended = rows[out]
+            p_end[ended], chi2_end[ended] = p[out], chi2[out]
+            converged[ended], n_iter[ended] = done[out], its[out]
+            keep = ~out
+            rows, p, chi2, lam, rejects, its, stale = (
+                a[keep] for a in (rows, p, chi2, lam, rejects, its, stale))
+            hess, grad, x, y, w = (a[keep] for a in (hess, grad, x, y, w))
+    return p_end, chi2_end, converged, n_iter, history
+
+
+def _stacked(solver, *arrays):
+    """solver on stacked matrices, and which slices it could do.
+
+    numpy raises LinAlgError for the whole stack when one slice is
+    singular; then each slice is done on its own, and the singular ones
+    come back NaN and False.
+    """
+    try:
+        return solver(*arrays), np.ones(len(arrays[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(arrays[-1].shape, np.nan)
+    ok = np.ones(len(out), dtype=bool)
+    for j in range(len(out)):
+        try:
+            out[j] = solver(*(a[j:j + 1] for a in arrays))[0]
+        except np.linalg.LinAlgError:
+            ok[j] = False
+    return out, ok
+
+
+def _norm(v):
+    """Euclidean norm of each row, by the dot product np.linalg.norm takes."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def _chi2(model, x, y, w, p):
-    with np.errstate(all="ignore"):
-        r = y - model(x, p)
-        val = float(np.sum(w * r * r))
-    return val
+    """Weighted residual sum of squares of each row."""
+    r = y - model(x, p)
+    return (w * r * r).sum(axis=-1)
 
 
 def _param_errors(model, x, y, w, p, chi2):
-    dof = len(x) - len(p)
-    with np.errstate(all="ignore"):
-        jac = model.jacobian(x, p)
-        hess = jac.T @ (jac * w[:, None])
-    try:
-        cov = np.linalg.inv(hess) * (chi2 / dof)
-        diag = np.diag(cov)
-        return [math.sqrt(v) if v >= 0 else math.nan for v in diag]
-    except np.linalg.LinAlgError:
-        return [math.nan] * len(p)
+    """Standard errors of each row, NaN where the Hessian is singular."""
+    dof = x.shape[-1] - p.shape[-1]
+    jac = model.jacobian(x, p)
+    hess = jac.mT @ (jac * w[..., None])
+    cov, _ = _stacked(np.linalg.inv, hess)
+    var = np.diagonal(cov, axis1=1, axis2=2) * (chi2 / dof)[:, None]
+    return np.where(var >= 0, np.sqrt(var), np.nan)
 
 
 @dataclass

@@ -14,6 +14,7 @@ runs it from a RunConfig.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult,
-                       count_peaks, fit_model)
+                       count_peaks, fit_model, fit_models)
 from .constants import TWO_PI
 from .detection import (BlinkConfig, ClickStream, DetectorConfig,
                         EmissionModel, g2_background_floor, g2_pulsed,
@@ -418,6 +419,11 @@ def fit_lifetime(result: LifetimeResult) -> FitResult:
     return fit_model(EXPONENTIAL, x, result.bin_counts.astype(float))
 
 
+# histogram bins per batched lifetime fit: bounds the fit's working arrays
+# (a block is this many bins' worth of rows, and at least one row)
+_FIT_BLOCK = 1 << 14
+
+
 @dataclass
 class CavitySweepResult:
     detuning_hz: np.ndarray
@@ -439,7 +445,9 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     """Lifetime versus cavity-ion detuning, laser parked on the ion.
 
     The gate stretches with the expected lifetime so every point resolves
-    its own decay; each point's histogram is fit for gamma.
+    its own decay; each point's histogram is fit for gamma.  Points are
+    simulated in grid order and fitted a block at a time as one batch
+    (fit_models), each exactly as a fit of its own.
     """
     detunings, ranks = _point_grid(detunings_hz, "detunings")
     if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
@@ -451,27 +459,32 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    for k, (delta, rng) in enumerate(zip(detunings,
-                                         _point_rngs(seed, ranks))):
-        emission, det_k, stream = _ion_clicks(
-            ion, cavity, emitter, seq, det, pulses_per_point, rng,
-            cavity_detuning_hz=delta, gate_factor=gate_factor)
-        gamma_expected[k] = emission.gamma
-        mids, hist = _gate_histogram(stream, det_k, n_bins)
-        mids = mids - det_k.gate_start
-        try:
-            fit = fit_model(EXPONENTIAL, mids, hist.astype(float))
-        except FitError:
-            continue
-        tau = fit.params["tau"]
-        # a collapsed fit can return tau ~ 0 with a wild stderr; keep such
-        # points as NaN rows instead of propagating overflow
-        with np.errstate(over="ignore"):
-            err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
-        if fit.converged and tau > mids[1] - mids[0] and np.isfinite(err):
-            gamma_fit[k] = 1.0 / tau
-            gamma_err[k] = float(err)
-            converged[k] = True
+    points = zip(detunings, _point_rngs(seed, ranks))
+    block = max(1, _FIT_BLOCK // n_bins)
+    for start in range(0, len(detunings), block):
+        rows = min(block, len(detunings) - start)
+        mids = np.empty((rows, n_bins))
+        hist = np.empty((rows, n_bins))
+        for j, (delta, rng) in enumerate(itertools.islice(points, rows)):
+            emission, det_k, stream = _ion_clicks(
+                ion, cavity, emitter, seq, det, pulses_per_point, rng,
+                cavity_detuning_hz=delta, gate_factor=gate_factor)
+            gamma_expected[start + j] = emission.gamma
+            gate_mids, hist[j] = _gate_histogram(stream, det_k, n_bins)
+            mids[j] = gate_mids - det_k.gate_start
+        for j, fit in enumerate(fit_models(EXPONENTIAL, mids, hist)):
+            if isinstance(fit, FitError):
+                continue
+            tau = fit.params["tau"]
+            # a collapsed fit can return tau ~ 0 with a wild stderr; keep
+            # such points as NaN rows instead of propagating overflow
+            with np.errstate(over="ignore"):
+                err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
+            if (fit.converged and tau > mids[j, 1] - mids[j, 0]
+                    and np.isfinite(err)):
+                gamma_fit[start + j] = 1.0 / tau
+                gamma_err[start + j] = float(err)
+                converged[start + j] = True
     purcell = gamma_fit / emitter.gamma0 - 1.0
     return CavitySweepResult(detuning_hz=detunings, gamma_fit=gamma_fit,
                              gamma_err=gamma_err,

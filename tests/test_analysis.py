@@ -1,8 +1,16 @@
 """Fit engine, model Jacobians, and peak extraction."""
 
+import json
+import math
+import warnings
+import zlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cavityspec import analysis
 from cavityspec.analysis import (
     BUNCHING,
     EXPONENTIAL,
@@ -10,11 +18,14 @@ from cavityspec.analysis import (
     LINEAR,
     LORENTZIAN,
     MODELS,
+    FitResult,
     PeakList,
     count_peaks,
     fit_model,
+    fit_models,
     fit_peak_density,
 )
+from cavityspec.cli import main
 from cavityspec.errors import DomainError, FitError
 
 
@@ -161,3 +172,372 @@ def test_density_envelope_recovers_hidden_peaks():
     with pytest.raises(FitError):
         fit_peak_density(peaks, n_bins=8,
                          mask_ranges=((-10.0, 9.0),), x_range=(-10.0, 10.0))
+
+
+# -- the batched engine against the per-fit loop it replaced ----------------
+
+def _reference_fit(model, x, y, weights=None) -> FitResult:
+    """The sequential Levenberg-Marquardt loop fit_model ran, one fit at a
+    time, kept verbatim as the oracle for fit_models."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise FitError("x and y must be 1-d arrays of the same length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise FitError("fit input contains non-finite values")
+    n_par = len(model.param_names)
+    if len(x) <= n_par:
+        raise FitError(f"need more than {n_par} points to fit {model.name}")
+    if weights is None:
+        w = 1.0 / np.maximum(np.abs(y), 1.0)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != y.shape or np.any(w <= 0) or not np.all(np.isfinite(w)):
+            raise FitError("weights must be positive, finite, and match y")
+
+    p = np.asarray(model.initial_guess(x, y), dtype=float)
+    chi2 = _reference_chi2(model, x, y, w, p)
+    if not np.isfinite(chi2):
+        raise FitError("initial parameters give a non-finite residual")
+    history = [chi2]
+    lam = 1e-3
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, analysis._MAX_ITER + 1):
+        with np.errstate(all="ignore"):
+            jac = model.jacobian(x, p)
+            jw = jac * w[:, None]
+            hess = jac.T @ jw
+            grad = jw.T @ (y - model(x, p))
+        accepted = False
+        for _ in range(analysis._MAX_REJECTS):
+            damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-300))
+            try:
+                step = np.linalg.solve(damped, grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            p_try = p + step
+            chi2_try = _reference_chi2(model, x, y, w, p_try)
+            if np.isfinite(chi2_try) and chi2_try <= chi2:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            break
+        rel = np.max(np.abs(step) / np.maximum(np.abs(p_try), 1e-300))
+        scale = np.sqrt(np.maximum(np.diag(hess), 1e-300))
+        scaled_step = np.linalg.norm(scale * step)
+        scaled_p = np.linalg.norm(scale * p_try)
+        p, chi2 = p_try, chi2_try
+        history.append(chi2)
+        lam = max(lam / 10.0, 1e-12)
+        if (rel < analysis._REL_TOL
+                or scaled_step <= analysis._REL_TOL * (analysis._REL_TOL
+                                                       + scaled_p)):
+            converged = True
+            break
+
+    p = model.canonical(p)
+    stderr = _reference_errors(model, x, y, w, p, chi2)
+    return FitResult(
+        model=model.name,
+        params=dict(zip(model.param_names, (float(v) for v in p))),
+        stderr=dict(zip(model.param_names, stderr)),
+        residual_norm=math.sqrt(chi2),
+        converged=converged,
+        n_iter=n_iter,
+        history=history,
+    )
+
+
+def _reference_chi2(model, x, y, w, p):
+    with np.errstate(all="ignore"):
+        r = y - model(x, p)
+        val = float(np.sum(w * r * r))
+    return val
+
+
+def _reference_errors(model, x, y, w, p, chi2):
+    dof = len(x) - len(p)
+    with np.errstate(all="ignore"):
+        jac = model.jacobian(x, p)
+        hess = jac.T @ (jac * w[:, None])
+    try:
+        cov = np.linalg.inv(hess) * (chi2 / dof)
+        diag = np.diag(cov)
+        return [math.sqrt(v) if v >= 0 else math.nan for v in diag]
+    except np.linalg.LinAlgError:
+        return [math.nan] * len(p)
+
+
+def _outcome(result):
+    """Everything a fit reports, as text that tells every float bit apart
+    (repr round-trips, keeps -0.0 and prints every NaN alike)."""
+    if isinstance(result, FitError):
+        return f"FitError: {result}"
+    return repr((result.model, result.params, result.stderr,
+                 result.residual_norm, result.converged, result.n_iter,
+                 result.history))
+
+
+def _reference(model, x, y, weights=None):
+    """The reference loop's FitResult, or the FitError it raised."""
+    # the reference loop leaves numpy's warnings on; only the values count
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return _reference_fit(model, x, y, weights)
+        except FitError as exc:
+            return exc
+        # the one deliberate change: a failed initial guess is a FitError
+        except np.linalg.LinAlgError as exc:
+            return FitError(f"initial guess failed: {exc}")
+
+
+# true parameters on x in [lo, 10] (times 10**scale): which parameters scale
+# with x, and the scale at which the initial Jacobian is NaN or infinite, so
+# every trial step is rejected
+_SHAPES = {
+    "exponential": (0.0, (100.0, 2.0, 3.0), (1,), -160),
+    "lorentzian": (-5.0, (50.0, 0.3, 2.0, 4.0), (1, 2), -200),
+    "gaussian": (-5.0, (40.0, -0.5, 1.5, 2.0), (1, 2), -110),
+    "linear": (-5.0, (3.0, -2.0), (), 300),
+    "bunching": (0.0, (1.5, 0.7), (1,), -200),
+}
+ROW_KINDS = ("signal", "noise", "rejects", "flat", "huge", "nan")
+
+
+def _row(model, kind, n, seed):
+    """One (x, y) row of the given kind for a stack of fits.
+
+    signal: the model plus noise; noise: no signal at all, which often runs
+    the fit to _MAX_ITER; rejects: a scale where the first Jacobian is not
+    finite (linear needs uniform weights for that); flat: every x equal, so
+    the Hessian is singular (a peak model's width guess is then 0, and it
+    refuses the row); huge: y alternating at +-1e307, so the initial
+    residual overflows; nan: one non-finite y.
+    """
+    rng = np.random.default_rng(seed)
+    lo, true, scaled, reject_scale = _SHAPES[model.name]
+    exponent = rng.uniform(-3.0, 3.0)
+    if kind == "rejects":
+        exponent = reject_scale
+    elif model is LINEAR and kind == "noise":  # only extreme scales stall it
+        exponent = rng.uniform(200.0, 300.0)
+    x = np.linspace(lo, 10.0, n) * 10.0 ** exponent
+    p = np.array(true) * np.exp(rng.normal(0.0, 0.3, len(true)))
+    for i in scaled:
+        p[i] *= 10.0 ** exponent
+    if model is LINEAR:
+        p[0] /= 10.0 ** exponent
+    with np.errstate(all="ignore"):
+        y = model(x, p)
+    if kind == "signal":
+        y = y + rng.normal(0.0, 0.05, n) * np.abs(y)
+    elif kind == "noise" and model is LINEAR:
+        y = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(0.0, 100.0)
+    elif kind == "noise":
+        y = rng.exponential(1.0, n)
+    elif kind == "rejects" and model is LINEAR:
+        y = rng.normal(0.0, 1e100, n)
+    elif kind == "flat":
+        x = np.full(n, x[-1])
+    elif kind == "huge":
+        y = 1e307 * (1.0 + rng.uniform(0.0, 0.5, n)) * np.resize([1, -1], n)
+    elif kind == "nan":
+        y[rng.integers(n)] = rng.choice([np.nan, np.inf])
+    return x, y
+
+
+def _exits(result):
+    """How a fit ended, plus "nan_stderr" when some stderr is NaN."""
+    if isinstance(result, FitError):
+        return {"refused"}
+    exits = {"converged" if result.converged else
+             "max_iter" if result.n_iter == analysis._MAX_ITER else "rejects"}
+    if any(math.isnan(v) for v in result.stderr.values()):
+        exits.add("nan_stderr")
+    return exits
+
+
+def _check_stack(model, x, y, w):
+    """Fit the stack, and each row alone, against the reference loop on
+    that row; returns every exit the rows took."""
+    stacked = fit_models(model, x, y, w)
+    seen = set()
+    for i in range(len(x)):
+        reference = _reference(model, x[i], y[i], None if w is None else w[i])
+        expected = _outcome(reference)
+        assert _outcome(stacked[i]) == expected, f"row {i}"
+        alone = fit_models(model, x[i:i + 1], y[i:i + 1],
+                           None if w is None else w[i:i + 1])[0]
+        assert _outcome(alone) == expected, f"row {i} alone"
+        seen |= _exits(reference)
+    return seen
+
+
+def _weights(kinds, y, weighting):
+    """None, uniform weights, or per row: uniform for rejects rows (linear
+    needs them there) and the default 1/max(|y|, 1) elsewhere."""
+    if weighting == "default":
+        return None
+    if weighting == "uniform":
+        return np.ones_like(y)
+    with np.errstate(invalid="ignore"):
+        w = 1.0 / np.maximum(np.abs(y), 1.0)
+    w[[k == "rejects" for k in kinds]] = 1.0
+    return w
+
+
+# a noise row per model that runs its fit to _MAX_ITER
+_STALLING_SEED = {"exponential": 1, "lorentzian": 2, "gaussian": 1,
+                  "linear": 8, "bunching": 23}
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
+def test_fit_models_matches_the_loop_on_every_way_a_fit_ends(model):
+    """One stack whose rows reach every exit of the loop, for every model:
+    convergence, 50 rejects, _MAX_ITER, refusal, and a final Hessian too
+    singular for finite errors.  The random stacks below draw from the
+    same row kinds."""
+    rows = [(kind, 0) for kind in ROW_KINDS] + [
+        ("noise", _STALLING_SEED[model.name]), ("flat", 1), ("noise", 3)]
+    kinds = [kind for kind, _ in rows]
+    x, y = map(np.array, zip(*(_row(model, kind, 24, seed)
+                               for kind, seed in rows)))
+    seen = _check_stack(model, x, y, _weights(kinds, y, "mixed"))
+    assert seen == {"converged", "rejects", "max_iter", "nan_stderr",
+                    "refused"}
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
+@given(data=st.data())
+def test_fit_models_equals_the_per_fit_loop(model, data):
+    n = data.draw(st.integers(len(model.param_names) + 1, 30), label="n")
+    kinds = data.draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1,
+                               max_size=5), label="kinds")
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1),
+                               min_size=len(kinds), max_size=len(kinds)),
+                      label="seeds")
+    weighting = data.draw(st.sampled_from(["default", "uniform", "mixed"]),
+                          label="weights")
+    # low caps end many more fits there, and keep them cheap; the
+    # reference loop reads the same module constants
+    max_iter = data.draw(st.integers(1, 30), label="max_iter")
+    max_rejects = data.draw(st.sampled_from([1, 2, 3, 5, 50]),
+                            label="max_rejects")
+    x, y = map(np.array, zip(*(_row(model, kind, n, seed)
+                               for kind, seed in zip(kinds, seeds))))
+    with mock.patch.object(analysis, "_MAX_ITER", max_iter), \
+            mock.patch.object(analysis, "_MAX_REJECTS", max_rejects):
+        _check_stack(model, x, y, _weights(kinds, y, weighting))
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
+def test_singular_solves_count_as_rejects(model):
+    """A damped matrix that cannot be solved is one reject for its row,
+    also inside a stack, where numpy fails the whole stacked solve.
+    Singular damped matrices are rare in practice, so a stand-in solve
+    calls about a third of all matrices singular, by a hash of their bytes:
+    the same matrix gets the same verdict in the loop and in the batch."""
+    real_solve = np.linalg.solve
+    refused = []
+
+    def solve(a, b):
+        for m in np.reshape(a, (-1,) + np.shape(a)[-2:]):
+            if zlib.crc32(m.tobytes()) % 3 == 0:
+                refused.append(1)
+                raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    kinds = ["signal", "signal", "noise", "flat", "rejects", "huge"]
+    x, y = map(np.array, zip(*(_row(model, kind, 16, seed)
+                               for seed, kind in enumerate(kinds))))
+    for max_rejects in (2, 3, 50):
+        with mock.patch.object(np.linalg, "solve", solve), \
+                mock.patch.object(analysis, "_MAX_REJECTS", max_rejects):
+            _check_stack(model, x, y, _weights(kinds, y, "mixed"))
+    assert refused
+
+
+def test_fit_model_is_the_one_row_call():
+    x, y = _row(LORENTZIAN, "signal", 40, 5)
+    fit = fit_model(LORENTZIAN, x, y, weights=np.full(40, 2.0))
+    (row,) = fit_models(LORENTZIAN, x[None], y[None], np.full((1, 40), 2.0))
+    assert _outcome(fit) == _outcome(row)
+    with pytest.raises(FitError, match="non-finite residual"):
+        fit_model(LORENTZIAN, *_row(LORENTZIAN, "huge", 40, 5))
+    with pytest.raises(FitError, match="2-d"):
+        fit_models(LORENTZIAN, x, y)
+    # the stacked solve and inverse fall back to one slice at a time
+    # when a single slice is singular
+    a = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    out, ok = analysis._stacked(np.linalg.inv, a)
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(out[0], np.eye(3)) and np.isnan(out[1]).all()
+    assert np.array_equal(out[2], np.linalg.inv(a[2]))
+    out, ok = analysis._stacked(np.linalg.solve, a, np.ones((3, 3, 1)))
+    assert ok.tolist() == [True, False, True]
+    assert np.array_equal(out[2], np.full((3, 1), 0.5))
+
+
+def test_parameter_powers_round_as_float64_scalars():
+    """A stack's parameters reach pow as scalar parameters do, through
+    libm: numpy's array square and SIMD pow differ from it in the last bit
+    for values such as these two."""
+    x = np.linspace(0.0, 3.0, 7)
+    s = np.array([1.2131646764254524, 1.8190554752387018])
+    for model, p in ((EXPONENTIAL, [2.0, 0.0, 0.5]), (BUNCHING, [2.0, 0.0]),
+                     (GAUSSIAN, [2.0, 0.3, 0.0, 0.5])):
+        stack = np.tile(p, (2, 1))
+        j = {"gaussian": 2}.get(model.name, 1)
+        stack[:, j] = s
+        jac = model.jacobian(np.tile(x, (2, 1)), stack)
+        for row, t in zip(jac, s):
+            t = np.float64(t)
+            if model is GAUSSIAN:
+                d = x - 0.3
+                e = np.exp(-(d * d) / (2.0 * t * t))
+                assert np.array_equal(row[:, 1], 2.0 * e * d / t**2)
+                assert np.array_equal(row[:, 2], 2.0 * e * d * d / t**3)
+            else:
+                e = np.exp(-x / t)
+                assert np.array_equal(row[:, 1], 2.0 * x * e / t**2)
+
+
+@pytest.mark.parametrize("model,x", [
+    ("exponential", [2.0] * 6),
+    ("linear", [2.0] * 6),
+    ("linear", [0.0, 1.0, 1e308, 3.0, 4.0, 5.0]),
+    ("exponential", [0.0, 1.0, 1e308, 3.0, 4.0, 5.0]),
+])
+def test_fit_command_prints_no_numpy_warning(tmp_path, capsys, model, x):
+    """Degenerate x (all equal, or near overflow) used to print polyfit's
+    RankWarning and overflow RuntimeWarnings; the fit written is the
+    reference loop's."""
+    y = [5.0, 3.0, 2.0, 1.0, 1.0, 0.5]
+    data = str(tmp_path / "data.csv")
+    with open(data, "w") as fh:
+        fh.write("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x, y)))
+    out = str(tmp_path / "fit.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        main(["fit", data, "--model", model, "--output", out])
+    assert not caught
+    assert "Warning" not in capsys.readouterr().err
+    expected = _reference(MODELS[model], np.array(x), np.array(y))
+    with open(out) as fh:
+        assert fh.read() == json.dumps(expected.to_json(), indent=1,
+                                       sort_keys=True) + "\n"
+
+
+def test_fit_command_refuses_an_all_zero_x_column(tmp_path, capsys):
+    """polyfit's least squares cannot scale an all-zero x column; the fit
+    exits 1 naming the failed initial guess, with no traceback."""
+    data = str(tmp_path / "data.csv")
+    with open(data, "w") as fh:
+        fh.write("x,y\n" + "0.0,5.0\n0.0,3.0\n" * 3)
+    for model in ("exponential", "linear"):
+        assert main(["fit", data, "--model", model]) == 1
+        assert "initial guess failed" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from cavityspec.constants import TWO_PI
 from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
-from cavityspec.errors import ConfigError, DomainError
+from cavityspec.analysis import EXPONENTIAL, fit_model
+from cavityspec.errors import ConfigError, DomainError, FitError
 from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
                                     expected_linewidth, fit_enhancement,
                                     fit_lifetime, run_cavity_sweep, run_g2,
@@ -213,6 +214,90 @@ def test_cavity_sweep_maps_enhancement_lorentzian():
     assert fit.converged
     assert abs(fit.params["width"] - 3.85e9) / 3.85e9 < 0.10
     assert abs(fit.params["amplitude"] - ion.purcell) / ion.purcell < 0.10
+
+
+def _default_sweep(seed, **changes):
+    """run_cavity_sweep's arguments for the default cavity_sweep config."""
+    cfg = build_config({("", "experiment"): "cavity_sweep",
+                        ("", "seed"): str(seed)})
+    span = cfg["cavity_sweep", "span"]
+    detunings = np.linspace(-span / 2.0, span / 2.0,
+                            cfg["cavity_sweep", "n_points"])
+    kwargs = dict(eta_total=cfg.detector.eta_total,
+                  dark_rate=cfg.detector.dark_rate,
+                  dead_time=cfg.detector.dead_time,
+                  n_bins=cfg["cavity_sweep", "n_bins"],
+                  gate_factor=cfg["cavity_sweep", "gate_factor"])
+    kwargs.update(changes)
+    return ((cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence, detunings,
+             cfg["cavity_sweep", "pulses_per_point"], seed), kwargs)
+
+
+def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
+                      seed, *, eta_total, dark_rate, dead_time, n_bins,
+                      gate_factor):
+    """The sweep as it ran before its fits were batched: one fit_model per
+    point, right after the point is simulated."""
+    detunings, ranks = experiments._point_grid(detunings, "detunings")
+    gamma_fit = np.full(len(detunings), np.nan)
+    gamma_err = np.full(len(detunings), np.nan)
+    converged = np.zeros(len(detunings), dtype=bool)
+    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
+                         dead_time=dead_time)
+    for k, (delta, rng) in enumerate(zip(
+            detunings, experiments._point_rngs(seed, ranks))):
+        _, det_k, stream = experiments._ion_clicks(
+            ion, cavity, emitter, seq, det, pulses_per_point, rng,
+            cavity_detuning_hz=delta, gate_factor=gate_factor)
+        mids, hist = experiments._gate_histogram(stream, det_k, n_bins)
+        mids = mids - det_k.gate_start
+        try:
+            fit = fit_model(EXPONENTIAL, mids, hist.astype(float))
+        except FitError:
+            continue
+        tau = fit.params["tau"]
+        with np.errstate(over="ignore"):
+            err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
+        if fit.converged and tau > mids[1] - mids[0] and np.isfinite(err):
+            gamma_fit[k] = 1.0 / tau
+            gamma_err[k] = float(err)
+            converged[k] = True
+    return gamma_fit, gamma_err, converged
+
+
+def _sweep_arrays(res):
+    return [res.detuning_hz, res.gamma_fit, res.gamma_err, res.gamma_expected,
+            res.purcell_fit, res.converged]
+
+
+def test_batched_sweep_fits_equal_one_fit_per_point():
+    # the default 50 pW sweep at seed 0 leaves 5 of its 13 fits failed
+    args, kwargs = _default_sweep(0)
+    res = run_cavity_sweep(*args, **kwargs)
+    gamma_fit, gamma_err, converged = _sweep_fit_by_fit(*args, **kwargs)
+    assert 0 < np.count_nonzero(~converged) < len(converged)
+    np.testing.assert_array_equal(res.gamma_fit, gamma_fit)
+    np.testing.assert_array_equal(res.gamma_err, gamma_err)
+    np.testing.assert_array_equal(res.converged, converged)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_sweep_fit_blocks_do_not_change_the_sweep(monkeypatch, rows):
+    args, kwargs = _default_sweep(3)
+    whole = run_cavity_sweep(*args, **kwargs)
+    monkeypatch.setattr(experiments, "_FIT_BLOCK", rows * kwargs["n_bins"])
+    blocked = run_cavity_sweep(*args, **kwargs)
+    for a, b in zip(_sweep_arrays(whole), _sweep_arrays(blocked)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_sweep_with_too_few_bins_keeps_nan_rows():
+    # three bins cannot fit three parameters: every fit is refused
+    args, kwargs = _default_sweep(0, n_bins=3)
+    res = run_cavity_sweep(*args, **kwargs)
+    assert np.all(np.isnan(res.gamma_fit)) and np.all(np.isnan(res.gamma_err))
+    assert np.all(np.isnan(res.purcell_fit)) and not np.any(res.converged)
+    assert np.all(np.isfinite(res.gamma_expected))
 
 
 def test_saturation_series_plateau_and_contrast():
