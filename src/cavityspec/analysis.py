@@ -67,6 +67,14 @@ def _pow(v, n):
     return np.array([t ** n for t in v.ravel()]).reshape(v.shape)
 
 
+def _line(x, y):
+    """np.polyfit(x, y, 1), refusing an x polyfit would scale by 1/0: LAPACK
+    would print its complaint about the NaN on stdout."""
+    if not np.sum(x * x):
+        raise FitError("x is zero, or too small to square in double precision")
+    return np.polyfit(x, y, 1)
+
+
 class ExponentialModel:
     """amplitude * exp(-x / tau) + offset"""
 
@@ -93,7 +101,7 @@ class ExponentialModel:
         lifted = (y - c0) / a0
         usable = lifted > 0.05
         if np.count_nonzero(usable) >= 2:
-            slope = np.polyfit(x[usable], np.log(lifted[usable]), 1)[0]
+            slope = _line(x[usable], np.log(lifted[usable]))[0]
             tau0 = -1.0 / slope if slope < 0 else span / 3.0
         else:
             tau0 = span / 3.0
@@ -174,7 +182,7 @@ class LinearModel:
         return np.stack([x, np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
-        return np.asarray(np.polyfit(x, y, 1), dtype=float)
+        return np.asarray(_line(x, y), dtype=float)
 
     def canonical(self, p):
         return p
@@ -301,8 +309,7 @@ def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
                 continue
             try:
                 guesses[i] = model.initial_guess(x[i], y[i])
-            # polyfit's least squares fails on degenerate rows (all x zero)
-            except np.linalg.LinAlgError as exc:
+            except (FitError, np.linalg.LinAlgError) as exc:
                 results[i] = FitError(f"initial guess failed: {exc}")
         rows = np.array(list(guesses), dtype=np.intp)
         p = np.array(list(guesses.values()),

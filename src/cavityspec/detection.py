@@ -171,10 +171,20 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
                     rep_period: float = 100e-6,
                     background_per_pulse: float = 0.0,
                     seed: int = 0) -> ClickStream:
-    """Generate the click record of a pulsed single-emitter run.
+    """Generate the click record of a pulsed single-emitter run."""
+    pulse, t = settle_clicks(*draw_clicks(
+        emission, detector, n_pulses, rng, blink=blink, rep_period=rep_period,
+        background_per_pulse=background_per_pulse), detector.dead_time)
+    return ClickStream(pulse, t, n_pulses=n_pulses, seed=seed)
 
-    Draw order is fixed (telegraph, excitation, decay times, background) so
-    a given generator state always yields the same stream.
+
+def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
+                n_pulses: int, rng: np.random.Generator, *,
+                blink: BlinkConfig | None = None, rep_period: float = 100e-6,
+                background_per_pulse: float = 0.0):
+    """(pulse index, time in pulse) of every click before ordering and
+    dead time.  Draw order is fixed (telegraph, excitation, decay times,
+    background) so a given generator state always yields the same clicks.
     """
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be positive, got {n_pulses}")
@@ -205,14 +215,17 @@ def simulate_clicks(emission: EmissionModel, detector: DetectorConfig,
     total_bg = rng.poisson(lam * n_pulses)
     bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
     bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
-    pulse = np.concatenate([src_pulse, bg_pulse])
-    t = np.concatenate([src_t, bg_t])
+    return np.concatenate([src_pulse, bg_pulse]), np.concatenate([src_t, bg_t])
 
+
+def settle_clicks(pulse, t, dead_time):
+    """Clicks sorted by pulse and then by time, each dropped that follows
+    the last kept click of its pulse by less than dead_time."""
     order = _click_order(pulse, t)
     pulse, t = pulse[order], t[order]
-    if detector.dead_time > 0 and len(pulse) > 1:
-        pulse, t = _prune_dead_time(pulse, t, detector.dead_time)
-    return ClickStream(pulse, t, n_pulses=n_pulses, seed=seed)
+    if dead_time > 0 and len(pulse) > 1:
+        pulse, t = _prune_dead_time(pulse, t, dead_time)
+    return pulse, t
 
 
 def _click_order(pulse, t):
@@ -373,14 +386,3 @@ def g2_background_floor(ratio):
         raise DomainError("signal-to-background ratio must be finite and non-negative")
     out = (2.0 * a + 1.0) / (a + 1.0) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def bunching_profile(blink: BlinkConfig, rep_period: float, max_offset: int):
-    """Blinking envelope g2(m) = 1 + ((1-p)/p) exp(-m T / tau) for m >= 0."""
-    if rep_period <= 0:
-        raise DomainError(f"rep_period must be positive, got {rep_period}")
-    if max_offset < 0:
-        raise DomainError(f"max_offset must be non-negative, got {max_offset}")
-    m = np.arange(max_offset + 1)
-    p = blink.p_bright
-    return 1.0 + ((1.0 - p) / p) * np.exp(-m * rep_period / blink.switch_time)

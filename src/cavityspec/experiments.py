@@ -22,12 +22,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult,
+from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult, _pow,
                        count_peaks, fit_model, fit_models)
 from .constants import TWO_PI
 from .detection import (BlinkConfig, ClickStream, DetectorConfig,
-                        EmissionModel, g2_background_floor, g2_pulsed,
-                        simulate_clicks)
+                        EmissionModel, draw_clicks, g2_background_floor,
+                        g2_pulsed, settle_clicks, simulate_clicks)
 from .dynamics import (SpinRelaxParams, intracavity_photon_number,
                        pulse_excitation, spin_relaxation_rate,
                        window_capture_fraction)
@@ -349,39 +349,43 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 
 
-def _ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *,
-                laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
-                gate_factor=None, **clicks):
-    """Drive one ion with seq's pulse and sample its clicks.
-
-    With gate_factor the gate opens as the drive ends and lasts gate_factor
-    lifetimes, and the period ends with it.  Returns the emission model,
-    the detector used and the click stream; clicks go to simulate_clicks.
-    """
-    roll = _rolloff(TWO_PI * cavity_detuning_hz, cavity.kappa)
+def _ion_emission(ion, cavity, emitter, seq, cavity_detuning_hz,
+                  laser_detuning_hz=0.0):
+    """Roll-off, drive photons, excitation, decay rate and cavity branching
+    of one ion at each of an array of cavity detunings, as one-point calls
+    give them: _rolloff's square is libm's pow here, as for a float64
+    scalar, where an array ** squares (_pow)."""
+    delta = TWO_PI * np.asarray(cavity_detuning_hz, dtype=float)
+    roll = 1.0 + _pow(2.0 * delta / cavity.kappa, 2)
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega) / roll
     p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell / roll,
                                     TWO_PI * laser_detuning_hz, emitter,
                                     seq.excite_duration)
-    if gate_factor is not None:
-        det = replace(det, gate_start=seq.excite_duration,
-                      gate_duration=gate_factor / gamma)
-        seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
-    _validate_gate(seq, det)
-    emission = EmissionModel(p_excited=p_exc, gamma=gamma,
-                             eta_into_cavity=eta,
-                             decay_start=seq.excite_duration)
-    stream = simulate_clicks(emission, det, n_pulses, rng,
-                             rep_period=seq.rep_period, **clicks)
-    return emission, det, stream
+    return roll, n_ph, p_exc, gamma, eta
 
 
-def _gate_histogram(stream: ClickStream, det: DetectorConfig, n_bins: int):
+def _point_models(seq, det, p_exc, gamma, eta, gate_factor=None):
+    """Each point's emission model, detector and pulse sequence, checked;
+    with gate_factor the gate opens as the drive ends and lasts gate_factor
+    lifetimes, and the period ends with it."""
+    for p, g, e in zip(p_exc.tolist(), gamma.tolist(), eta.tolist()):
+        det_k, seq_k = det, seq
+        if gate_factor is not None:
+            det_k = replace(det, gate_start=seq.excite_duration,
+                            gate_duration=gate_factor / g)
+            seq_k = replace(seq, rep_period=seq.excite_duration
+                            + det_k.gate_duration)
+        _validate_gate(seq_k, det_k)
+        yield (EmissionModel(p_excited=p, gamma=g, eta_into_cavity=e,
+                             decay_start=seq.excite_duration), det_k, seq_k)
+
+
+def _gate_histogram(t, det: DetectorConfig, n_bins: int):
     """Click arrival times binned across the gate: (bin mids, counts)."""
     edges = np.linspace(det.gate_start, det.gate_start + det.gate_duration,
                         n_bins + 1)
-    counts, _ = np.histogram(stream.t_in_pulse, bins=edges)
+    counts, _ = np.histogram(t, bins=edges)
     return 0.5 * (edges[:-1] + edges[1:]), counts
 
 
@@ -402,12 +406,14 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
                  background_per_pulse: float = 0.0,
                  n_bins: int = 64) -> LifetimeResult:
     """Time-tag the gated decay after each excitation pulse."""
-    emission, _, stream = _ion_clicks(
-        ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
-        laser_detuning_hz=laser_detuning_hz,
-        cavity_detuning_hz=cavity_detuning_hz,
+    emission, _, seq = next(_point_models(seq, det, *_ion_emission(
+        ion, cavity, emitter, seq, [cavity_detuning_hz],
+        laser_detuning_hz)[2:]))
+    stream = simulate_clicks(
+        emission, det, n_pulses, np.random.default_rng(seed),
+        rep_period=seq.rep_period,
         background_per_pulse=background_per_pulse, seed=seed)
-    mids, bin_counts = _gate_histogram(stream, det, n_bins)
+    mids, bin_counts = _gate_histogram(stream.t_in_pulse, det, n_bins)
     return LifetimeResult(stream=stream, bin_mids=mids,
                           bin_counts=bin_counts, gamma=float(emission.gamma),
                           p_excited=float(emission.p_excited))
@@ -445,8 +451,9 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     """Lifetime versus cavity-ion detuning, laser parked on the ion.
 
     The gate stretches with the expected lifetime so every point resolves
-    its own decay; each point's histogram is fit for gamma.  Points are
-    simulated in grid order and fitted a block at a time as one batch
+    its own decay; each point's histogram is fit for gamma.  The emission
+    of the whole grid is computed at once; points then draw and bin their
+    clicks in grid order, and are fitted a block at a time as one batch
     (fit_models), each exactly as a fit of its own.
     """
     detunings, ranks = _point_grid(detunings_hz, "detunings")
@@ -455,22 +462,25 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
 
     gamma_fit = np.full(len(detunings), np.nan)
     gamma_err = np.full(len(detunings), np.nan)
-    gamma_expected = np.empty(len(detunings))
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    points = zip(detunings, _point_rngs(seed, ranks))
+    _, _, p_exc, gamma_expected, eta = _ion_emission(ion, cavity, emitter,
+                                                     seq, detunings)
+    points = zip(_point_models(seq, det, p_exc, gamma_expected, eta,
+                               gate_factor), _point_rngs(seed, ranks))
     block = max(1, _FIT_BLOCK // n_bins)
     for start in range(0, len(detunings), block):
         rows = min(block, len(detunings) - start)
         mids = np.empty((rows, n_bins))
         hist = np.empty((rows, n_bins))
-        for j, (delta, rng) in enumerate(itertools.islice(points, rows)):
-            emission, det_k, stream = _ion_clicks(
-                ion, cavity, emitter, seq, det, pulses_per_point, rng,
-                cavity_detuning_hz=delta, gate_factor=gate_factor)
-            gamma_expected[start + j] = emission.gamma
-            gate_mids, hist[j] = _gate_histogram(stream, det_k, n_bins)
+        for j, ((emission, det_k, seq_k), rng) in enumerate(
+                itertools.islice(points, rows)):
+            pulse, t = draw_clicks(emission, det_k, pulses_per_point, rng,
+                                   rep_period=seq_k.rep_period)
+            if dead_time > 0:  # bin counts do not depend on click order
+                _, t = settle_clicks(pulse, t, dead_time)
+            gate_mids, hist[j] = _gate_histogram(t, det_k, n_bins)
             mids[j] = gate_mids - det_k.gate_start
         for j, fit in enumerate(fit_models(EXPONENTIAL, mids, hist)):
             if isinstance(fit, FitError):
@@ -562,9 +572,12 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
            background_per_pulse: float = 0.0,
            max_offset: int = 10) -> G2Result:
     """Pulse-wise autocorrelation of one driven ion."""
-    emission, _, stream = _ion_clicks(
-        ion, cavity, emitter, seq, det, n_pulses, np.random.default_rng(seed),
-        blink=blink, background_per_pulse=background_per_pulse, seed=seed)
+    emission, _, seq = next(_point_models(seq, det, *_ion_emission(
+        ion, cavity, emitter, seq, [0.0])[2:]))
+    stream = simulate_clicks(
+        emission, det, n_pulses, np.random.default_rng(seed),
+        rep_period=seq.rep_period, blink=blink,
+        background_per_pulse=background_per_pulse, seed=seed)
     if not len(stream):  # a numeric outcome, not a bad input
         raise FitError(f"no click in {n_pulses} pulses: g2 is undefined")
     offsets, g2, stderr = g2_pulsed(stream, max_offset)

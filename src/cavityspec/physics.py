@@ -135,23 +135,12 @@ def coupling_at_depth(g_if, z, z_half):
     return g_if * np.exp2(-z / (2.0 * z_half))
 
 
-def emission_rate_from_dipole(d, beta, n_host, omega):
-    """Bulk decay rate of a dipole d inside a host of index n_host.
-
-    gamma0 = (1/beta) * (3 n^2 / (2 n^2 + 1))^2 * n * d^2 omega^3 / (3 pi eps0 hbar c^3),
-    with the local-field correction for a substitutional site.
-    """
-    _require_positive(d=d, beta=beta, n_host=n_host, omega=omega)
-    lfc = 3.0 * n_host**2 / (2.0 * n_host**2 + 1.0)
-    d = np.asarray(d, dtype=float)
-    return (lfc**2 * n_host * d**2 * omega**3 /
-            (3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3)) / beta
-
-
 def dipole_from_lifetime(gamma0, beta, n_host, omega):
     """Transition dipole moment (C m) that reproduces a bulk decay rate.
 
-    Inverts emission_rate_from_dipole for d.
+    Inverts gamma0 = (1/beta) (3 n^2 / (2 n^2 + 1))^2 n d^2 omega^3
+    / (3 pi eps0 hbar c^3), the rate of a dipole d inside a host of index
+    n with the local-field correction for a substitutional site.
     """
     _require_positive(gamma0=gamma0, beta=beta, n_host=n_host, omega=omega)
     lfc = 3.0 * n_host**2 / (2.0 * n_host**2 + 1.0)
@@ -159,21 +148,6 @@ def dipole_from_lifetime(gamma0, beta, n_host, omega):
     d_sq = (gamma0 * beta * 3.0 * math.pi * EPSILON_0 * HBAR * C_LIGHT**3 /
             (lfc**2 * n_host * omega**3))
     return np.sqrt(d_sq)
-
-
-def cavity_reflection(delta, kappa, eta_cav):
-    """Single-sided reflectance |1 - 2 eta_cav / (1 + 2i delta/kappa)|^2.
-
-    delta is the angular detuning from cavity resonance.
-    """
-    _require_positive(kappa=kappa)
-    if not np.all(np.isfinite(np.asarray(delta, dtype=float))):
-        raise DomainError(f"delta must be finite, got {delta!r}")
-    if not 0.0 <= eta_cav <= 1.0:
-        raise DomainError(f"eta_cav must lie in [0, 1], got {eta_cav}")
-    delta = np.asarray(delta, dtype=float)
-    amp = 1.0 - 2.0 * eta_cav / (1.0 + 2.0j * delta / kappa)
-    return np.abs(amp) ** 2
 
 
 def eta_cav_from_contrast(contrast, undercoupled=True):

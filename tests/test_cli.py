@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line interface.
 
-Everything runs main() in process; bundles land in pytest tmp dirs.
+Everything runs main() in process, except where a child process must show
+what native code writes to the streams; bundles land in pytest tmp dirs.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -540,3 +543,23 @@ def test_fit_bunching_skips_zero_offset(tmp_path):
         fit = json.load(fh)
     assert fit["params"]["amplitude"] == pytest.approx(0.8, rel=1e-6)
     assert fit["params"]["switch_time"] == pytest.approx(4.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("model", ["exponential", "linear"])
+@pytest.mark.parametrize("x", ["0.0", "1e-170"])
+def test_fit_on_a_zero_x_column_prints_one_error_line(tmp_path, model, x):
+    """polyfit would scale an x whose squares sum to zero by 1/0, and
+    LAPACK would print its complaint on the process's stdout, out of reach
+    of Python's stream capture; so the CLI runs in a child process."""
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + f"{x},5.0\n{x},3.0\n" * 3)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cavityspec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "fit", str(data), "--model", model],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: initial guess failed: x is zero, or too "
+                           "small to square in double precision\n")

@@ -22,7 +22,6 @@ from cavityspec.detection import (
     _click_order,
     _prune_dead_time,
     _telegraph_bright,
-    bunching_profile,
     g2_background_floor,
     g2_pulsed,
     simulate_clicks,
@@ -32,6 +31,14 @@ from cavityspec.errors import ConfigError, DomainError
 WIDE_GATE = DetectorConfig(eta_total=1.0, dark_rate=0.0, gate_start=0.0,
                            gate_duration=1.0)
 FAST_DECAY = 1e6  # photons land well inside any gate used here
+
+
+def bunching_profile(blink, rep_period, max_offset):
+    """Blinking envelope g2(m) = 1 + ((1-p)/p) exp(-m T / tau) for m >= 0:
+    the oracle the blinking click streams are checked against."""
+    m = np.arange(max_offset + 1)
+    p = blink.p_bright
+    return 1.0 + ((1.0 - p) / p) * np.exp(-m * rep_period / blink.switch_time)
 
 
 def _counts(stream):

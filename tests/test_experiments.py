@@ -1,15 +1,19 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cavityspec import experiments, output
 from cavityspec.config import build_config
 from cavityspec.constants import TWO_PI
-from cavityspec.detection import BlinkConfig, DetectorConfig, g2_background_floor
+from cavityspec.detection import (BlinkConfig, DetectorConfig, EmissionModel,
+                                  g2_background_floor, simulate_clicks)
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
-from cavityspec.analysis import EXPONENTIAL, fit_model
+from cavityspec.analysis import EXPONENTIAL, _pow, fit_model, fit_models
 from cavityspec.errors import ConfigError, DomainError, FitError
 from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
                                     expected_linewidth, fit_enhancement,
@@ -233,6 +237,77 @@ def _default_sweep(seed, **changes):
              cfg["cavity_sweep", "pulses_per_point"], seed), kwargs)
 
 
+# The sweep's per-point path before the emission of its whole grid was
+# computed at once, kept verbatim: run_cavity_sweep must equal it bit for bit.
+
+def _loop_ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *,
+                     laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
+                     gate_factor=None, **clicks):
+    roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / cavity.kappa) ** 2
+    n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
+                                     cavity.kappa, emitter.omega) / roll
+    p_exc, gamma, eta = experiments._excitation(
+        n_ph, ion.g, ion.purcell / roll, TWO_PI * laser_detuning_hz, emitter,
+        seq.excite_duration)
+    if gate_factor is not None:
+        det = replace(det, gate_start=seq.excite_duration,
+                      gate_duration=gate_factor / gamma)
+        seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
+    experiments._validate_gate(seq, det)
+    emission = EmissionModel(p_excited=p_exc, gamma=gamma,
+                             eta_into_cavity=eta,
+                             decay_start=seq.excite_duration)
+    stream = simulate_clicks(emission, det, n_pulses, rng,
+                             rep_period=seq.rep_period, **clicks)
+    return emission, det, stream
+
+
+def _loop_gate_histogram(stream, det, n_bins):
+    edges = np.linspace(det.gate_start, det.gate_start + det.gate_duration,
+                        n_bins + 1)
+    counts, _ = np.histogram(stream.t_in_pulse, bins=edges)
+    return 0.5 * (edges[:-1] + edges[1:]), counts
+
+
+def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
+                     pulses_per_point, seed, *, eta_total, dark_rate,
+                     dead_time, n_bins, gate_factor):
+    detunings, ranks = experiments._point_grid(detunings_hz, "detunings")
+    gamma_fit = np.full(len(detunings), np.nan)
+    gamma_err = np.full(len(detunings), np.nan)
+    gamma_expected = np.empty(len(detunings))
+    converged = np.zeros(len(detunings), dtype=bool)
+    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
+                         dead_time=dead_time)
+    points = zip(detunings, experiments._point_rngs(seed, ranks))
+    block = max(1, experiments._FIT_BLOCK // n_bins)
+    for start in range(0, len(detunings), block):
+        rows = min(block, len(detunings) - start)
+        mids = np.empty((rows, n_bins))
+        hist = np.empty((rows, n_bins))
+        for j, (delta, rng) in enumerate(itertools.islice(points, rows)):
+            emission, det_k, stream = _loop_ion_clicks(
+                ion, cavity, emitter, seq, det, pulses_per_point, rng,
+                cavity_detuning_hz=delta, gate_factor=gate_factor)
+            gamma_expected[start + j] = emission.gamma
+            gate_mids, hist[j] = _loop_gate_histogram(stream, det_k, n_bins)
+            mids[j] = gate_mids - det_k.gate_start
+        for j, fit in enumerate(fit_models(EXPONENTIAL, mids, hist)):
+            if isinstance(fit, FitError):
+                continue
+            tau = fit.params["tau"]
+            with np.errstate(over="ignore"):
+                err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
+            if (fit.converged and tau > mids[j, 1] - mids[j, 0]
+                    and np.isfinite(err)):
+                gamma_fit[start + j] = 1.0 / tau
+                gamma_err[start + j] = float(err)
+                converged[start + j] = True
+    purcell = gamma_fit / emitter.gamma0 - 1.0
+    return [detunings, gamma_fit, gamma_err, gamma_expected, purcell,
+            converged]
+
+
 def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
                       seed, *, eta_total, dark_rate, dead_time, n_bins,
                       gate_factor):
@@ -246,10 +321,10 @@ def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
                          dead_time=dead_time)
     for k, (delta, rng) in enumerate(zip(
             detunings, experiments._point_rngs(seed, ranks))):
-        _, det_k, stream = experiments._ion_clicks(
+        _, det_k, stream = _loop_ion_clicks(
             ion, cavity, emitter, seq, det, pulses_per_point, rng,
             cavity_detuning_hz=delta, gate_factor=gate_factor)
-        mids, hist = experiments._gate_histogram(stream, det_k, n_bins)
+        mids, hist = _loop_gate_histogram(stream, det_k, n_bins)
         mids = mids - det_k.gate_start
         try:
             fit = fit_model(EXPONENTIAL, mids, hist.astype(float))
@@ -289,6 +364,89 @@ def test_sweep_fit_blocks_do_not_change_the_sweep(monkeypatch, rows):
     blocked = run_cavity_sweep(*args, **kwargs)
     for a, b in zip(_sweep_arrays(whole), _sweep_arrays(blocked)):
         np.testing.assert_array_equal(a, b)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("seed,changes,block_rows", [
+    (0, {}, None),
+    (7, {"dead_time": 50e-9}, None),
+    # ~0.4 dark clicks a pulse: the dead time drops a few dozen a point
+    (8, {"dead_time": 3e-6, "dark_rate": 2e3}, None),
+    (9, {"dark_rate": 0.0}, None),
+    (0, {"n_bins": 1}, None),
+    (1, {"n_bins": 3}, None),
+    (2, {"detunings": [0.0]}, None),
+    (3, {"dead_time": 50e-9}, 5),  # 13 points in fit blocks of 5
+], ids=["default", "dead-50ns", "dead-3us-dark", "no-dark", "one-bin",
+        "three-bins", "one-point", "fit-blocks"])
+def test_sweep_equals_the_per_point_loop(monkeypatch, seed, changes,
+                                         block_rows):
+    args, kwargs = _default_sweep(seed, **changes)
+    if "detunings" in kwargs:
+        args = args[:4] + (np.array(kwargs.pop("detunings")),) + args[5:]
+    if block_rows is not None:
+        monkeypatch.setattr(experiments, "_FIT_BLOCK",
+                            block_rows * kwargs["n_bins"])
+    got = _sweep_arrays(run_cavity_sweep(*args, **kwargs))
+    for a, b in zip(got, _per_point_sweep(*args, **kwargs), strict=True):
+        assert _same_bits(a, b)
+
+
+# cavity detunings (Hz) at which numpy's array square of 2 delta / kappa,
+# at the default kappa, differs in the last bit from libm's pow
+POW_SQUARE_SPLITS = [3772001000.0, 2975122000.0, 6753515000.0,
+                     -4526899000.0]
+
+
+def _one_point_emission(ion, seq, cavity_detuning_hz, laser_detuning_hz):
+    """The one-point physics of _loop_ion_clicks, on scalars."""
+    roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / CAV.kappa) ** 2
+    n_ph = intracavity_photon_number(seq.input_power, CAV.eta_cav,
+                                     CAV.kappa, EMITTER.omega) / roll
+    p_exc, gamma, eta = experiments._excitation(
+        n_ph, ion.g, ion.purcell / roll, TWO_PI * laser_detuning_hz, EMITTER,
+        seq.excite_duration)
+    return roll, n_ph, p_exc, gamma, eta
+
+
+@given(detunings=st.lists(st.floats(-1e12, 1e12)
+                          | st.sampled_from(POW_SQUARE_SPLITS),
+                          min_size=1, max_size=12, unique=True),
+       power=st.floats(0.0, 1e-6), purcell=st.floats(0.0, 1e4),
+       gate_factor=st.floats(1e-3, 1000.0) | st.just(1000.0),
+       laser_hz=st.just(0.0) | st.floats(-1e10, 1e10))
+@example(detunings=POW_SQUARE_SPLITS, power=5e-9, purcell=320.0,
+         gate_factor=6.0, laser_hz=0.0)
+def test_grid_emission_equals_one_point_calls(detunings, power, purcell,
+                                              gate_factor, laser_hz):
+    v = 2.0 * (TWO_PI * np.array(POW_SQUARE_SPLITS)) / CAV.kappa
+    assert np.all(v ** 2 != _pow(v, 2))
+    ion = _ion(purcell=purcell)
+    seq = PulseSequence(input_power=power)
+    grid = np.array(detunings)
+    columns = experiments._ion_emission(ion, CAV, EMITTER, seq, grid,
+                                        laser_hz)
+    models = experiments._point_models(
+        seq, DetectorConfig(eta_total=0.04, dark_rate=0.0), *columns[2:],
+        gate_factor)
+    for k, (delta, (emission, det_k, seq_k)) in enumerate(
+            zip(grid, models, strict=True)):
+        # an element of the sweep's grid, and a config's float
+        for one in (delta, float(delta)):
+            ref = _one_point_emission(ion, seq, one, laser_hz)
+            for column, value in zip(columns, ref, strict=True):
+                assert _same_bits(column[k], np.float64(value))
+        gate = gate_factor / ref[3]
+        assert _same_bits(det_k.gate_duration, gate)
+        assert _same_bits(seq_k.rep_period, seq.excite_duration + gate)
+        assert det_k.gate_start == seq.excite_duration == emission.decay_start
+        assert (emission.p_excited, emission.gamma,
+                emission.eta_into_cavity) == ref[2:]
 
 
 def test_sweep_with_too_few_bins_keeps_nan_rows():
