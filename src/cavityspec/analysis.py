@@ -38,14 +38,9 @@ class FitResult:
     history: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "stderr": self.stderr,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
+        return {k: getattr(self, k) for k in ("model", "params", "stderr",
+                                              "residual_norm", "converged",
+                                              "n_iter")}
 
 
 def _columns(p):
@@ -75,7 +70,14 @@ def _line(x, y):
     return np.polyfit(x, y, 1)
 
 
-class ExponentialModel:
+class _Model:
+    """A fit model whose fitted parameters are reported as they are."""
+
+    def canonical(self, p):
+        return p
+
+
+class ExponentialModel(_Model):
     """amplitude * exp(-x / tau) + offset"""
 
     name = "exponential"
@@ -107,11 +109,33 @@ class ExponentialModel:
             tau0 = span / 3.0
         return np.array([a0, tau0, c0])
 
+
+class _PeakModel(_Model):
+    """A peak over an offset, (amplitude, center, width, offset), whose
+    width is reported positive."""
+
+    sigma = False  # the width is a FWHM; a Gaussian's is its sigma
+
+    def initial_guess(self, x, y):
+        c0 = float(np.percentile(y, 10))
+        i_pk = int(np.argmax(y))
+        a0 = float(y[i_pk] - c0)
+        if a0 <= 0:
+            a0 = float(np.max(y) - np.min(y)) or 1.0
+        above = y >= c0 + a0 / 2.0
+        w0 = float(np.ptp(x[above])) if np.count_nonzero(above) >= 2 else 0.0
+        w0 = w0 or float(np.ptp(x)) / 10.0
+        if self.sigma:
+            return np.array([a0, float(x[i_pk]), w0 / 2.3548, c0])
+        return np.array([a0, float(x[i_pk]), w0, c0])
+
     def canonical(self, p):
+        p = p.copy()
+        p[..., 2] = abs(p[..., 2])
         return p
 
 
-class LorentzianModel:
+class LorentzianModel(_PeakModel):
     """amplitude / (1 + (2 (x - center) / width)^2) + offset"""
 
     name = "lorentzian"
@@ -133,20 +157,13 @@ class LorentzianModel:
             np.ones_like(x),
         ], axis=-1)
 
-    def initial_guess(self, x, y):
-        return _peak_guess(x, y, sigma=False)
 
-    def canonical(self, p):
-        p = p.copy()
-        p[..., 2] = abs(p[..., 2])
-        return p
-
-
-class GaussianModel:
+class GaussianModel(_PeakModel):
     """amplitude * exp(-(x - center)^2 / (2 sigma^2)) + offset"""
 
     name = "gaussian"
     param_names = ("amplitude", "center", "sigma", "offset")
+    sigma = True
 
     def __call__(self, x, p):
         a, x0, s, c = _columns(p)
@@ -159,16 +176,8 @@ class GaussianModel:
         return np.stack([e, a * e * d / _pow(s, 2), a * e * d * d / _pow(s, 3),
                          np.ones_like(x)], axis=-1)
 
-    def initial_guess(self, x, y):
-        return _peak_guess(x, y, sigma=True)
 
-    def canonical(self, p):
-        p = p.copy()
-        p[..., 2] = abs(p[..., 2])
-        return p
-
-
-class LinearModel:
+class LinearModel(_Model):
     """slope * x + intercept"""
 
     name = "linear"
@@ -184,11 +193,8 @@ class LinearModel:
     def initial_guess(self, x, y):
         return np.asarray(_line(x, y), dtype=float)
 
-    def canonical(self, p):
-        return p
 
-
-class BunchingModel:
+class BunchingModel(_Model):
     """1 + amplitude * exp(-x / switch_time); the uncorrelated level is pinned."""
 
     name = "bunching"
@@ -210,26 +216,6 @@ class BunchingModel:
         drop = y - 1.0 < a0 / math.e
         tau0 = float(x[np.argmax(drop)]) if np.any(drop) else float(x[-1]) / 3.0
         return np.array([a0, tau0 if tau0 > 0 else float(x[-1]) / 3.0])
-
-    def canonical(self, p):
-        return p
-
-
-def _peak_guess(x, y, sigma):
-    c0 = float(np.percentile(y, 10))
-    i_pk = int(np.argmax(y))
-    a0 = float(y[i_pk] - c0)
-    if a0 <= 0:
-        a0 = float(np.max(y) - np.min(y)) or 1.0
-    above = y >= c0 + a0 / 2.0
-    if np.count_nonzero(above) >= 2:
-        w0 = float(np.ptp(x[above]))
-    else:
-        w0 = float(np.ptp(x)) / 10.0
-    w0 = w0 or float(np.ptp(x)) / 10.0
-    if sigma:
-        return np.array([a0, float(x[i_pk]), w0 / 2.3548, c0])
-    return np.array([a0, float(x[i_pk]), w0, c0])
 
 
 EXPONENTIAL = ExponentialModel()
@@ -544,10 +530,8 @@ def fit_peak_density(peaks: PeakList, *, n_bins=40, mask_ranges=(),
     if np.count_nonzero(valid) <= 5:
         raise FitError("mask leaves too few histogram bins")
     fit = fit_model(GAUSSIAN, mids[valid], counts[valid].astype(float))
-    model_counts = GAUSSIAN(mids, np.array([fit.params["amplitude"],
-                                            fit.params["center"],
-                                            fit.params["sigma"],
-                                            fit.params["offset"]]))
+    model_counts = GAUSSIAN(mids, np.array([fit.params[k]
+                                            for k in GAUSSIAN.param_names]))
     hidden = float(np.sum(np.maximum(model_counts[~valid]
                                      - fit.params["offset"], 0.0)))
     return DensityEstimate(

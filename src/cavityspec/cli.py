@@ -38,7 +38,8 @@ def _execute(cfg: RunConfig, outdir: str, fmt: str) -> list[str]:
     if fmt == "json":
         name = cfg.experiment + ".json"
         payload = {"header": meta,
-                   "columns": {k: [float(x) for x in arr] for k, arr in cols}}
+                   "columns": {k: np.asarray(arr, dtype=float).tolist()
+                               for k, arr in cols}}
         write_json_atomic(os.path.join(outdir, name), payload)
     else:
         name = cfg.experiment + ".csv"
@@ -111,11 +112,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _estimate_noise(y: np.ndarray) -> float:
-    mad = float(np.median(np.abs(y - np.median(y))))
-    return 1.4826 * mad
-
-
 def _cmd_fit(args) -> int:
     header, cols = read_csv(args.data)
     names = list(cols)
@@ -136,8 +132,8 @@ def _cmd_fit(args) -> int:
     if args.model == "peaks":
         baseline = float(np.median(y))
         noise = args.noise_sigma
-        if noise is None:
-            noise = _estimate_noise(y)
+        if noise is None:  # the median absolute deviation, as a sigma
+            noise = 1.4826 * float(np.median(np.abs(y - baseline)))
             if noise <= 0:
                 raise ConfigError("noise sigma is zero; pass --noise-sigma")
         peaks = count_peaks(x, y - baseline, width=args.width,
@@ -145,8 +141,8 @@ def _cmd_fit(args) -> int:
         result = {"model": "peaks", "count": peaks.count,
                   "width": args.width, "noise_sigma": noise,
                   "baseline": baseline,
-                  "centers": [float(c) for c in peaks.centers],
-                  "amplitudes": [float(a) for a in peaks.amplitudes]}
+                  "centers": peaks.centers.tolist(),
+                  "amplitudes": peaks.amplitudes.tolist()}
         print(f"peaks found: {peaks.count} (width {args.width:g}, "
               f"threshold {PEAK_THRESHOLD:g} x {noise:g})")
         write_json_atomic(out_path, result)

@@ -91,7 +91,7 @@ class DriveParams:
 class SpinRelaxParams:
     """Ground-state spin relaxation inputs (practical units)."""
 
-    temperature: float           # K
+    temperature: float | np.ndarray  # K, one value or an array
     spin_splitting: float        # GHz
     a_direct: float = 5.0e-5     # s^-1 GHz^-5
     a_raman: float = 1.3e-3      # s^-1 K^-9
@@ -99,7 +99,8 @@ class SpinRelaxParams:
     delta_orbach: float = 6.4    # meV
 
     def __post_init__(self):
-        if not (self.temperature > 0 and self.spin_splitting > 0):
+        if not (np.all(np.asarray(self.temperature) > 0)
+                and self.spin_splitting > 0):
             raise DomainError("temperature and spin_splitting must be positive")
         if any(c < 0 for c in (self.a_direct, self.a_raman, self.a_orbach)):
             raise DomainError("a_direct, a_raman and a_orbach must be "
@@ -109,8 +110,9 @@ class SpinRelaxParams:
 
 
 class SpinT1(NamedTuple):
-    seconds: float
-    underflow: bool  # True when every channel underflowed to zero rate
+    seconds: float | np.ndarray
+    underflow: bool | np.ndarray  # True where every channel gave zero rate
+    rate: float | np.ndarray      # s^-1, from spin_relaxation_rate
 
 
 @dataclass
@@ -439,21 +441,26 @@ def window_capture_fraction(gamma, gate_start, gate_duration, decay_start):
     return np.exp(-gamma * lead) - np.exp(-gamma * tail)
 
 
-def spin_relaxation_rate(params: SpinRelaxParams) -> float:
-    """Total 1/T1 in s^-1: direct (single-phonon), Raman, and Orbach channels."""
+def spin_relaxation_rate(params: SpinRelaxParams) -> float | np.ndarray:
+    """Total 1/T1 in s^-1 (inf past the float range): direct (single-phonon),
+    Raman, and Orbach channels, at one temperature or an array of them."""
     nu_ghz = params.spin_splitting
-    t = params.temperature
+    t = np.asarray(params.temperature, dtype=float)
     x = H_PLANCK * nu_ghz * 1e9 / (2.0 * K_BOLTZMANN * t)
-    direct = params.a_direct * nu_ghz**5 / math.tanh(x)
-    raman = params.a_raman * t**9
-    orbach = params.a_orbach * math.exp(
-        -params.delta_orbach * 1e-3 * E_CHARGE / (K_BOLTZMANN * t))
-    return direct + raman + orbach
+    with np.errstate(over="ignore"):
+        direct = params.a_direct * nu_ghz**5 / np.tanh(x)
+        raman = params.a_raman * t**9
+        orbach = params.a_orbach * np.exp(
+            -params.delta_orbach * 1e-3 * E_CHARGE / (K_BOLTZMANN * t))
+        rate = direct + raman + orbach
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def spin_t1(params: SpinRelaxParams) -> SpinT1:
-    """Spin lifetime; flags the (unphysical-input) case of a zero total rate."""
+    """Spin lifetime 1/rate, per temperature; flags the (unphysical-input)
+    case of a zero total rate, whose lifetime is inf."""
     rate = spin_relaxation_rate(params)
-    if rate <= 0.0:
-        return SpinT1(math.inf, True)
-    return SpinT1(1.0 / rate, False)
+    with np.errstate(divide="ignore", over="ignore"):
+        seconds = np.divide(1.0, rate)
+    return SpinT1(seconds if np.ndim(rate) else float(seconds), rate <= 0.0,
+                  rate)

@@ -165,6 +165,8 @@ def sample_ensemble(cfg: EnsembleConfig, cavity: CavityParams,
 
 
 MAX_QUADRATURE_CELLS = 100_000_000  # ~8x the default region's grid
+DEPTH_STEP = 1e-9        # m, quadrature step in z
+TRANSVERSE_STEP = 5e-9   # m, quadrature step in x and y
 # (fraction, depth) thresholds compared per block by ions_above_purcell:
 # ~8 MB for each temporary array
 _THRESHOLD_BLOCK = 1_000_000
@@ -172,14 +174,12 @@ _THRESHOLD_BLOCK = 1_000_000
 
 def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
                        p_star_fraction,
-                       envelope: TransverseEnvelope | None = None,
-                       depth_step: float = 1e-9,
-                       transverse_step: float = 5e-9):
+                       envelope: TransverseEnvelope | None = None):
     """Expected number of ions with P >= p_star_fraction * P_max.
 
     P(r)/P_max = 2^(-z/z_half) * envelope(x, y)^2, so the count is the
     site-1 density times the volume where that product clears the fraction,
-    integrated on a midpoint grid (depth_step in z, transverse_step in x/y).
+    integrated on a midpoint grid (DEPTH_STEP in z, TRANSVERSE_STEP in x/y).
     p_star_fraction is one fraction or an array of them; the result is a
     float or an array of the same shape.
     """
@@ -191,13 +191,13 @@ def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
     if envelope is None:
         envelope = TransverseEnvelope()
     lx, ly, lz = cfg.region
-    cells = (lx / transverse_step) * (ly / transverse_step) * (lz / depth_step)
+    cells = (lx / TRANSVERSE_STEP) * (ly / TRANSVERSE_STEP) * (lz / DEPTH_STEP)
     if not cells <= MAX_QUADRATURE_CELLS:
         raise DomainError(f"region {cfg.region} needs {cells:.3g} quadrature "
                           f"cells, more than {MAX_QUADRATURE_CELLS:,}")
-    nx = max(2, int(round(lx / transverse_step)))
-    ny = max(2, int(round(ly / transverse_step)))
-    nz = max(2, int(round(lz / depth_step)))
+    nx = max(2, int(round(lx / TRANSVERSE_STEP)))
+    ny = max(2, int(round(ly / TRANSVERSE_STEP)))
+    nz = max(2, int(round(lz / DEPTH_STEP)))
     x = (np.arange(nx) + 0.5) * lx / nx - lx / 2.0
     y = (np.arange(ny) + 0.5) * ly / ny - ly / 2.0
     z = (np.arange(nz) + 0.5) * lz / nz

@@ -29,8 +29,7 @@ from .detection import (BlinkConfig, ClickStream, DetectorConfig,
                         EmissionModel, draw_clicks, g2_background_floor,
                         g2_pulsed, settle_clicks, simulate_clicks)
 from .dynamics import (SpinRelaxParams, intracavity_photon_number,
-                       pulse_excitation, spin_relaxation_rate,
-                       window_capture_fraction)
+                       pulse_excitation, spin_t1, window_capture_fraction)
 from .ensemble import (IonRecord, ZeemanConfig, ions_above_purcell,
                        sample_ensemble, zeeman_lines, zeeman_splitting)
 from .errors import ConfigError, DomainError, FitError
@@ -629,7 +628,10 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
             f"the scan at {b:g} T, splitting over linewidth (gamma0, "
             "gamma_dephasing, purcell, power),"))
         n_half = int(math.ceil(span / 2.0 / step))
-        grid = ion.f0 + np.arange(-n_half, n_half + 1) * step
+        grid = _centred_grid(ion.f0, np.arange(-n_half, n_half + 1) * step,
+                             f"[ion] offset: the scan at {b:g} T steps below "
+                             "the float spacing at the line centre (frequency,"
+                             " offset; gamma0, gamma_dephasing, purcell, power)")
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
                             pulses_per_point, _child_seed(seed, i),
                             zeeman=cfg)
@@ -668,6 +670,15 @@ def _check_grid_size(n_points: float, where: str,
                           f"points, more than {MAX_GRID_POINTS:,}")
 
 
+def _centred_grid(centre: float, offsets: np.ndarray,
+                  error: str) -> np.ndarray:
+    """centre + offsets; ConfigError(error) if float spacing merges points."""
+    grid = centre + offsets
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigError(error)
+    return grid
+
+
 def scan_grid(cfg: RunConfig) -> np.ndarray:
     """[scan] laser grid: symmetric around the centre, masked intervals
     removed."""
@@ -682,11 +693,9 @@ def scan_grid(cfg: RunConfig) -> np.ndarray:
         keep &= ~((offsets >= lo) & (offsets <= hi))
     if not np.any(keep):
         raise ConfigError("[scan]: mask removes every grid point")
-    grid = cfg.cavity.f_cav + cfg["scan", "center_offset"] + offsets[keep]
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigError("[scan] step: below the float spacing at the scan "
-                          "centre (frequency, center_offset)")
-    return grid
+    return _centred_grid(cfg.cavity.f_cav + cfg["scan", "center_offset"],
+                         offsets[keep], "[scan] step: below the float spacing "
+                         "at the scan centre (frequency, center_offset)")
 
 
 def temperature_grid(cfg: RunConfig) -> np.ndarray:
@@ -816,16 +825,14 @@ def _spin_t1(cfg: RunConfig):
     nu_ghz = cfg["spin_t1", "nu"] / 1e9
     if not nu_ghz > 0:
         raise ConfigError("[spin_t1] nu: must be positive")
-    rates = np.array([spin_relaxation_rate(SpinRelaxParams(
-        temperature=float(t), spin_splitting=nu_ghz,
+    t1 = spin_t1(SpinRelaxParams(
+        temperature=temps, spin_splitting=nu_ghz,
         a_direct=cfg["spin_t1", "a_direct"],
         a_raman=cfg["spin_t1", "a_raman"],
         a_orbach=cfg["spin_t1", "a_orbach"],
-        delta_orbach=cfg["spin_t1", "delta_orbach"])) for t in temps],
-        dtype=float)
-    with np.errstate(divide="ignore"):
-        t1 = np.where(rates > 0, 1.0 / np.maximum(rates, 1e-300), np.inf)
-    cols = [("temperature_k", temps), ("rate_per_s", rates), ("t1_s", t1)]
+        delta_orbach=cfg["spin_t1", "delta_orbach"]))
+    cols = [("temperature_k", temps), ("rate_per_s", t1.rate),
+            ("t1_s", t1.seconds)]
     return cols, {"config_hash": None, "nu_ghz": nu_ghz, "seed": cfg.seed}, None
 
 

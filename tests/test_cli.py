@@ -258,6 +258,24 @@ def test_oversized_purcell_stats_region_exits_2(tmp_path, capsys,
     assert err.startswith("error: ") and "region" in err
 
 
+# a line centre so far out that the scan's step falls below its float
+# spacing: each refusal names the key that moved the centre
+FAR_CENTRES = [("zeeman", "[ion]\noffset = 1e+14 GHz", "[ion] offset"),
+               ("ple", "[scan]\ncenter_offset = 1e+14 GHz", "center_offset")]
+
+
+@pytest.mark.parametrize("experiment,text,key", FAR_CENTRES,
+                         ids=[e for e, _, _ in FAR_CENTRES])
+def test_scan_below_float_spacing_exits_2_naming_key(tmp_path, capsys,
+                                                     experiment, text, key):
+    cfg = _write_cfg(tmp_path, f"experiment = {experiment}\n{text}\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "float spacing" in err
+    assert not (out / f"{experiment}-seed7").exists()
+
+
 def test_seed_flag_changes_data_not_config_hash(tmp_path):
     cfg = _write_cfg(tmp_path, "experiment = g2\n\n[g2]\nn_pulses = 20000\n")
     a = str(tmp_path / "a")

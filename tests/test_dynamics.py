@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from cavityspec.constants import TWO_PI
+from cavityspec.constants import E_CHARGE, H_PLANCK, K_BOLTZMANN, TWO_PI
 from cavityspec.dynamics import (
     GROUND,
     BlochState,
@@ -203,6 +204,80 @@ def test_spin_t1_underflow_flagged():
     assert math.isinf(result.seconds)
 
 
+def _math_rate(t, nu_ghz, a_direct, a_raman, a_orbach, delta_orbach):
+    """The total spin relaxation rate at one temperature, with math, as
+    spin_relaxation_rate computed it before it took arrays: the oracle."""
+    x = H_PLANCK * nu_ghz * 1e9 / (2.0 * K_BOLTZMANN * t)
+    direct = a_direct * nu_ghz**5 / math.tanh(x)
+    raman = a_raman * t**9
+    orbach = a_orbach * math.exp(
+        -delta_orbach * 1e-3 * E_CHARGE / (K_BOLTZMANN * t))
+    return direct + raman + orbach
+
+
+def _coefficient(lo_exp, hi_exp):
+    return st.one_of(st.just(0.0), st.floats(lo_exp, hi_exp).map(
+        lambda e: 10.0**e))
+
+
+# one rate channel is at most a few rounded operations plus one
+# transcendental call (tanh, power or exp), each a few ulp from libm's
+RATE_ULPS = 8
+
+
+@given(temps=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=16),
+       nu_ghz=st.floats(1e-3, 100.0),
+       a_direct=_coefficient(-10, 0), a_raman=_coefficient(-8, 0),
+       a_orbach=_coefficient(4, 14), delta_orbach=st.floats(0.1, 50.0))
+# the default coefficients; and Orbach alone, where it underflows to zero
+# below ~0.1 K and is subnormal just above
+@example(temps=[2.0, 2.5, 4.0, 8.0], nu_ghz=9.0, a_direct=5e-5,
+         a_raman=1.3e-3, a_orbach=2.5e10, delta_orbach=6.4)
+@example(temps=[0.01, 0.0995, 0.0998, 0.1, 0.11], nu_ghz=1e-3,
+         a_direct=0.0, a_raman=0.0, a_orbach=2.5e10, delta_orbach=6.4)
+def test_array_rate_matches_the_math_formula(temps, nu_ghz, a_direct,
+                                             a_raman, a_orbach,
+                                             delta_orbach):
+    coefficients = dict(a_direct=a_direct, a_raman=a_raman,
+                        a_orbach=a_orbach, delta_orbach=delta_orbach)
+    params = SpinRelaxParams(temperature=np.array(temps),
+                             spin_splitting=nu_ghz, **coefficients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = spin_relaxation_rate(params)
+        t1 = spin_t1(params)
+    oracle = np.array([_math_rate(t, nu_ghz, a_direct, a_raman, a_orbach,
+                                  delta_orbach) for t in temps])
+    assert rates.shape == oracle.shape
+    np.testing.assert_array_equal(rates == 0.0, oracle == 0.0)
+    # positive floats order like their bit patterns; an Orbach term whose
+    # exp is subnormal keeps one subnormal step of error, times a_orbach
+    ulps = np.abs(rates.view(np.int64) - oracle.view(np.int64))
+    slack = (np.abs(rates - oracle)
+             <= a_orbach * 5e-324 + RATE_ULPS * np.spacing(oracle))
+    assert np.all((ulps <= RATE_ULPS) | slack), (ulps.max(), rates, oracle)
+    np.testing.assert_array_equal(t1.rate, rates)
+    for i, t in enumerate(temps):
+        one = spin_t1(SpinRelaxParams(temperature=t, spin_splitting=nu_ghz,
+                                      **coefficients))
+        assert (one.seconds, one.underflow, one.rate) == \
+            (t1.seconds[i], t1.underflow[i], t1.rate[i])
+        assert type(one.seconds) is float and type(one.rate) is float
+
+
+def test_zero_rate_gives_infinite_t1_without_warnings():
+    params = SpinRelaxParams(temperature=np.array([0.01, 0.05, 0.1, 4.0]),
+                             spin_splitting=1e-3, a_direct=0.0, a_raman=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = spin_t1(params)
+    np.testing.assert_array_equal(result.underflow,
+                                  [True, True, False, False])
+    assert np.all(np.isinf(result.seconds[:2]))
+    assert 0.0 < result.rate[2] < 1e-300 and np.isinf(result.seconds[2])
+    assert result.seconds[3] == 1.0 / result.rate[3]
+
+
 def test_parameter_validation():
     with pytest.raises(DomainError):
         DriveParams(1.0, 0.0, 0.0, 0.0)
@@ -224,6 +299,9 @@ def test_parameter_validation():
         SpinRelaxParams(temperature=-1.0, spin_splitting=9.0)
     with pytest.raises(DomainError):
         SpinRelaxParams(temperature=4.0, spin_splitting=9.0, a_raman=-1.0)
+    for temps in ([4.0, 0.0], [4.0, -1.0], [4.0, math.nan]):
+        with pytest.raises(DomainError, match="temperature and spin_"):
+            SpinRelaxParams(temperature=np.array(temps), spin_splitting=9.0)
 
 
 def test_weak_drive_linewidth_is_dephasing_limited():

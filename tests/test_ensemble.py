@@ -121,10 +121,16 @@ def test_ions_above_purcell_against_monte_carlo():
     assert abs(mc_mean - expected) < 3.0 * se
 
 
-def test_ions_above_purcell_grid_convergence():
+def _count_on_grid(monkeypatch, cfg, depth_step, transverse_step):
+    monkeypatch.setattr(ensemble, "DEPTH_STEP", depth_step)
+    monkeypatch.setattr(ensemble, "TRANSVERSE_STEP", transverse_step)
+    return ions_above_purcell(cfg, CAV, 0.25)
+
+
+def test_ions_above_purcell_grid_convergence(monkeypatch):
     cfg = EnsembleConfig(density=1e22, region=(1e-6, 0.6e-6, 0.12e-6))
-    coarse = ions_above_purcell(cfg, CAV, 0.25, depth_step=2e-9, transverse_step=8e-9)
-    fine = ions_above_purcell(cfg, CAV, 0.25, depth_step=1e-9, transverse_step=4e-9)
+    coarse = _count_on_grid(monkeypatch, cfg, 2e-9, 8e-9)
+    fine = _count_on_grid(monkeypatch, cfg, 1e-9, 4e-9)
     assert abs(coarse - fine) / fine < 0.01
 
 

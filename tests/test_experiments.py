@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
 from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.output import read_csv, write_csv_atomic
 from cavityspec.physics import CavityParams, EmitterConstants
+from test_dynamics import _math_rate
 
 CAV = CavityParams.default()
 EMITTER = EmitterConstants.default()
@@ -657,3 +659,45 @@ def test_ple_scan_takes_one_ion_or_an_ensemble():
                        seed=4, zeeman=ZeemanConfig(b_applied=(2e-3, 0.0, 0.0)))
     assert np.array_equal(one.counts, row.counts)
     assert np.array_equal(one.expected, row.expected)
+
+
+def _per_temperature_spin_t1(cfg):
+    """The spin_t1 columns as the runner built them before rates took
+    arrays: one math-based rate per temperature, then the runner's own T1
+    rule."""
+    temps = experiments.temperature_grid(cfg)
+    nu_ghz = cfg["spin_t1", "nu"] / 1e9
+    rates = np.array([_math_rate(
+        float(t), nu_ghz, cfg["spin_t1", "a_direct"],
+        cfg["spin_t1", "a_raman"], cfg["spin_t1", "a_orbach"],
+        cfg["spin_t1", "delta_orbach"]) for t in temps], dtype=float)
+    with np.errstate(divide="ignore"):
+        t1 = np.where(rates > 0, 1.0 / np.maximum(rates, 1e-300), np.inf)
+    return [("temperature_k", temps), ("rate_per_s", rates), ("t1_s", t1)]
+
+
+@pytest.mark.parametrize("grid", ["2:8:0.5 K", "2:8:1e-3 K"])
+def test_spin_t1_table_prints_as_the_per_temperature_loop(grid, tmp_path):
+    cfg = build_config({("", "experiment"): "spin_t1",
+                        ("spin_t1", "temp_grid"): grid})
+    cols, _, _ = EXPERIMENTS["spin_t1"](cfg)
+    write_csv_atomic(tmp_path / "new.csv", cols)
+    write_csv_atomic(tmp_path / "loop.csv", _per_temperature_spin_t1(cfg))
+    assert (tmp_path / "new.csv").read_text() == \
+        (tmp_path / "loop.csv").read_text()
+
+
+def test_spin_t1_zero_rate_rows_follow_spin_t1():
+    # without the direct and Raman channels Orbach alone underflows to a
+    # zero rate below ~0.1 K, and is subnormal at 0.1 K
+    cfg = build_config({("", "experiment"): "spin_t1",
+                        ("spin_t1", "temp_grid"): "0.05:0.2:0.01 K",
+                        ("spin_t1", "a_direct"): "0",
+                        ("spin_t1", "a_raman"): "0"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = dict(EXPERIMENTS["spin_t1"](cfg)[0])
+    rates, t1 = cols["rate_per_s"], cols["t1_s"]
+    assert np.all(rates[:5] == 0.0) and 0.0 < rates[5] < 1e-300
+    assert np.all(np.isinf(t1[:6]))
+    np.testing.assert_array_equal(t1[6:], 1.0 / rates[6:])
