@@ -85,10 +85,16 @@ def read_text(path, what: str) -> str:
 
 
 def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a file written by write_csv_atomic: (header dict, column dict)."""
+    """Read a file written by write_csv_atomic: (header dict, column dict).
+
+    Every data cell is parsed in one numpy call, which converts a str as
+    float() does; only when that fails are the rows parsed one by one, to
+    name the first malformed one.
+    """
     header = {}
     names = None
-    rows = []
+    rows, linenos = [], []
+    misfit = None  # the error of the first row with the wrong column count
     # read_text's newline translation leaves "\n" as the only line end
     for lineno, raw in enumerate(read_text(path, "data file").split("\n"), 1):
         line = raw.strip()
@@ -103,18 +109,32 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
         if names is None:
             names = [c.strip() for c in line.split(",")]
             continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise ConfigError(
-                f"{path}: line {lineno}: expected {len(names)} columns, got {len(cells)}")
+        n_cells = line.count(",") + 1
+        if n_cells != len(names):
+            misfit = (f"{path}: line {lineno}: expected {len(names)} columns, "
+                      f"got {n_cells}")
+            break
+        rows.append(line)
+        linenos.append(lineno)
+    if rows:
         try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: line {lineno}: malformed data row {line!r}") from exc
+            data = np.array(",".join(rows).split(","), dtype=float)
+        except ValueError:  # row by row, to name the first malformed row
+            data = np.array([_parse_row(path, lineno, line)
+                             for lineno, line in zip(linenos, rows)])
+    if misfit is not None:
+        raise ConfigError(misfit)
     if names is None:
         raise ConfigError(f"{path}: no column header found")
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = data.reshape(len(rows), len(names))
     return header, {name: data[:, i] for i, name in enumerate(names)}
+
+
+def _parse_row(path, lineno: int, line: str) -> list[float]:
+    try:
+        return [float(c) for c in line.split(",")]
+    except ValueError as exc:
+        raise ConfigError(
+            f"{path}: line {lineno}: malformed data row {line!r}") from exc

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,33 @@ def test_scan_below_float_spacing_exits_2_naming_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "float spacing" in err
     assert not (out / f"{experiment}-seed7").exists()
+
+
+def _spin_table(tmp_path, name, body):
+    """rate_per_s and t1_s of a spin_t1 run, which must warn of nothing."""
+    cfg = _write_cfg(tmp_path, f"experiment = spin_t1\n[spin_t1]\n{body}\n")
+    out = tmp_path / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 0
+    _, cols = read_csv(str(out / "spin_t1-seed7" / "spin_t1.csv"))
+    assert not np.isnan(cols["rate_per_s"]).any()
+    assert not np.isnan(cols["t1_s"]).any()
+    return cols["rate_per_s"], cols["t1_s"]
+
+
+def test_spin_t1_past_the_float_range_ends_cleanly(tmp_path):
+    # nu^5 overflows: every rate is inf and T1 is 0
+    rate, t1 = _spin_table(tmp_path, "big", "nu = 1e+70 GHz")
+    assert np.all(np.isinf(rate)) and np.all(t1 == 0.0)
+    # h nu / 2kT underflows: the direct term is its limit, 0 at such a nu
+    rate, _ = _spin_table(tmp_path, "small", "nu = 1e-290 Hz")
+    np.testing.assert_array_equal(rate,
+                                  _spin_table(tmp_path, "off", "a_direct = 0")[0])
+    # T^9 overflows, but the Raman channel is off
+    rate, t1 = _spin_table(tmp_path, "hot",
+                           "temp_grid = 1e35:2e35:1e35 K\na_raman = 0")
+    assert np.all(np.isfinite(rate) & (rate > 0) & (t1 > 0))
 
 
 def test_seed_flag_changes_data_not_config_hash(tmp_path):

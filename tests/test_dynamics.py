@@ -2,11 +2,13 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cavityspec import dynamics
 from cavityspec.constants import E_CHARGE, H_PLANCK, K_BOLTZMANN, TWO_PI
 from cavityspec.dynamics import (
     GROUND,
@@ -138,6 +140,83 @@ def test_pulse_excitation_shapes_and_edges():
         pulse_excitation(TWO_PI * 1e6, 0.0, 0.0, GAMMA_D_OP, 1e-6)
     with pytest.raises(DomainError, match="1.8e308 rad"):
         pulse_excitation(TWO_PI * 1e6, 1e307, GAMMA_OP, GAMMA_D_OP, 100.0)
+
+
+@pytest.mark.parametrize("first", [0.0, 1e307])
+def test_overflow_message_does_not_depend_on_blocking(first):
+    # three blocks of four; the largest rate sits in the last block, alone or
+    # after another rate that overflows in the first
+    delta = np.full(11, TWO_PI * 1e6)
+    delta[1], delta[-1] = first, 1.5e308
+    args = (TWO_PI * 1e6, delta, GAMMA_OP, GAMMA_D_OP, 100.0)
+    messages = []
+    for size in (len(delta) + 1, 4):
+        with mock.patch.object(dynamics, "_CHUNK", size), \
+                pytest.raises(DomainError, match="1.8e308 rad") as err:
+            pulse_excitation(*args)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "rates up to 1.5e+308 rad/s" in messages[0]
+
+
+def _rate(lo, hi):
+    """10^x for x uniform in [lo, hi], a rate in units of 1/T."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+def _signed(rates):
+    return st.tuples(rates, st.sampled_from([1.0, -1.0])).map(
+        lambda pair: pair[0] * pair[1])
+
+
+# repeated roots at gamma T = 1, gamma_d T = 3 (see tests/test_oracle.py):
+# the pair meets at delta = 0, Omega = e / 2, all three roots at
+# delta = e / sqrt(27), Omega = sqrt(8 / 27) e, e = gamma2 - gamma
+_E = 2.5
+_NEAR = st.floats(-1e-6, 1e-6).map(lambda eps: 1.0 + eps)
+# (Omega, delta, gamma, gamma_d) T: any drive, a pair whose drive is off, a
+# drive near a double or triple root (Newton's slow path), and one whose
+# roots all lie within 0.5 / T of each other (_exp3's series)
+PAIRS = st.one_of(
+    st.tuples(_rate(-6, 5), _signed(st.one_of(st.just(0.0), _rate(-8, 21))),
+              _rate(-6, 5), _rate(-6, 5)),
+    st.tuples(st.just(0.0), _signed(_rate(-8, 21)), _rate(-6, 5),
+              _rate(-6, 5)),
+    _NEAR.map(lambda x: (_E / 2 * x, 0.0, 1.0, 3.0)),
+    st.tuples(_NEAR, _NEAR).map(lambda xs: (math.sqrt(8 / 27) * _E * xs[0],
+                                            _E / math.sqrt(27) * xs[1],
+                                            1.0, 3.0)),
+    st.tuples(_rate(-6, -1.5), _signed(_rate(-6, -1.5)), _rate(-6, -1.5),
+              _rate(-6, -1.5)),
+)
+
+
+@given(pairs=st.lists(PAIRS, min_size=1, max_size=12),
+       duration=_rate(-9, -3), blocks=st.integers(0, 3),
+       extra=st.integers(0, 2**16), shift=st.integers(0, 11))
+@example(pairs=[(3.0, 0.0, 1.0, 3.0), (0.0, 5.0, 1.0, 3.0),
+                (_E / 2 * (1 + 1e-9), 0.0, 1.0, 3.0),
+                (math.sqrt(8 / 27) * _E, _E / math.sqrt(27), 1.0, 3.0),
+                (0.01, -0.02, 0.03, 0.01), (1e-4, 1e3, 1.0, 3.0)],
+         duration=1e-5, blocks=3, extra=5, shift=0)
+def test_pulse_excitation_is_blocking_invariant(pairs, duration, blocks,
+                                                extra, shift):
+    # rests on numpy's SIMD exp, cos, sinc and expm1 giving the same bits
+    # at every array length and offset
+    rates = np.array(pairs).T / duration
+    one = np.array([pulse_excitation(*pair, duration) for pair in rates.T])
+    # (block size, pairs in the call), and one block longer than any call
+    cases = [(size, max(blocks * size + extra % size, 1))
+             for size in (1, 7, dynamics._CHUNK)]
+    longest = max(n for _, n in cases)
+    for size, n in cases + [(longest + 1, longest)]:
+        # the pairs over and over from pair `shift`, so each meets several
+        # block offsets
+        pick = (np.arange(n) + shift) % len(pairs)
+        with mock.patch.object(dynamics, "_CHUNK", size):
+            out = pulse_excitation(*rates[:, pick], duration)
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      one[pick].view(np.uint64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
