@@ -1,11 +1,16 @@
 """Wall time and peak memory of cavityspec at default and at scale settings.
 
     python3 bench/scale.py --out BENCH_8.json
+    python3 bench/scale.py --out BENCH_16.json --parent HEAD~1
 
 Run it from the root of a checkout; it imports cavityspec from ./src.  Every
 entry runs in a fresh interpreter, REPEATS times.  The output records, per
 entry, each run's wall time, their median, and the largest peak RSS of the
-runs, with the machine's core count.  Entries:
+runs, with the machine's core count.  With --parent REV, the committed files
+of REV are extracted to a temporary directory (git archive) and every run of
+this checkout is paired with one of REV, entry by entry and repeat by repeat,
+which of the two goes first alternating; REV's rows go under "parent", so
+host drift moves both sides of a row alike.  Entries:
 
 - `run <experiment>`: `cavityspec run <experiment> --seed 7` at defaults,
   timed from before `import cavityspec.cli` to the end of `main`;
@@ -143,14 +148,34 @@ def child(name: str, pairs_path: str) -> dict:
     return {"seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
 
 
+def _extract(rev: str, tmp: str) -> tuple[str, str]:
+    """REV's committed files under tmp/parent, and REV's commit hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                         check=True, cwd=ROOT, text=True,
+                         capture_output=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--prefix=parent/", sha],
+                             check=True, cwd=ROOT, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    return os.path.join(tmp, "parent"), sha
+
+
+def _summary(runs: list[dict]) -> dict:
+    seconds = [r["seconds"] for r in runs]
+    return {"median_s": statistics.median(seconds), "runs_s": seconds,
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--parent", metavar="REV",
+                        help="also time git revision REV, alternating runs")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--pairs", help=argparse.SUPPRESS)
     parser.add_argument("--capture", help=argparse.SUPPRESS)
+    parser.add_argument("--root", default=ROOT, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(args.root, "src"))
     if args.capture:
         capture_pairs(args.capture)
         return 0
@@ -158,31 +183,38 @@ def main() -> int:
         print(json.dumps(child(args.child, args.pairs)))
         return 0
 
-    results = {}
     with tempfile.TemporaryDirectory() as tmp:
+        roots = {"entries": ROOT}
+        if args.parent:
+            roots["parent"], sha = _extract(args.parent, tmp)
+        results = {side: {} for side in roots}
         pairs = os.path.join(tmp, "pairs.npz")
         me = [sys.executable, os.path.abspath(__file__), "--out", args.out]
         # in a child too: Linux carries a process's peak RSS across exec, so
         # every later child would report this one's
         subprocess.run(me + ["--capture", pairs], check=True, cwd=ROOT)
+        if args.parent:
+            print(f"{'':45s} {'this checkout':>22s} {'parent':>22s}")
         for name in ENTRIES:
-            runs = []
-            for _ in range(REPEATS):
-                done = subprocess.run(me + ["--child", name, "--pairs", pairs],
-                                      check=True, cwd=ROOT, text=True,
-                                      capture_output=True)
-                runs.append(json.loads(done.stdout.splitlines()[-1]))
-            seconds = [r["seconds"] for r in runs]
-            results[name] = {
-                "median_s": statistics.median(seconds),
-                "runs_s": seconds,
-                "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
-            }
-            print(f"{name:45s} {results[name]['median_s']:9.4f} s  "
-                  f"{results[name]['peak_rss_mb']:7.1f} MB", flush=True)
+            runs = {side: [] for side in roots}
+            for rep in range(REPEATS):
+                for side in list(roots)[::-1 if rep % 2 else 1]:
+                    done = subprocess.run(
+                        me + ["--child", name, "--pairs", pairs,
+                              "--root", roots[side]],
+                        check=True, cwd=ROOT, text=True, capture_output=True)
+                    runs[side].append(json.loads(done.stdout.splitlines()[-1]))
+            line = f"{name:45s}"
+            for side in roots:
+                results[side][name] = row = _summary(runs[side])
+                line += (f" {row['median_s']:9.4f} s "
+                         f"{row['peak_rss_mb']:7.1f} MB")
+            print(line, flush=True)
     report = {"cores": os.cpu_count(), "repeats": REPEATS,
               "python": sys.version.split()[0], "numpy": np.__version__,
-              "entries": results}
+              "entries": results["entries"]}
+    if args.parent:
+        report["parent"] = {"rev": sha, "entries": results["parent"]}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

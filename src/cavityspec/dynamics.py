@@ -7,8 +7,9 @@ with rho_ge = u + i v and gamma2 = gamma/2 + gamma_d:
     d rho_ge / dt = -(gamma2 + i delta) rho_ge + i (Omega/2) (2 rho_ee - 1)
 
 All rates are angular (rad/s).  evolve_bloch integrates with fixed-step RK4
-at step min(dt_max, 1/(50 max_rate)) and is the reference the fast path is
-tested against.  At its default step it agrees with the exact solution to
+at step min(dt_max, 1/(50 max_rate)), max_rate the largest of gamma, gamma2
+and sqrt(Omega^2 + delta^2), and is the reference the fast path is tested
+against.  At its default step it agrees with the exact solution to
 1e-7 only up to about 100 rad of generalized Rabi angle
 sqrt(Omega^2 + delta^2) T, the limit tests/test_oracle.py uses
 (RK4_MAX_ANGLE); past it RK4 drifts, by 1.6e-7 at Omega = 1e6 rad/s,
@@ -172,7 +173,7 @@ def _steady_arrays(omega, delta, gamma, gamma2):
 
 
 def _step_limit(dt_max, omega, delta, gamma, gamma2):
-    max_rate = max(gamma, gamma2, abs(delta), omega)
+    max_rate = max(gamma, gamma2, math.hypot(omega, delta))
     if max_rate <= 0.0:
         return dt_max
     return min(dt_max, 1.0 / (50.0 * max_rate))

@@ -191,13 +191,13 @@ def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
     if envelope is None:
         envelope = TransverseEnvelope()
     lx, ly, lz = cfg.region
-    cells = (lx / TRANSVERSE_STEP) * (ly / TRANSVERSE_STEP) * (lz / DEPTH_STEP)
-    if not cells <= MAX_QUADRATURE_CELLS:
-        raise DomainError(f"region {cfg.region} needs {cells:.3g} quadrature "
-                          f"cells, more than {MAX_QUADRATURE_CELLS:,}")
-    nx = max(2, int(round(lx / TRANSVERSE_STEP)))
-    ny = max(2, int(round(ly / TRANSVERSE_STEP)))
-    nz = max(2, int(round(lz / DEPTH_STEP)))
+    # at least 2 cells an axis; rint rounds half to even, as round() does
+    cells = np.maximum(2.0, np.rint(np.divide(
+        cfg.region, (TRANSVERSE_STEP, TRANSVERSE_STEP, DEPTH_STEP))))
+    if not np.prod(cells) <= MAX_QUADRATURE_CELLS:
+        raise DomainError(f"region {cfg.region} needs {np.prod(cells):.3g} "
+                          f"quadrature cells, more than {MAX_QUADRATURE_CELLS:,}")
+    nx, ny, nz = (int(n) for n in cells)
     x = (np.arange(nx) + 0.5) * lx / nx - lx / 2.0
     y = (np.arange(ny) + 0.5) * ly / ny - ly / 2.0
     z = (np.arange(nz) + 0.5) * lz / nz

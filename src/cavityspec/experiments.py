@@ -1,12 +1,11 @@
 """Pulsed-experiment runners.
 
 Each runner turns a parameter plan plus an integer seed into synthetic
-data.  Every scan point draws from the stream of
-default_rng(SeedSequence(seed, spawn_key=(rank,))), where rank is the
-point's position in the sorted grid.  Reordering a drift-free grid
-therefore permutes the output without changing any value.  The streams of
-a whole grid are derived in one bulk pass (_point_rngs), not by building a
-SeedSequence per point, and are the same streams.
+data.  A PLE scan or saturation series draws from one default_rng(seed),
+over whole arrays with the points in sorted order (rank): a point's counts
+depend on the rest of the grid, but reordering a drift-free grid only
+permutes the output.  Each cavity-sweep point draws from its own stream,
+default_rng(SeedSequence(seed, spawn_key=(rank,))), derived in bulk.
 
 EXPERIMENTS, at the end, maps each experiment name to the function that
 runs it from a RunConfig.
@@ -25,9 +24,10 @@ import numpy as np
 from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult, _pow,
                        count_peaks, fit_model, fit_models)
 from .constants import TWO_PI
-from .detection import (BlinkConfig, ClickStream, DetectorConfig,
-                        EmissionModel, draw_clicks, g2_background_floor,
-                        g2_pulsed, settle_clicks, simulate_clicks)
+from .detection import (MAX_BACKGROUND_CLICKS, BlinkConfig, ClickStream,
+                        DetectorConfig, EmissionModel, draw_clicks,
+                        g2_background_floor, g2_pulsed, settle_clicks,
+                        simulate_clicks)
 from .dynamics import (SpinRelaxParams, intracavity_photon_number,
                        pulse_excitation, spin_t1, window_capture_fraction)
 from .ensemble import (IonRecord, ZeemanConfig, ions_above_purcell,
@@ -70,7 +70,7 @@ class ScanResult:
 
 def _point_grid(values, name: str):
     """Scan points as a 1-d array of distinct finite floats, and each one's
-    position in sorted order: the key of its RNG stream."""
+    position in sorted order: the order its random draws are made in."""
     grid = np.ascontiguousarray(values, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise DomainError(f"{name}: must be a non-empty 1-d array")
@@ -324,31 +324,23 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
                                     emitter, seq.excite_duration)
     p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
                         seq.excite_duration)
-    uniq, inverse = np.unique(pt * n_ions + ion_idx, return_inverse=True)
-    p_group = np.zeros(len(uniq))
-    np.add.at(p_group, inverse, p_click)
-    np.clip(p_group, 0.0, 1.0, out=p_group)
-    group_pt = uniq // n_ions
-    bounds = np.searchsorted(group_pt, np.arange(n_pts + 1))
-
+    # (point, ion) groups in (rank, ion) order
+    uniq, inverse = np.unique(ranks[pt] * n_ions + ion_idx,
+                              return_inverse=True)
+    p_group = np.clip(np.bincount(inverse, weights=p_click), 0.0, 1.0)
+    group_rank = uniq // n_ions
     expected = lam + pulses_per_point * np.bincount(
-        group_pt, weights=p_group, minlength=n_pts)
-    # Python lists: reading a list is several times cheaper than an array.
-    # The points with one group take the next of `singles` in turn.
-    singles = iter(p_group[bounds[:-1][np.diff(bounds) == 1]].tolist())
-    bounds = bounds.tolist()
-    counts = []
-    for lo, hi, mean, gen in zip(bounds, bounds[1:], lam.tolist(),
-                                 _point_rngs(seed, ranks)):
-        if hi - lo == 1:
-            # draws exactly as a one-element p array does, ~15x faster
-            clicks = gen.binomial(pulses_per_point, next(singles))
-        elif hi > lo:
-            clicks = int(gen.binomial(pulses_per_point, p_group[lo:hi]).sum())
-        else:
-            clicks = 0
-        counts.append(clicks + gen.poisson(mean))
-    return ScanResult(grid=grid.copy(), counts=np.array(counts, dtype=np.int64),
+        group_rank, weights=p_group, minlength=n_pts)[ranks]
+
+    # one stream per run: every group's clicks, then every point's
+    # background, both in rank order; a point's clicks are summed in int64
+    rng = np.random.default_rng(seed)
+    clicks = np.concatenate(
+        ([0], np.cumsum(rng.binomial(pulses_per_point, p_group))))
+    bounds = np.searchsorted(group_rank, np.arange(n_pts + 1))
+    counts = (np.diff(clicks[bounds])
+              + rng.poisson(lam[np.argsort(ranks)]))[ranks]
+    return ScanResult(grid=grid.copy(), counts=counts,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 
 
@@ -470,6 +462,12 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                          dead_time=dead_time)
     _, _, p_exc, gamma_expected, eta = _ion_emission(ion, cavity, emitter,
                                                      seq, detunings)
+    # the longest gate, gate_factor lifetimes, holds the most dark counts
+    dark = dark_rate * (gate_factor / gamma_expected.min()) * pulses_per_point
+    if not dark <= MAX_BACKGROUND_CLICKS:
+        raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} dark counts "
+                          "in a sweep point's gate: lower dark_rate, "
+                          "gate_factor or pulses_per_point, or raise gamma0")
     points = zip(_point_models(seq, det, p_exc, gamma_expected, eta,
                                gate_factor), _point_rngs(seed, ranks))
     block = max(1, _FIT_BLOCK // n_bins)
@@ -546,11 +544,12 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
                                     emitter, excite_duration)
     p_click = _detected(p_exc * eta, gamma, det, excite_duration)
     lam = _background_mean(pulses_per_point, det, background_coeff, n_ph)
-    counts = np.empty(p_click.shape, dtype=np.int64)
-    for k, gen in enumerate(_point_rngs(seed, ranks)):
-        for row in (0, 1):
-            counts[row, k] = (gen.binomial(pulses_per_point, p_click[row, k])
-                              + gen.poisson(lam[k]))
+    # one stream per run, in rank order: the on row's clicks, the off
+    # row's, then the background of both rows
+    rng = np.random.default_rng(seed)
+    order = np.argsort(ranks)
+    counts = (rng.binomial(pulses_per_point, p_click[:, order])
+              + rng.poisson(lam[order], size=p_click.shape))[:, ranks]
     expected = pulses_per_point * p_click + lam
     return SaturationResult(powers=powers, on_counts=counts[0],
                             off_counts=counts[1], expected_on=expected[0],
@@ -632,10 +631,10 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
             f"the scan at {b:g} T, splitting over linewidth (gamma0, "
             "gamma_dephasing, purcell, power),"))
         n_half = int(math.ceil(span / 2.0 / step))
-        grid = _centred_grid(ion.f0, np.arange(-n_half, n_half + 1) * step,
-                             f"[ion] offset: the scan at {b:g} T steps below "
-                             "the float spacing at the line centre (frequency,"
-                             " offset; gamma0, gamma_dephasing, purcell, power)")
+        grid = _spaced(ion.f0 + np.arange(-n_half, n_half + 1) * step,
+                       f"[ion] offset: the scan at {b:g} T steps below the "
+                       "float spacing at the line centre (frequency, offset;"
+                       " gamma0, gamma_dephasing, purcell, power)")
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
                             pulses_per_point, _child_seed(seed, i),
                             zeeman=cfg)
@@ -674,11 +673,9 @@ def _check_grid_size(n_points: float, where: str,
                           f"points, more than {MAX_GRID_POINTS:,}")
 
 
-def _centred_grid(centre: float, offsets: np.ndarray,
-                  error: str) -> np.ndarray:
-    """centre + offsets; ConfigError(error) if float spacing merges points."""
-    grid = centre + offsets
-    if np.any(np.diff(grid) <= 0):
+def _spaced(grid: np.ndarray, error: str) -> np.ndarray:
+    """grid; ConfigError(error) if float spacing merges or drops points."""
+    if not len(grid) or np.any(grid[1:] <= grid[:-1]):
         raise ConfigError(error)
     return grid
 
@@ -697,16 +694,17 @@ def scan_grid(cfg: RunConfig) -> np.ndarray:
         keep &= ~((offsets >= lo) & (offsets <= hi))
     if not np.any(keep):
         raise ConfigError("[scan]: mask removes every grid point")
-    return _centred_grid(cfg.cavity.f_cav + cfg["scan", "center_offset"],
-                         offsets[keep], "[scan] step: below the float spacing "
-                         "at the scan centre (frequency, center_offset)")
+    centre = cfg.cavity.f_cav + cfg["scan", "center_offset"]
+    return _spaced(centre + offsets[keep], "[scan] step: below the float "
+                   "spacing at the scan centre (frequency, center_offset)")
 
 
 def temperature_grid(cfg: RunConfig) -> np.ndarray:
     """[spin_t1] temp_grid expanded, both ends included."""
     start, stop, step = cfg["spin_t1", "temp_grid"]
     _check_grid_size((stop - start) / step + 1.0, "[spin_t1] temp_grid")
-    return np.arange(start, stop + step / 2.0, step)
+    return _spaced(np.arange(start, stop + step / 2.0, step),
+                   "[spin_t1] temp_grid: step below the float spacing")
 
 
 # Each experiment below returns (columns, header, click stream or None).

@@ -259,6 +259,34 @@ def test_oversized_purcell_stats_region_exits_2(tmp_path, capsys,
     assert err.startswith("error: ") and "region" in err
 
 
+def test_thin_long_purcell_stats_region_exits_2(tmp_path, capsys):
+    # 0.2 x 2e10 x 1e-5 unrounded cells, but at least 2 a side: 8e10
+    cfg = _write_cfg(tmp_path, "experiment = purcell_stats\n[ensemble]\n"
+                               "region = (1, 1e+11, 1e-05) nm\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "region" in err
+
+
+def test_sweep_gate_past_the_dark_count_cap_exits_2(tmp_path, capsys):
+    # the gate lasts gate_factor lifetimes: ~1e10 s at this gamma0
+    cfg = _write_cfg(tmp_path, "experiment = cavity_sweep\n[emitter]\n"
+                               "gamma0 = 1e-14 GHz\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma0" in err
+
+
+def test_temp_grid_step_below_float_spacing_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "experiment = spin_t1\n[spin_t1]\n"
+                               "temp_grid = 1e35:1e35:1 K\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[spin_t1] temp_grid" in err
+    assert not (out / "spin_t1-seed7").exists()
+
+
 # a line centre so far out that the scan's step falls below its float
 # spacing: each refusal names the key that moved the centre
 FAR_CENTRES = [("zeeman", "[ion]\noffset = 1e+14 GHz", "[ion] offset"),

@@ -89,42 +89,61 @@ def test_scan_order_does_not_change_counts():
     assert all(by_freq[f] == c for f, c in zip(base.grid, base.counts))
 
 
-class _PerPointDraws:
-    """A point's generator as the runners built it before streams were
-    derived in bulk: its own SeedSequence, and binomial always handed an
-    array of p."""
-
-    def __init__(self, seed, rank):
-        self._gen = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(int(rank),)))
-
-    def binomial(self, n, p):
-        return self._gen.binomial(n, np.atleast_1d(p)).sum()
-
-    def __getattr__(self, name):
-        return getattr(self._gen, name)
-
-
 def test_bulk_streams_draw_as_per_point_seed_sequences(monkeypatch):
+    # each sweep point as it drew before its streams were derived in bulk
     seq = PulseSequence(input_power=2e-10)
-    # points with no ion, one, and three or four ions in their window
-    ions = _ions(-150e6, -3e6, 0.0, 2e6)
-    grid = F0 + np.linspace(-400e6, 400e6, 81)[::-1]
 
     def run():
-        ple = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, 300, seed=5)
-        sat = run_saturation_series(_ion(), CAV, EMITTER,
-                                    np.geomspace(1e-9, 1e-14, 12), STD_DET,
-                                    500, seed=9)
-        sweep = run_cavity_sweep(_ion(), CAV, EMITTER, seq,
-                                 [1e9, -2e9, 0.0], 3000, seed=3)
-        return [ple.counts, sat.on_counts, sat.off_counts, sweep.gamma_fit]
+        return run_cavity_sweep(_ion(), CAV, EMITTER, seq, [1e9, -2e9, 0.0],
+                                3000, seed=3).gamma_fit
 
     bulk = run()
     monkeypatch.setattr(experiments, "_point_rngs", lambda seed, ranks: (
-        _PerPointDraws(seed, rank) for rank in ranks))
-    for a, b in zip(bulk, run(), strict=True):
-        assert np.array_equal(a, b, equal_nan=True)
+        np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(int(rank),))) for rank in ranks))
+    assert np.array_equal(bulk, run(), equal_nan=True)
+
+
+# a click probability, read off as the expectation of one darkless pulse
+DARKLESS = replace(STD_DET, dark_rate=0.0)
+
+
+def test_ple_and_saturation_draw_from_one_stream():
+    # one default_rng(seed) per run: every clicks draw in sorted-point
+    # order (ions in turn, the on row before the off row), then every
+    # background draw; points with no ion, one, and three or four in window
+    # (p is 0 out of the window, and binomial(n, 0) draws nothing)
+    seq = PulseSequence(input_power=2e-10)
+    offsets = (-150e6, -3e6, 0.0, 2e6)
+    grid = F0 + np.linspace(-400e6, 400e6, 81)[::-1]
+    lam = 20_000 * (STD_DET.dark_rate * STD_DET.gate_duration)
+    p = [[run_ple_scan([f], _ions(o), CAV, EMITTER, seq, DARKLESS, 1,
+                       seed=0).expected[0] for o in offsets] for f in grid]
+    rng = np.random.default_rng(5)
+    order = np.argsort(grid)
+    clicks = [sum(rng.binomial(20_000, q) for q in p[k]) for k in order]
+    counts = np.empty(len(grid), dtype=np.int64)
+    counts[order] = [c + rng.poisson(lam) for c in clicks]
+    ple = run_ple_scan(grid, _ions(*offsets), CAV, EMITTER, seq, STD_DET,
+                       20_000, seed=5)
+    assert np.array_equal(ple.counts, counts)
+
+    powers = np.geomspace(1e-9, 1e-14, 12)
+    sat = run_saturation_series(_ion(), CAV, EMITTER, powers, DARKLESS, 1,
+                                seed=0)
+    n_ph = intracavity_photon_number(powers, CAV.eta_cav, CAV.kappa,
+                                     EMITTER.omega)
+    lam = 20_000 * (STD_DET.dark_rate * STD_DET.gate_duration + 0.05 * n_ph)
+    rng = np.random.default_rng(9)
+    order = np.argsort(powers)
+    rows = [[rng.binomial(20_000, p[k]) for k in order]
+            for p in (sat.expected_on, sat.expected_off)]
+    rows = [[c + rng.poisson(lam[k]) for c, k in zip(row, order)]
+            for row in rows]
+    sat = run_saturation_series(_ion(), CAV, EMITTER, powers, STD_DET, 20_000,
+                                seed=9, background_coeff=0.05)
+    for row, drawn in zip(rows, (sat.on_counts, sat.off_counts)):
+        assert np.array_equal(drawn[order], row)
 
 
 def test_scan_drift_bookkeeping():

@@ -77,6 +77,7 @@ def _exact(omega, delta, gamma, gamma_d, duration):
           GAMMA, GAMMA_D, T))
 @example((1e-3, 1e-3, GAMMA, GAMMA / 2, T))                    # gamma_d = gamma/2
 @example((3e6, 1e25, GAMMA, GAMMA_D, T))                        # |delta| = 1e25
+@example((69783.05848598662, 69783.05848598662, 100.0, 100.0, 1e-3))  # 99 rad
 def test_pulse_excitation_matches_oracles(drive):
     omega, delta, gamma, gamma_d, duration = drive
     with mock.patch.object(dynamics, "_exp3", wraps=dynamics._exp3) as exp3:
