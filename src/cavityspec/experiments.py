@@ -5,7 +5,8 @@ data.  A PLE scan or saturation series draws from one default_rng(seed),
 over whole arrays with the points in sorted order (rank): a point's counts
 depend on the rest of the grid, but reordering a drift-free grid only
 permutes the output.  Each cavity-sweep point draws from its own stream,
-default_rng(SeedSequence(seed, spawn_key=(rank,))), derived in bulk.
+numpy's default_rng(SeedSequence(seed, spawn_key=(rank,))), built as the
+point draws.
 
 EXPERIMENTS, at the end, maps each experiment name to the function that
 runs it from a RunConfig.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -100,100 +100,6 @@ def _background_mean(pulses_per_point, det: DetectorConfig,
                           "per point: lower background_coeff, dark_rate or "
                           "pulses_per_point")
     return lam
-
-
-# NumPy's SeedSequence (NEP 19; O'Neill's seed_seq hash) and PCG64 seeding
-# (O'Neill, HMC-CS-2014-0905), written out so that the streams of many spawn
-# keys are derived at once.  tests/test_oracle.py checks them against numpy.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# rows per tolist() in _point_rngs: bounds the Python ints alive at once
-_STATE_BLOCK = 4096
-
-
-def _spawn_state(seed: int, keys) -> np.ndarray:
-    """SeedSequence(entropy=seed, spawn_key=tuple(row)).generate_state(4,
-    np.uint64) for each row of the 2-d integer array keys, as (rows, 4)
-    uint64.  Key words must lie in [0, 2**32): a larger one would take two
-    hash words, and would collide with _ENSEMBLE_STREAM."""
-    keys = np.asarray(keys)
-    if keys.size and not (keys.min() >= 0 and keys.max() <= _MASK32):
-        raise DomainError("RNG stream keys must lie in [0, 2**32): a grid "
-                          "holds at most 2**32 points")
-    seed = operator.index(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    # the entropy as 32-bit words: the seed's, padded to the 4-word pool
-    # because a spawn key follows, then the key's; one-element arrays
-    # broadcast against the key columns
-    words = [np.array([(seed >> s) & _MASK32], dtype=np.uint32)
-             for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [np.zeros(1, np.uint32)] * (4 - len(words))
-    words += list(keys.astype(np.uint32).T)
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    const = _INIT_B
-    state = np.empty((len(keys), 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state[:, i] = value ^ value >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _point_rngs(seed: int, ranks):
-    """For each rank in turn, default_rng(SeedSequence(entropy=seed,
-    spawn_key=(rank,))) in the state it starts in.
-
-    Every stream is derived in one pass over ranks; the same Generator is
-    yielded again and again, its state set for the next rank, so a point
-    draws before asking for the next.  Ranks at or above 2**32 raise
-    DomainError at the first next(), before anything is drawn.
-    """
-    # PCG64 seeding from generate_state(4, uint64) = (s_hi, s_lo, q_hi, q_lo):
-    # state 0, inc = 2 initseq + 1; step; state += initstate; step
-    words = _spawn_state(seed, np.reshape(ranks, (-1, 1)))
-    gen = np.random.Generator(np.random.PCG64(0))
-    for start in range(0, len(words), _STATE_BLOCK):
-        for s_hi, s_lo, q_hi, q_lo in words[start:start + _STATE_BLOCK].tolist():
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
-            yield gen
-
-
-def _child_seed(seed: int, index: int) -> int:
-    """The seed of the index-th Zeeman field: the first uint64 of
-    SeedSequence(entropy=seed, spawn_key=(index, 1))."""
-    return int(_spawn_state(seed, [[index, 1]])[0, 0])
 
 
 def _validate_gate(seq: PulseSequence, det: DetectorConfig) -> None:
@@ -468,6 +374,8 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
         raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} dark counts "
                           "in a sweep point's gate: lower dark_rate, "
                           "gate_factor or pulses_per_point, or raise gamma0")
+    # one stream per point, built as the point draws: a grid may hold
+    # MAX_GRID_POINTS points, too many Generators to keep alive at once
     points = zip(_point_models(seq, det, p_exc, gamma_expected, eta,
                                gate_factor), _point_rngs(seed, ranks))
     block = max(1, _FIT_BLOCK // n_bins)
@@ -501,6 +409,20 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                              gamma_err=gamma_err,
                              gamma_expected=gamma_expected,
                              purcell_fit=purcell, converged=converged)
+
+
+def _point_rngs(seed: int, ranks: np.ndarray):
+    """default_rng(SeedSequence(seed, spawn_key=(rank,))) for each rank, lazily.
+
+    A rank must be one spawn-key word below the ensemble draw's key, so that
+    no point draws from the ensemble's stream.
+    """
+    for r in ranks.tolist():
+        if not 0 <= r < _ENSEMBLE_STREAM:
+            raise DomainError(f"a sweep point's rank must lie in [0, 2**32), "
+                              f"below the ensemble draw's key; got {r}")
+        yield np.random.default_rng(np.random.SeedSequence(seed,
+                                                           spawn_key=(r,)))
 
 
 def fit_enhancement(result: CavitySweepResult) -> FitResult:
@@ -635,9 +557,10 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                        f"[ion] offset: the scan at {b:g} T steps below the "
                        "float spacing at the line centre (frequency, offset;"
                        " gamma0, gamma_dephasing, purcell, power)")
+        field_seed = int(np.random.SeedSequence(seed, spawn_key=(i, 1))
+                         .generate_state(1, np.uint64)[0])
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
-                            pulses_per_point, _child_seed(seed, i),
-                            zeeman=cfg)
+                            pulses_per_point, field_seed, zeeman=cfg)
         baseline = float(np.median(scan.counts))
         y = scan.counts.astype(float) - baseline
         noise = math.sqrt(max(baseline, 1.0))
@@ -657,7 +580,8 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                               predicted=predicted, slope_fit=slope_fit)
 
 
-# Rank keys 0..n-1 belong to scan points; the ensemble draw gets its own slot.
+# The ensemble draw's spawn key.  A sweep point's key is its rank, below
+# MAX_GRID_POINTS, so no point's stream is the ensemble's.
 _ENSEMBLE_STREAM = 2**32
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cavityspec import experiments, output
-from cavityspec.config import build_config
+from cavityspec.config import COUNT_LIMITS, build_config
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import (BlinkConfig, DetectorConfig, EmissionModel,
                                   g2_background_floor, simulate_clicks)
@@ -16,12 +16,12 @@ from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
 from cavityspec.analysis import EXPONENTIAL, _pow, fit_model, fit_models
 from cavityspec.errors import ConfigError, DomainError, FitError
-from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
-                                    expected_linewidth, fit_enhancement,
-                                    fit_lifetime, run_cavity_sweep, run_g2,
-                                    run_lifetime, run_ple_scan,
-                                    run_saturation_series, run_zeeman_series,
-                                    scan_grid)
+from cavityspec.experiments import (EXPERIMENTS, MAX_GRID_POINTS,
+                                    PulseSequence, expected_linewidth,
+                                    fit_enhancement, fit_lifetime,
+                                    run_cavity_sweep, run_g2, run_lifetime,
+                                    run_ple_scan, run_saturation_series,
+                                    run_zeeman_series, scan_grid)
 from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.output import read_csv, write_csv_atomic
 from cavityspec.physics import CavityParams, EmitterConstants
@@ -87,21 +87,6 @@ def test_scan_order_does_not_change_counts():
                             400, seed=42)
     by_freq = dict(zip(shuffled.grid, shuffled.counts))
     assert all(by_freq[f] == c for f, c in zip(base.grid, base.counts))
-
-
-def test_bulk_streams_draw_as_per_point_seed_sequences(monkeypatch):
-    # each sweep point as it drew before its streams were derived in bulk
-    seq = PulseSequence(input_power=2e-10)
-
-    def run():
-        return run_cavity_sweep(_ion(), CAV, EMITTER, seq, [1e9, -2e9, 0.0],
-                                3000, seed=3).gamma_fit
-
-    bulk = run()
-    monkeypatch.setattr(experiments, "_point_rngs", lambda seed, ranks: (
-        np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(int(rank),))) for rank in ranks))
-    assert np.array_equal(bulk, run(), equal_nan=True)
 
 
 # a click probability, read off as the expectation of one darkless pulse
@@ -300,7 +285,8 @@ def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    points = zip(detunings, experiments._point_rngs(seed, ranks))
+    points = zip(detunings, (np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(rank,))) for rank in ranks.tolist()))
     block = max(1, experiments._FIT_BLOCK // n_bins)
     for start in range(0, len(detunings), block):
         rows = min(block, len(detunings) - start)
@@ -340,8 +326,9 @@ def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    for k, (delta, rng) in enumerate(zip(
-            detunings, experiments._point_rngs(seed, ranks))):
+    for k, (delta, rank) in enumerate(zip(detunings, ranks.tolist())):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(rank,)))
         _, det_k, stream = _loop_ion_clicks(
             ion, cavity, emitter, seq, det, pulses_per_point, rng,
             cavity_detuning_hz=delta, gate_factor=gate_factor)
@@ -403,8 +390,11 @@ def _same_bits(a, b):
     (1, {"n_bins": 3}, None),
     (2, {"detunings": [0.0]}, None),
     (3, {"dead_time": 50e-9}, 5),  # 13 points in fit blocks of 5
+    (2**64 - 1, {}, None),  # two words of entropy
+    (4, {"detunings": [4e9, 1e9, 0.0, -2e9, -6e9]}, None),  # rank != index
 ], ids=["default", "dead-50ns", "dead-3us-dark", "no-dark", "one-bin",
-        "three-bins", "one-point", "fit-blocks"])
+        "three-bins", "one-point", "fit-blocks", "seed-2**64-1",
+        "descending"])
 def test_sweep_equals_the_per_point_loop(monkeypatch, seed, changes,
                                          block_rows):
     args, kwargs = _default_sweep(seed, **changes)
@@ -416,6 +406,13 @@ def test_sweep_equals_the_per_point_loop(monkeypatch, seed, changes,
     got = _sweep_arrays(run_cavity_sweep(*args, **kwargs))
     for a, b in zip(got, _per_point_sweep(*args, **kwargs), strict=True):
         assert _same_bits(a, b)
+
+
+def test_sweep_stream_keys_stay_below_the_ensemble_key():
+    # a sweep point's spawn key is its rank, so no point of a grid the
+    # config accepts draws from the ensemble's stream
+    assert (COUNT_LIMITS[("cavity_sweep", "n_points")] <= MAX_GRID_POINTS
+            < experiments._ENSEMBLE_STREAM)
 
 
 # cavity detunings (Hz) at which numpy's array square of 2 delta / kappa,
@@ -557,6 +554,26 @@ def test_zeeman_series_recovers_slope_and_offset():
                                            delta_g=ZeemanConfig().delta_g))
     assert abs(slope - expect) / expect < 0.01
     assert 1e6 < res.slope_fit.params["intercept"] < 3.5e6
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_zeeman_field_seeds_are_spawned_seed_sequences(monkeypatch, seed):
+    # field i scans with the first uint64 of SeedSequence(seed, (i, 1))
+    seeds = []
+
+    def scan(*args, **kwargs):
+        seeds.append(args[7])
+        return run_ple_scan(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_ple_scan", scan)
+    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
+                        excite_duration=30e-6, rep_period=200e-6)
+    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
+                         gate_start=30e-6, gate_duration=82e-6)
+    run_zeeman_series(_ion(), CAV, EMITTER, seq, det, [2e-3, 6e-3, 10e-3],
+                      seed=seed, pulses_per_point=8000)
+    assert seeds == [int(np.random.SeedSequence(seed, spawn_key=(i, 1))
+                         .generate_state(1, np.uint64)[0]) for i in range(3)]
 
 
 # each experiment's column names and header keys, in the order they are
