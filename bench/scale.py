@@ -43,6 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
 # one scale setting per experiment, two for lifetime's two slow paths
+# and for g2 with and without the blinking telegraph
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
@@ -55,6 +56,8 @@ SCALE = {
     "purcell_stats @ 2048 fractions": "experiment = purcell_stats\n"
         "[purcell_stats]\nn_points = 2048\n",
     "g2 @ 1e7 pulses": "experiment = g2\n[g2]\nn_pulses = 10000000\n",
+    "g2 @ 1e7 pulses, blinking": "experiment = g2\n[g2]\n"
+        "n_pulses = 10000000\nblink = true\np_bright = 0.5\n",
     "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"
         "[cavity_sweep]\nn_points = 1001\npulses_per_point = 100000\n",
     "saturation @ 200,000 powers": "experiment = saturation\n[saturation]\n"

@@ -284,8 +284,9 @@ COUNT_LIMITS = {
     **dict.fromkeys([("lifetime", "n_bins"), ("cavity_sweep", "n_points"),
                      ("cavity_sweep", "n_bins"), ("saturation", "n_points"),
                      ("purcell_stats", "n_points")], MAX_GRID_POINTS),
-    # per-pulse arrays and binomial trial counts: 10x the largest pulse
-    # count in use
+    # pulses drawn and binomial trial counts: 10x the largest pulse count
+    # in use (a click draw holds no per-pulse array; its memory follows
+    # the clicks)
     **dict.fromkeys([("lifetime", "n_pulses"), ("g2", "n_pulses"),
                      ("cavity_sweep", "pulses_per_point"),
                      ("scan", "pulses_per_point"),

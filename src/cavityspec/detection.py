@@ -6,7 +6,9 @@ contributes at most one photon per pulse (the drive is off once the gate
 opens), thinned by the collection chain and the gate; dark counts and
 residual laser background arrive as Poisson processes inside the gate.
 Slow intensity switching (blinking) gates the emitter with a two-state
-telegraph sampled at the pulse boundaries.
+telegraph sampled at the pulse boundaries.  The pulses are drawn a block
+at a time and the telegraph kept as sojourn lengths, so memory follows
+the clicks and sojourns, not the pulses.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ _BINARY_MAGIC = b"CSPK"
 _BINARY_VERSION = 1
 _RECORD_DTYPE = np.dtype([("pulse_index", "<u8"), ("t_ns", "<f8")])
 _SOJOURN_BLOCK = 2048  # telegraph sojourn pairs drawn per block
+_UNIFORM_BLOCK = 32_768  # firing uniforms drawn per block: 256 kB, in L2
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,10 @@ class ClickStream:
                    n_pulses=int(n_pulses), seed=int(seed))
 
 
-def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
-    """Per-pulse bright flags for the stationary two-state telegraph.
+def _telegraph_runs(n_pulses, p_bright, rep_period, switch_time, rng):
+    """(first, lengths): the first state of the stationary two-state
+    telegraph and its alternating run lengths in pulses, summing to
+    n_pulses.
 
     Sojourn lengths are geometric and alternate from a stationary first
     state; they are drawn in blocks of _SOJOURN_BLOCK pairs until they
@@ -158,8 +163,9 @@ def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
                           n_pulses - total)
         lengths.append(np.diff(ends, prepend=0))
         total += int(ends[-1])
-    lengths = np.concatenate(lengths) if lengths else [n_pulses, 0]
-    return np.repeat(np.tile([first, not first], len(lengths) // 2), lengths)
+    if not lengths:
+        return first, np.array([n_pulses, 0])
+    return first, np.concatenate(lengths)
 
 
 MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
@@ -185,6 +191,13 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
     """(pulse index, time in pulse) of every click before ordering and
     dead time.  Draw order is fixed (telegraph, excitation, decay times,
     background) so a given generator state always yields the same clicks.
+
+    No array holds one entry per pulse, so memory follows the clicks.  The
+    excitation uniforms are drawn _UNIFORM_BLOCK at a time into one
+    buffer: random() takes one 64-bit output per double, so they are the
+    values, and leave the generator state, of one rng.random(n_pulses).
+    A pulse fires if its uniform is below p_click and its telegraph run is
+    bright: as u >= 0, that is u < p_click * bright, pulse by pulse.
     """
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be positive, got {n_pulses}")
@@ -192,26 +205,35 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
         raise DomainError("background_per_pulse must be non-negative")
     if rep_period <= 0:
         raise DomainError(f"rep_period must be positive, got {rep_period}")
+    lam = detector.dark_rate * detector.gate_duration + background_per_pulse
+    if not lam * n_pulses <= MAX_BACKGROUND_CLICKS:
+        raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} background "
+                          "clicks expected: lower n_pulses, dark_rate, "
+                          "gate_duration or background_per_pulse")
 
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
+    runs = None
     if blink is not None and blink.p_bright < 1.0:
-        bright = _telegraph_bright(n_pulses, blink.p_bright, rep_period,
-                                   blink.switch_time, rng)
-        fire = rng.random(n_pulses) < (p_click * bright)
-    else:
-        fire = rng.random(n_pulses) < p_click
-    src_pulse = np.flatnonzero(fire).astype(np.uint64)
+        runs = _telegraph_runs(n_pulses, blink.p_bright, rep_period,
+                               blink.switch_time, rng)
+    buf = np.empty(min(n_pulses, _UNIFORM_BLOCK))
+    fired = []
+    for start in range(0, n_pulses, len(buf)):
+        u = buf[:n_pulses - start]
+        rng.random(out=u)
+        fired.append(np.flatnonzero(u < p_click) + start)
+    src_pulse = np.concatenate(fired)
+    if runs is not None:  # a fired pulse counts if its run is a bright one
+        first, lengths = runs
+        run = np.searchsorted(np.cumsum(lengths), src_pulse, side="right")
+        src_pulse = src_pulse[(run % 2 == 0) == first]
+    src_pulse = src_pulse.astype(np.uint64)
     src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
                                                    size=len(src_pulse))
     gate_end = detector.gate_start + detector.gate_duration
     in_gate = (src_t >= detector.gate_start) & (src_t < gate_end)
     src_pulse, src_t = src_pulse[in_gate], src_t[in_gate]
 
-    lam = detector.dark_rate * detector.gate_duration + background_per_pulse
-    if not lam * n_pulses <= MAX_BACKGROUND_CLICKS:
-        raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} background "
-                          "clicks expected: lower dark_rate, gate_duration "
-                          "or background_per_pulse")
     total_bg = rng.poisson(lam * n_pulses)
     bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
     bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration

@@ -734,6 +734,10 @@ def _g2(cfg: RunConfig):
     blink = (BlinkConfig(p_bright=cfg["g2", "p_bright"],
                          switch_time=cfg["g2", "switch_time"])
              if cfg["g2", "blink"] else None)
+    if cfg["g2", "max_offset"] > cfg["g2", "n_pulses"] - 2:  # before drawing
+        raise ConfigError("[g2] max_offset: must be at most n_pulses - 2, "
+                          f"got max_offset {cfg['g2', 'max_offset']} and "
+                          f"n_pulses {cfg['g2', 'n_pulses']}")
     res = run_g2(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
                  cfg.detector, cfg["g2", "n_pulses"], cfg.seed,
                  blink=blink,

@@ -287,6 +287,23 @@ def test_temp_grid_step_below_float_spacing_exits_2(tmp_path, capsys):
     assert not (out / "spin_t1-seed7").exists()
 
 
+# max_offset 10 needs 12 pulses: refused before the draw, which alone used
+# to decide between exit 1 (no click in 5 pulses) and exit 2
+@pytest.mark.parametrize("n_pulses,background,code", [
+    (5, "0", 2), (5, "10", 2), (12, "10", 0)])
+def test_g2_max_offset_past_the_pulses_exits_2(tmp_path, capsys, n_pulses,
+                                               background, code):
+    cfg = _write_cfg(tmp_path, "experiment = g2\n[g2]\n"
+                               f"n_pulses = {n_pulses}\n"
+                               f"background_per_pulse = {background}\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: [g2] max_offset") and "n_pulses" in err
+    assert (out / "g2-seed7").exists() == (code == 0)
+
+
 # a line centre so far out that the scan's step falls below its float
 # spacing: each refusal names the key that moved the centre
 FAR_CENTRES = [("zeeman", "[ion]\noffset = 1e+14 GHz", "[ion] offset"),

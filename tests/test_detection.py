@@ -1,8 +1,9 @@
 """Click simulation and pulsed correlation statistics.
 
-The sparse g2_pulsed, the click ordering and the vectorised dead-time
-pruning are checked against the dense, lexsort and per-click loop versions
-they replaced, kept here as oracles.
+The sparse g2_pulsed, the click ordering, the vectorised dead-time
+pruning and the block-wise click draw are checked against the dense,
+lexsort, per-click loop and per-pulse versions they replaced, kept here as
+oracles.
 """
 
 import math
@@ -21,7 +22,8 @@ from cavityspec.detection import (
     EmissionModel,
     _click_order,
     _prune_dead_time,
-    _telegraph_bright,
+    _telegraph_runs,
+    draw_clicks,
     g2_background_floor,
     g2_pulsed,
     simulate_clicks,
@@ -140,6 +142,17 @@ def _sojourn_loop(n_pulses, p_bright, rep_period, switch_time, rng):
     return np.array(flags[:n_pulses])
 
 
+# (p_bright, switch_time) at a 100 us period: slow, fast, sticky and
+# rarely-bright telegraphs
+TELEGRAPHS = [(0.5, 800e-6), (0.3, 500e-6), (0.02, 1e-2), (0.9, 1e-6),
+              (0.5, 1e6), (1 - 1e-12, 1.0), (1e-12, 1.0)]
+
+
+def _expand(first, lengths):
+    """Per-pulse bright flags of a telegraph given as runs."""
+    return np.repeat(np.tile([first, not first], len(lengths) // 2), lengths)
+
+
 @pytest.mark.parametrize("n_pulses,p_bright,switch_time", [
     (1, 0.5, 800e-6), (4096, 0.3, 500e-6), (30_000, 0.5, 800e-6),
     (50_000, 0.02, 1e-2), (20_000, 0.9, 1e-6), (3_000, 0.5, 1e6),
@@ -147,11 +160,114 @@ def _sojourn_loop(n_pulses, p_bright, rep_period, switch_time, rng):
     (5_000, 1 - 1e-12, 1.0), (5_000, 1e-12, 1.0)])
 def test_telegraph_matches_a_sojourn_loop(n_pulses, p_bright, switch_time):
     fast, slow = np.random.default_rng(8), np.random.default_rng(8)
-    flags = _telegraph_bright(n_pulses, p_bright, 100e-6, switch_time, fast)
+    first, lengths = _telegraph_runs(n_pulses, p_bright, 100e-6, switch_time,
+                                     fast)
+    flags = _expand(first, lengths)
     reference = _sojourn_loop(n_pulses, p_bright, 100e-6, switch_time, slow)
     assert flags.dtype == bool
+    assert lengths.sum() == n_pulses
     assert np.array_equal(flags, reference)
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
+    """Reference telegraph flags: the per-pulse version _telegraph_runs
+    replaced, one bool per pulse."""
+    decay = math.exp(-rep_period / switch_time)
+    first = bool(rng.random() < p_bright)
+    leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
+    leave_a, leave_b = leave if first else leave[::-1]
+    lengths, total = [], 0
+    while total < n_pulses and leave_a > 0.0:
+        runs = np.empty(2 * 2048, dtype=np.int64)
+        runs[0::2] = rng.geometric(leave_a, size=2048)
+        runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=2048)
+        ends = np.minimum(np.cumsum(np.minimum(runs, n_pulses)),
+                          n_pulses - total)
+        lengths.append(np.diff(ends, prepend=0))
+        total += int(ends[-1])
+    lengths = np.concatenate(lengths) if lengths else [n_pulses, 0]
+    return _expand(first, lengths)
+
+
+def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
+                           rep_period=100e-6, background_per_pulse=0.0):
+    """Reference draw_clicks: one uniform and one bright flag per pulse."""
+    p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
+    if blink is not None and blink.p_bright < 1.0:
+        bright = _telegraph_bright(n_pulses, blink.p_bright, rep_period,
+                                   blink.switch_time, rng)
+        fire = rng.random(n_pulses) < (p_click * bright)
+    else:
+        fire = rng.random(n_pulses) < p_click
+    src_pulse = np.flatnonzero(fire).astype(np.uint64)
+    src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
+                                                   size=len(src_pulse))
+    gate_end = detector.gate_start + detector.gate_duration
+    in_gate = (src_t >= detector.gate_start) & (src_t < gate_end)
+    src_pulse, src_t = src_pulse[in_gate], src_t[in_gate]
+    lam = detector.dark_rate * detector.gate_duration + background_per_pulse
+    total_bg = rng.poisson(lam * n_pulses)
+    bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
+    bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
+    return np.concatenate([src_pulse, bg_pulse]), np.concatenate([src_t, bg_t])
+
+
+@st.composite
+def block_draws(draw):
+    """(block, n_pulses, emission, blink, background): n_pulses at or near
+    the block boundaries, or anywhere below four blocks."""
+    block = draw(st.sampled_from([1, 7, detection._UNIFORM_BLOCK]))
+    boundary = [n for n in (block - 1, block, block + 1, 3 * block + 7) if n]
+    n_pulses = draw(st.one_of(st.sampled_from(boundary),
+                              st.integers(1, min(4 * block, 5000))))
+    p_excited = draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                               st.floats(0.0, 1.0)))
+    # a state that is never left: exp(-period / 1e300 s) rounds to 1
+    telegraph = st.sampled_from(TELEGRAPHS + [(0.5, 1e300), (1.0, 1e-3)])
+    blink = draw(st.one_of(st.none(), telegraph.map(lambda c: BlinkConfig(*c))))
+    background = draw(st.sampled_from([0.0, 0.01, 2.0]))
+    return block, n_pulses, _emitter(p_excited, gamma=2e5), blink, background
+
+
+# about 0.37 of the decays land inside this gate, the rest before or after
+NARROW_GATE = DetectorConfig(eta_total=1.0, dark_rate=1e3, gate_start=1e-6,
+                             gate_duration=3e-6)
+
+
+@example((1, 1, _emitter(1.0), BlinkConfig(0.5, 1e300), 0.0))
+@example((7, 28, _emitter(0.0), None, 2.0))
+@example((detection._UNIFORM_BLOCK, 3 * detection._UNIFORM_BLOCK + 7,
+          _emitter(0.3), BlinkConfig(0.5, 800e-6), 0.01))
+@given(block_draws())
+def test_block_draw_matches_the_per_pulse_draw(case):
+    block, n_pulses, emission, blink, background = case
+    fast, slow = np.random.default_rng(18), np.random.default_rng(18)
+    with mock.patch.object(detection, "_UNIFORM_BLOCK", block):
+        pulse, t = draw_clicks(emission, NARROW_GATE, n_pulses, fast,
+                               blink=blink, background_per_pulse=background)
+    ref_pulse, ref_t = _draw_clicks_per_pulse(
+        emission, NARROW_GATE, n_pulses, slow, blink=blink,
+        background_per_pulse=background)
+    assert pulse.dtype == ref_pulse.dtype == np.uint64
+    assert np.array_equal(pulse, ref_pulse)
+    assert np.array_equal(t.view(np.uint64), ref_t.view(np.uint64))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class _NoDraws:
+    """A generator stand-in that fails any draw."""
+
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew before refusing the run")
+
+    geometric = random
+
+
+def test_background_cap_refuses_before_drawing():
+    with pytest.raises(DomainError, match="n_pulses"):
+        draw_clicks(_emitter(0.5), WIDE_GATE, 50_000_000, _NoDraws(),
+                    blink=BlinkConfig(p_bright=0.5), background_per_pulse=3.0)
 
 
 def test_bunching_profile_shape():
