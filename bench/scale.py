@@ -4,9 +4,11 @@
     python3 bench/scale.py --out BENCH_16.json --parent HEAD~1
 
 Run it from the root of a checkout; it imports cavityspec from ./src.  Every
-entry runs in a fresh interpreter, REPEATS times.  The output records, per
-entry, each run's wall time, their median, and the largest peak RSS of the
-runs, with the machine's core count.  With --parent REV, the committed files
+entry runs in a fresh interpreter, REPEATS times, or SHORT_REPEATS times when
+its first run takes under SHORT_S seconds (host noise alone moves the median
+of 3 such runs by ±15%).  The output records, per entry, each run's wall
+time, their number and median, and the largest peak RSS of the runs, with
+the machine's core count.  With --parent REV, the committed files
 of REV are extracted to a temporary directory (git archive) and every run of
 this checkout is paired with one of REV, entry by entry and repeat by repeat,
 which of the two goes first alternating; REV's rows go under "parent", so
@@ -70,6 +72,7 @@ SCALE = {
 ENTRIES = ([f"run {e}" for e in EXPERIMENTS] + [f"run {s}" for s in SCALE]
            + ["pulse_excitation 1e6 pairs", "pulse_excitation 1 pair"])
 REPEATS = 3
+SHORT_REPEATS, SHORT_S = 9, 1.0
 PAIRS = 1_000_000
 ONE_PAIR_CALLS = 1000
 
@@ -164,7 +167,8 @@ def _extract(rev: str, tmp: str) -> tuple[str, str]:
 
 def _summary(runs: list[dict]) -> dict:
     seconds = [r["seconds"] for r in runs]
-    return {"median_s": statistics.median(seconds), "runs_s": seconds,
+    return {"median_s": statistics.median(seconds), "repeats": len(seconds),
+            "runs_s": seconds,
             "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
 
 
@@ -200,7 +204,9 @@ def main() -> int:
             print(f"{'':45s} {'this checkout':>22s} {'parent':>22s}")
         for name in ENTRIES:
             runs = {side: [] for side in roots}
-            for rep in range(REPEATS):
+            for rep in range(SHORT_REPEATS):
+                if rep == REPEATS and runs["entries"][0]["seconds"] >= SHORT_S:
+                    break
                 for side in list(roots)[::-1 if rep % 2 else 1]:
                     done = subprocess.run(
                         me + ["--child", name, "--pairs", pairs,
@@ -213,9 +219,8 @@ def main() -> int:
                 line += (f" {row['median_s']:9.4f} s "
                          f"{row['peak_rss_mb']:7.1f} MB")
             print(line, flush=True)
-    report = {"cores": os.cpu_count(), "repeats": REPEATS,
-              "python": sys.version.split()[0], "numpy": np.__version__,
-              "entries": results["entries"]}
+    report = {"cores": os.cpu_count(), "python": sys.version.split()[0],
+              "numpy": np.__version__, "entries": results["entries"]}
     if args.parent:
         report["parent"] = {"rev": sha, "entries": results["parent"]}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,7 +2,8 @@
 
 Every file is written to a temporary name in the destination directory and
 renamed into place, so readers never observe a partial file.  Numbers are
-formatted with 12 significant digits; identical inputs therefore produce
+formatted with 12 significant digits (%.12g; a column of integers below 1e12
+as %d, which prints the same digits); identical inputs therefore produce
 byte-identical files.
 """
 
@@ -12,6 +13,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -65,12 +67,18 @@ def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
     n = len(arrays[0]) if arrays else 0
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have equal length")
-    row = ",".join(["%.12g"] * len(arrays))
-    # a block of rows at a time: no copy of the whole table, and a Python
-    # float for the cells of one block only
+    # a column of integers below 1e12 prints as %.12g prints it, but as %d
+    # in a quarter of the time; -0.0 ("-0") and 1e12 ("1e+12") do not
+    integral = [bool(np.all((np.abs(a) < 1e12) & (np.trunc(a) == a)
+                            & ~((a == 0) & np.signbit(a)))) for a in arrays]
+    row = ",".join("%d" if i else "%.12g" for i in integral)
+    # a block of rows at a time: no copy of the whole table, and Python
+    # numbers for the cells of one block only
     for start in range(0, n, _CSV_BLOCK):
-        block = np.column_stack([a[start:start + _CSV_BLOCK] for a in arrays])
-        lines.extend(row % tuple(r) for r in block.tolist())
+        cols = [a[start:start + _CSV_BLOCK] for a in arrays]
+        cols = [(c.astype(np.int64) if i else c).tolist()
+                for c, i in zip(cols, integral)]
+        lines.extend(map(row.__mod__, zip(*cols)))
     _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -87,16 +95,19 @@ def read_text(path, what: str) -> str:
 def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by write_csv_atomic: (header dict, column dict).
 
-    Every data cell is parsed in one numpy call, which converts a str as
-    float() does; only when that fails are the rows parsed one by one, to
-    name the first malformed one.
+    The lines after the column header go to numpy's C reader in one call; it
+    converts each cell as float() does but takes no '#' or whitespace-only
+    line, no '1_0' and no non-ASCII digit.  When it fails, the rows are read
+    one by one, with float() on every cell, skipping comment and blank
+    lines, so any table float() can read is read alike and the first bad
+    line is named.
     """
     header = {}
     names = None
-    rows, linenos = [], []
-    misfit = None  # the error of the first row with the wrong column count
+    rows = []
     # read_text's newline translation leaves "\n" as the only line end
-    for lineno, raw in enumerate(read_text(path, "data file").split("\n"), 1):
+    lines = read_text(path, "data file").split("\n")
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -108,33 +119,29 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
             continue
         if names is None:
             names = [c.strip() for c in line.split(",")]
+            try:
+                with warnings.catch_warnings():  # "input contained no data"
+                    warnings.simplefilter("ignore")
+                    data = np.loadtxt(lines[lineno:], delimiter=",",
+                                      comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                continue
+            if data.shape[0] and data.shape[1] == len(names):
+                break
             continue
-        n_cells = line.count(",") + 1
-        if n_cells != len(names):
-            misfit = (f"{path}: line {lineno}: expected {len(names)} columns, "
-                      f"got {n_cells}")
-            break
-        rows.append(line)
-        linenos.append(lineno)
-    if rows:
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise ConfigError(f"{path}: line {lineno}: expected {len(names)} "
+                              f"columns, got {len(cells)}")
         try:
-            data = np.array(",".join(rows).split(","), dtype=float)
-        except ValueError:  # row by row, to name the first malformed row
-            data = np.array([_parse_row(path, lineno, line)
-                             for lineno, line in zip(linenos, rows)])
-    if misfit is not None:
-        raise ConfigError(misfit)
-    if names is None:
-        raise ConfigError(f"{path}: no column header found")
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    data = data.reshape(len(rows), len(names))
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: line {lineno}: malformed data row {line!r}") from exc
+    else:  # no break: the C reader did not take the rows
+        if names is None:
+            raise ConfigError(f"{path}: no column header found")
+        if not rows:
+            raise ConfigError(f"{path}: no data rows")
+        data = np.array(rows)
     return header, {name: data[:, i] for i, name in enumerate(names)}
-
-
-def _parse_row(path, lineno: int, line: str) -> list[float]:
-    try:
-        return [float(c) for c in line.split(",")]
-    except ValueError as exc:
-        raise ConfigError(
-            f"{path}: line {lineno}: malformed data row {line!r}") from exc

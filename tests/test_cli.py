@@ -636,6 +636,28 @@ def test_fit_bunching_skips_zero_offset(tmp_path):
     assert fit["params"]["switch_time"] == pytest.approx(4.0, rel=1e-6)
 
 
+def _cli_in_child(*args):
+    """The CLI run in a fresh interpreter, its stdout and stderr captured."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from cavityspec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "# seed: 7\nx,y\n\n \n"])
+def test_fit_on_a_header_only_csv_prints_one_error_line(tmp_path, text):
+    """numpy's reader warns on a table with no rows; the warning must not
+    reach stderr, which a child process shows as the user sees it."""
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    proc = _cli_in_child("fit", str(data), "--model", "linear")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {data}: no data rows\n"
+
+
 @pytest.mark.parametrize("model", ["exponential", "linear"])
 @pytest.mark.parametrize("x", ["0.0", "1e-170"])
 def test_fit_on_a_zero_x_column_prints_one_error_line(tmp_path, model, x):
@@ -644,12 +666,7 @@ def test_fit_on_a_zero_x_column_prints_one_error_line(tmp_path, model, x):
     of Python's stream capture; so the CLI runs in a child process."""
     data = tmp_path / "data.csv"
     data.write_text("x,y\n" + f"{x},5.0\n{x},3.0\n" * 3)
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from cavityspec.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "fit", str(data), "--model", model],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
+    proc = _cli_in_child("fit", str(data), "--model", model)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == ("error: initial guess failed: x is zero, or too "
