@@ -44,8 +44,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
-# one scale setting per experiment, two for lifetime's two slow paths
-# and for g2 with and without the blinking telegraph
+# one scale setting per experiment, two for lifetime's two slow paths,
+# and three for g2: with and without the blinking telegraph, and with
+# many offsets
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
@@ -60,6 +61,8 @@ SCALE = {
     "g2 @ 1e7 pulses": "experiment = g2\n[g2]\nn_pulses = 10000000\n",
     "g2 @ 1e7 pulses, blinking": "experiment = g2\n[g2]\n"
         "n_pulses = 10000000\nblink = true\np_bright = 0.5\n",
+    "g2 @ 1e7 pulses, max_offset 1000": "experiment = g2\n[g2]\n"
+        "n_pulses = 10000000\nmax_offset = 1000\n",
     "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"
         "[cavity_sweep]\nn_points = 1001\npulses_per_point = 100000\n",
     "saturation @ 200,000 powers": "experiment = saturation\n[saturation]\n"

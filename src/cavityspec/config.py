@@ -281,9 +281,11 @@ SETTINGS: dict[tuple[str, str], tuple[Kind, str]] = {
 # Upper bounds of every count key, checked at build so a huge value exits
 # naming its key instead of failing inside numpy.
 COUNT_LIMITS = {
+    # grid and table sizes (the g2 table has max_offset + 1 rows)
     **dict.fromkeys([("lifetime", "n_bins"), ("cavity_sweep", "n_points"),
                      ("cavity_sweep", "n_bins"), ("saturation", "n_points"),
-                     ("purcell_stats", "n_points")], MAX_GRID_POINTS),
+                     ("purcell_stats", "n_points"), ("g2", "max_offset")],
+                    MAX_GRID_POINTS),
     # pulses drawn and binomial trial counts: 10x the largest pulse count
     # in use (a click draw holds no per-pulse array; its memory follows
     # the clicks)

@@ -142,9 +142,9 @@ class ClickStream:
 
 
 def _telegraph_runs(n_pulses, p_bright, rep_period, switch_time, rng):
-    """(first, lengths): the first state of the stationary two-state
-    telegraph and its alternating run lengths in pulses, summing to
-    n_pulses.
+    """(first, ends): the first state of the stationary two-state
+    telegraph and the pulse at which each of its alternating runs ends,
+    cumulative and clipped at n_pulses, the last equal to n_pulses.
 
     Sojourn lengths are geometric and alternate from a stationary first
     state; they are drawn in blocks of _SOJOURN_BLOCK pairs until they
@@ -154,18 +154,20 @@ def _telegraph_runs(n_pulses, p_bright, rep_period, switch_time, rng):
     first = bool(rng.random() < p_bright)
     leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
     leave_a, leave_b = leave if first else leave[::-1]
-    lengths, total = [], 0
+    ends, total = [], 0
     while total < n_pulses and leave_a > 0.0:
         runs = np.empty(2 * _SOJOURN_BLOCK, dtype=np.int64)
         runs[0::2] = rng.geometric(leave_a, size=_SOJOURN_BLOCK)
         runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=_SOJOURN_BLOCK)
-        ends = np.minimum(np.cumsum(np.minimum(runs, n_pulses)),
-                          n_pulses - total)
-        lengths.append(np.diff(ends, prepend=0))
-        total += int(ends[-1])
-    if not lengths:
-        return first, np.array([n_pulses, 0])
-    return first, np.concatenate(lengths)
+        np.minimum(runs, n_pulses, out=runs)
+        np.cumsum(runs, out=runs)
+        np.minimum(runs, n_pulses - total, out=runs)
+        runs += total
+        ends.append(runs)
+        total = int(runs[-1])
+    if not ends:
+        return first, np.array([n_pulses, n_pulses])
+    return first, np.concatenate(ends)
 
 
 MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
@@ -224,8 +226,8 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
         fired.append(np.flatnonzero(u < p_click) + start)
     src_pulse = np.concatenate(fired)
     if runs is not None:  # a fired pulse counts if its run is a bright one
-        first, lengths = runs
-        run = np.searchsorted(np.cumsum(lengths), src_pulse, side="right")
+        first, ends = runs
+        run = np.searchsorted(ends, src_pulse, side="right")
         src_pulse = src_pulse[(run % 2 == 0) == first]
     src_pulse = src_pulse.astype(np.uint64)
     src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
@@ -361,6 +363,12 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     so mean = sum(x) / L equals the mean over all L products; the variance
     sums (x - mean)^2 over the K products in float64 and adds
     (L - K) mean^2 for the zeros.
+
+    Pairs are found by a pointer per pulse, not a search per offset.  Only
+    the K' pulses whose next clicked pulse lies within max_offset can
+    pair.  Each keeps j, its first clicked pulse at or past p_i + m: as p
+    is strictly increasing, j moves on by one past each partner found and
+    stays put otherwise.  The time is O(K' max_offset) and the memory O(K).
     """
     if max_offset < 0:
         raise DomainError(f"max_offset must be non-negative, got {max_offset}")
@@ -375,6 +383,10 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
     p = pulse[starts].astype(np.int64)
     c = np.diff(np.r_[starts, len(pulse)])
+    near = np.flatnonzero(p[1:] - p[:-1] <= max_offset)  # the K' pulses
+    c_near, p_near = c[near], p[near]
+    j = near + 1
+    gap = p[j] - p_near  # p_j - p_i
     mu = len(pulse) / stream.n_pulses
     offsets = np.arange(max_offset + 1)
     g2 = np.empty(max_offset + 1)
@@ -384,10 +396,14 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
         if m == 0:
             x = c * (c - 1)
         else:
-            partner = p + m
-            j = np.searchsorted(p, partner)
-            pair = p[np.minimum(j, len(p) - 1)] == partner
-            x = c[pair] * c[j[pair]]
+            pair = np.flatnonzero(gap == m)
+            hit = j[pair]
+            x = c_near[pair] * c[hit]
+            hit += 1
+            j[pair] = hit
+            # a j past the last pulse reads the last, whose gap is this m:
+            # it never pairs again
+            gap[pair] = p[np.minimum(hit, len(p) - 1)] - p_near[pair]
         n = stream.n_pulses - m
         mean = x.sum() / n
         var = ((np.square(x - mean).sum() + (n - len(x)) * mean * mean)

@@ -304,6 +304,26 @@ def test_g2_max_offset_past_the_pulses_exits_2(tmp_path, capsys, n_pulses,
     assert (out / "g2-seed7").exists() == (code == 0)
 
 
+# max_offset sizes the g2 table and its offset loop: capped at 1,000,000
+# rows like every other table, before anything is drawn
+@pytest.mark.parametrize("max_offset", [1_000_001, 99_999_998])
+def test_g2_max_offset_past_the_table_cap_exits_2(tmp_path, capsys,
+                                                  monkeypatch, max_offset):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the clicks were drawn")
+
+    monkeypatch.setattr(experiments, "run_g2", refuse)
+    cfg = _write_cfg(tmp_path, "experiment = g2\n[g2]\n"
+                               "n_pulses = 100000000\n"
+                               f"max_offset = {max_offset}\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [g2] max_offset: expected at most "
+                          "1,000,000, got ")
+    assert not out.exists()
+
+
 # a line centre so far out that the scan's step falls below its float
 # spacing: each refusal names the key that moved the centre
 FAR_CENTRES = [("zeeman", "[ion]\noffset = 1e+14 GHz", "[ion] offset"),

@@ -197,6 +197,15 @@ def test_oversized_count_exits_2_naming_key(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", sorted(COUNT_LIMITS),
+                         ids=[f"{s}-{k}" for s, k in sorted(COUNT_LIMITS)])
+def test_count_one_past_its_limit_is_refused(key):
+    limit = COUNT_LIMITS[key]
+    with pytest.raises(ConfigError, match=f"expected at most {limit:,}, "
+                                          f"got '{limit + 1}'"):
+        build_config({key: str(limit + 1)})
+
+
 def test_count_limits_admit_the_bound():
     cfg = build_config({key: str(limit) for key, limit in COUNT_LIMITS.items()})
     assert all(cfg[key] == limit for key, limit in COUNT_LIMITS.items())

@@ -1,9 +1,9 @@
 """Click simulation and pulsed correlation statistics.
 
-The sparse g2_pulsed, the click ordering, the vectorised dead-time
-pruning and the block-wise click draw are checked against the dense,
-lexsort, per-click loop and per-pulse versions they replaced, kept here as
-oracles.
+The sparse g2_pulsed and its partner pointers, the click ordering, the
+vectorised dead-time pruning and the block-wise click draw are checked
+against the dense, search-per-offset, lexsort, per-click loop and
+per-pulse versions they replaced, kept here as oracles.
 """
 
 import math
@@ -160,8 +160,9 @@ def _expand(first, lengths):
     (5_000, 1 - 1e-12, 1.0), (5_000, 1e-12, 1.0)])
 def test_telegraph_matches_a_sojourn_loop(n_pulses, p_bright, switch_time):
     fast, slow = np.random.default_rng(8), np.random.default_rng(8)
-    first, lengths = _telegraph_runs(n_pulses, p_bright, 100e-6, switch_time,
-                                     fast)
+    first, ends = _telegraph_runs(n_pulses, p_bright, 100e-6, switch_time,
+                                  fast)
+    lengths = np.diff(ends, prepend=0)
     flags = _expand(first, lengths)
     reference = _sojourn_loop(n_pulses, p_bright, 100e-6, switch_time, slow)
     assert flags.dtype == bool
@@ -456,6 +457,87 @@ def test_g2_accepts_a_stream_out_of_pulse_order():
     ordered = ClickStream(np.sort(pulse), np.zeros(6), n_pulses=6)
     for a, b in zip(g2_pulsed(shuffled, 3), g2_pulsed(ordered, 3)):
         assert np.array_equal(a, b)
+
+
+def _g2_searchsorted(stream, max_offset):
+    """Reference g2_pulsed partner search: one binary search of the
+    clicked pulses per offset, the sums as g2_pulsed makes them."""
+    pulse = np.sort(stream.pulse_index)
+    starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
+    p = pulse[starts].astype(np.int64)
+    c = np.diff(np.r_[starts, len(pulse)])
+    mu = len(pulse) / stream.n_pulses
+    g2 = np.empty(max_offset + 1)
+    stderr = np.empty(max_offset + 1)
+    mu_sq = mu * mu
+    for m in np.arange(max_offset + 1):
+        if m == 0:
+            x = c * (c - 1)
+        else:
+            partner = p + m
+            j = np.searchsorted(p, partner)
+            pair = p[np.minimum(j, len(p) - 1)] == partner
+            x = c[pair] * c[j[pair]]
+        n = stream.n_pulses - m
+        mean = x.sum() / n
+        var = ((np.square(x - mean).sum() + (n - len(x)) * mean * mean)
+               / (n - 1))
+        g2[m] = mean / mu_sq
+        stderr[m] = math.sqrt(var) / math.sqrt(n) / mu_sq
+    return g2, stderr
+
+
+@st.composite
+def pointer_streams(draw):
+    """(stream, max_offset): sparse, dense, bunched, one-pulse and
+    every-pulse streams, some with several clicks a pulse, some out of
+    pulse order, at max_offset 0, 1, past the largest gap, n_pulses - 2
+    or anywhere between."""
+    n_pulses = draw(st.one_of(st.integers(2, 40), st.integers(2, 600)))
+    kind = draw(st.sampled_from(["sparse", "dense", "bunched", "one",
+                                 "every"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("sparse", "dense"):
+        low, high = (0.001, 0.05) if kind == "sparse" else (0.5, 0.99)
+        clicked = np.flatnonzero(rng.random(n_pulses)
+                                 < draw(st.floats(low, high)))
+    elif kind == "bunched":  # bright and dark runs of geometric length
+        mean_run = draw(st.sampled_from([2.0, 10.0, 50.0]))
+        runs = np.cumsum(rng.geometric(1 / mean_run, size=2 * n_pulses))
+        bright = np.searchsorted(runs, np.arange(n_pulses), "right") % 2 == 0
+        clicked = np.flatnonzero(bright & (rng.random(n_pulses) < 0.7))
+    elif kind == "one":
+        clicked = np.array([draw(st.integers(0, n_pulses - 1))])
+    else:
+        clicked = np.arange(n_pulses)
+    if not len(clicked):
+        clicked = np.array([rng.integers(n_pulses)])
+    per_pulse = rng.integers(1, draw(st.sampled_from([1, 2, 5])) + 1,
+                             size=len(clicked))
+    pulse = np.repeat(clicked, per_pulse).astype(np.uint64)
+    if draw(st.booleans()):
+        rng.shuffle(pulse)
+    past_gap = int(np.diff(clicked).max(initial=0)) + 1
+    max_offset = draw(st.sampled_from([
+        0, 1, min(past_gap, n_pulses - 2), n_pulses - 2,
+        draw(st.integers(0, n_pulses - 2))]))
+    max_offset = min(max_offset, n_pulses - 2)
+    stream = ClickStream(pulse, np.zeros(len(pulse)), n_pulses=n_pulses)
+    return stream, max_offset
+
+
+# every pulse clicked twice, every offset
+@example((_stream(7, [2] * 7), 5))
+# one click in the first and one in the last pulse, out of order
+@example((ClickStream(np.array([9, 0], dtype=np.uint64), np.zeros(2),
+                      n_pulses=10), 8))
+@given(pointer_streams())
+def test_pointer_g2_is_bit_equal_to_the_search_per_offset(case):
+    stream, max_offset = case
+    _, g2, stderr = g2_pulsed(stream, max_offset)
+    g2_ref, stderr_ref = _g2_searchsorted(stream, max_offset)
+    assert np.array_equal(g2.view(np.uint64), g2_ref.view(np.uint64))
+    assert np.array_equal(stderr.view(np.uint64), stderr_ref.view(np.uint64))
 
 
 @st.composite
