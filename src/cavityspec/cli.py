@@ -130,14 +130,21 @@ def _cmd_fit(args) -> int:
     out_path = args.output or args.data + ".fit.json"
 
     if args.model == "peaks":
-        baseline = float(np.median(y))
-        noise = args.noise_sigma
-        if noise is None:  # the median absolute deviation, as a sigma
-            noise = 1.4826 * float(np.median(np.abs(y - baseline)))
-            if noise <= 0:
-                raise ConfigError("noise sigma is zero; pass --noise-sigma")
-        peaks = count_peaks(x, y - baseline, width=args.width,
-                            noise_sigma=noise)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                baseline = float(np.median(y))
+                y = y - baseline
+                noise = args.noise_sigma
+                if noise is None:  # the median absolute deviation, as a sigma
+                    noise = 1.4826 * float(np.median(np.abs(y)))
+                    if noise <= 0:
+                        raise ConfigError(
+                            "noise sigma is zero; pass --noise-sigma")
+                peaks = count_peaks(x, y, width=args.width,
+                                    noise_sigma=noise)
+        except FloatingPointError:
+            raise ConfigError(f"{args.data}: the data overflow double "
+                              "precision; rescale them") from None
         result = {"model": "peaks", "count": peaks.count,
                   "width": args.width, "noise_sigma": noise,
                   "baseline": baseline,

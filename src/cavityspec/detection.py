@@ -6,9 +6,9 @@ contributes at most one photon per pulse (the drive is off once the gate
 opens), thinned by the collection chain and the gate; dark counts and
 residual laser background arrive as Poisson processes inside the gate.
 Slow intensity switching (blinking) gates the emitter with a two-state
-telegraph sampled at the pulse boundaries.  The pulses are drawn a block
-at a time and the telegraph kept as sojourn lengths, so memory follows
-the clicks and sojourns, not the pulses.
+telegraph sampled at the pulse boundaries.  The telegraph is drawn a block
+of sojourns at a time and only its bright pulses draw a firing uniform,
+so memory follows the clicks, not the pulses or the sojourns.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class ClickStream:
         records["t_ns"] = self.t_in_pulse * 1e9
         head = struct.pack("<4sIQQQ", _BINARY_MAGIC, _BINARY_VERSION,
                            self.n_pulses, self.seed, len(self))
-        write_bytes_atomic(path, head + records.tobytes())
+        write_bytes_atomic(path, head, records)
 
     @classmethod
     def from_binary(cls, path) -> "ClickStream":
@@ -142,32 +142,39 @@ class ClickStream:
 
 
 def _telegraph_runs(n_pulses, p_bright, rep_period, switch_time, rng):
-    """(first, ends): the first state of the stationary two-state
-    telegraph and the pulse at which each of its alternating runs ends,
-    cumulative and clipped at n_pulses, the last equal to n_pulses.
+    """The bright runs of the stationary two-state telegraph over n_pulses
+    pulses, yielded a block at a time as (start, length) arrays.
 
     Sojourn lengths are geometric and alternate from a stationary first
-    state; they are drawn in blocks of _SOJOURN_BLOCK pairs until they
-    cover n_pulses, and a state that is never left lasts to the end.
+    state.  A block draws _SOJOURN_BLOCK sojourns of the first state's
+    kind, then as many of the other's, so it holds an even number of whole
+    runs and the next block starts in the first state again; clipped at
+    n_pulses, a run may be empty.  Blocks are drawn only as they are read,
+    until they cover n_pulses, and a state that is never left lasts to the
+    end.
     """
     decay = math.exp(-rep_period / switch_time)
     first = bool(rng.random() < p_bright)
     leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
     leave_a, leave_b = leave if first else leave[::-1]
-    ends, total = [], 0
-    while total < n_pulses and leave_a > 0.0:
-        runs = np.empty(2 * _SOJOURN_BLOCK, dtype=np.int64)
+    if leave_a <= 0.0:
+        if first:
+            yield np.zeros(1, dtype=np.int64), np.array([n_pulses])
+        return
+    bright = 0 if first else 1  # the bright runs' parity in a block
+    edges = np.empty(2 * _SOJOURN_BLOCK + 1, dtype=np.int64)
+    total = edges[0] = 0
+    while total < n_pulses:
+        runs = edges[1:]
         runs[0::2] = rng.geometric(leave_a, size=_SOJOURN_BLOCK)
         runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=_SOJOURN_BLOCK)
         np.minimum(runs, n_pulses, out=runs)
         np.cumsum(runs, out=runs)
         np.minimum(runs, n_pulses - total, out=runs)
         runs += total
-        ends.append(runs)
-        total = int(runs[-1])
-    if not ends:
-        return first, np.array([n_pulses, n_pulses])
-    return first, np.concatenate(ends)
+        start = edges[bright:-1:2].copy()
+        yield start, edges[bright + 1::2] - start
+        total = edges[0] = int(edges[-1])
 
 
 MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
@@ -191,15 +198,20 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
                 blink: BlinkConfig | None = None, rep_period: float = 100e-6,
                 background_per_pulse: float = 0.0):
     """(pulse index, time in pulse) of every click before ordering and
-    dead time.  Draw order is fixed (telegraph, excitation, decay times,
+    dead time.  Draw order is fixed (telegraph and excitation, decay times,
     background) so a given generator state always yields the same clicks.
 
-    No array holds one entry per pulse, so memory follows the clicks.  The
-    excitation uniforms are drawn _UNIFORM_BLOCK at a time into one
-    buffer: random() takes one 64-bit output per double, so they are the
-    values, and leave the generator state, of one rng.random(n_pulses).
-    A pulse fires if its uniform is below p_click and its telegraph run is
-    bright: as u >= 0, that is u < p_click * bright, pulse by pulse.
+    Only a bright pulse can fire, so only bright pulses draw a uniform: one
+    each, in pulse order, and it fires below p_click.  A steady emitter's
+    pulses are all bright.  A blinking emitter's telegraph comes a block
+    of runs at a time; each block's bright pulses draw theirs before the
+    next block is drawn, and a fired one is mapped from its slot among
+    them back to its pulse through the block's cumulative bright lengths.
+    The uniforms are drawn _UNIFORM_BLOCK at a time into one buffer, and
+    no array holds one entry per pulse or per sojourn, so memory follows
+    the clicks.  random() takes one 64-bit output per double, so a steady
+    emitter's uniforms are the values, and leave the generator state, of
+    one rng.random(n_pulses).
     """
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be positive, got {n_pulses}")
@@ -214,21 +226,20 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
                           "gate_duration or background_per_pulse")
 
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
-    runs = None
-    if blink is not None and blink.p_bright < 1.0:
-        runs = _telegraph_runs(n_pulses, blink.p_bright, rep_period,
-                               blink.switch_time, rng)
     buf = np.empty(min(n_pulses, _UNIFORM_BLOCK))
-    fired = []
-    for start in range(0, n_pulses, len(buf)):
-        u = buf[:n_pulses - start]
-        rng.random(out=u)
-        fired.append(np.flatnonzero(u < p_click) + start)
-    src_pulse = np.concatenate(fired)
-    if runs is not None:  # a fired pulse counts if its run is a bright one
-        first, ends = runs
-        run = np.searchsorted(ends, src_pulse, side="right")
-        src_pulse = src_pulse[(run % 2 == 0) == first]
+    if blink is not None and blink.p_bright < 1.0:
+        fired = [np.empty(0, dtype=np.int64)]
+        for start, length in _telegraph_runs(n_pulses, blink.p_bright,
+                                             rep_period, blink.switch_time,
+                                             rng):
+            cum = np.cumsum(length)
+            slot = _fired_slots(int(cum[-1]), p_click, buf, rng)
+            # a slot's pulse: its run's first pulse, plus its place in the run
+            run = np.searchsorted(cum, slot, side="right")
+            fired.append(slot + (start - cum + length)[run])
+        src_pulse = np.concatenate(fired)
+    else:
+        src_pulse = _fired_slots(n_pulses, p_click, buf, rng)
     src_pulse = src_pulse.astype(np.uint64)
     src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
                                                    size=len(src_pulse))
@@ -240,6 +251,17 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
     bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
     bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
     return np.concatenate([src_pulse, bg_pulse]), np.concatenate([src_t, bg_t])
+
+
+def _fired_slots(n, p_click, buf, rng):
+    """Indices of the n slots whose uniform falls below p_click, the
+    uniforms drawn len(buf) at a time into buf."""
+    fired = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, n, len(buf)):
+        u = buf[:n - lo]
+        rng.random(out=u)
+        fired.append(np.flatnonzero(u < p_click) + lo)
+    return np.concatenate(fired)
 
 
 def settle_clicks(pulse, t, dead_time):

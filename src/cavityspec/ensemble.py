@@ -203,7 +203,9 @@ def ions_above_purcell(cfg: EnsembleConfig, cavity: CavityParams,
     z = (np.arange(nz) + 0.5) * lz / nz
     t_sq = np.sort(envelope.amplitude(x[:, None], y[None, :]) ** 2, axis=None)
     cell_area = (lx / nx) * (ly / ny)
-    depth_factor = np.exp2(z / cavity.z_half)
+    # past ~1024 z_half the factor is inf: no cell reaches that threshold
+    with np.errstate(over="ignore"):
+        depth_factor = np.exp2(z / cavity.z_half)
     flat = fractions.ravel()
     volume = np.empty(flat.size)
     rows = max(1, _THRESHOLD_BLOCK // nz)

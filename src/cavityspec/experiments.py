@@ -639,8 +639,14 @@ def _ple(cfg: RunConfig):
     if cfg["ensemble", "enabled"]:
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=cfg.seed, spawn_key=(_ENSEMBLE_STREAM,)))
-        ions = sample_ensemble(cfg.ensemble, cfg.cavity, cfg.emitter, rng,
-                               cfg.envelope)
+        try:
+            ions = sample_ensemble(cfg.ensemble, cfg.cavity, cfg.emitter, rng,
+                                   cfg.envelope)
+        except DomainError:  # a drawn line centre at or below 0 Hz
+            raise ConfigError(
+                "[cavity] frequency, [ensemble] center_offset, [ensemble] "
+                "sigma: a sampled line centre is not positive; the spread "
+                "is too wide for the centre frequency") from None
     else:
         ions = cfg.ion
     res = run_ple_scan(scan_grid(cfg), ions, cfg.cavity, cfg.emitter,

@@ -26,7 +26,8 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _atomic_write(path, data: bytes) -> None:
+def write_bytes_atomic(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, as one file."""
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix="~")
@@ -36,7 +37,8 @@ def _atomic_write(path, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             # mkstemp makes the file owner-only; give it open()'s mode
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -44,16 +46,12 @@ def _atomic_write(path, data: bytes) -> None:
         raise
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
-    _atomic_write(path, data)
-
-
 def write_text_atomic(path, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def write_json_atomic(path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
@@ -79,7 +77,7 @@ def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
         cols = [(c.astype(np.int64) if i else c).tolist()
                 for c, i in zip(cols, integral)]
         lines.extend(map(row.__mod__, zip(*cols)))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_text(path, what: str) -> str:

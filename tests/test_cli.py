@@ -243,6 +243,21 @@ def test_oversized_ensemble_region_is_a_capacity_error(tmp_path, capsys):
     assert err.startswith("error: ") and "max_count" in err
 
 
+def test_ensemble_wider_than_its_centre_exits_2_naming_keys(tmp_path,
+                                                           capsys):
+    # lines drawn from N(1 GHz, 1 GHz) fall below 0 Hz
+    cfg = _write_cfg(tmp_path, "experiment = ple\n[cavity]\nfrequency = 1 GHz"
+                               "\n[ensemble]\nenabled = true\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--seed", "7", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for key in ("[cavity] frequency", "[ensemble] center_offset",
+                "[ensemble] sigma"):
+        assert key in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_oversized_purcell_stats_region_exits_2(tmp_path, capsys,
                                                 monkeypatch):
     amplitude = TransverseEnvelope.amplitude
@@ -257,6 +272,16 @@ def test_oversized_purcell_stats_region_exits_2(tmp_path, capsys,
     assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "region" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_purcell_stats_with_a_shallow_decay_length(tmp_path):
+    """At z_half = 0.001 nm the depth factor overflows below ~1 nm: those
+    depths hold no ion above any fraction, with no numpy warning."""
+    cfg = _write_cfg(tmp_path, "experiment = purcell_stats\n[cavity]\n"
+                               "z_half = 0.001 nm\n[purcell_stats]\n"
+                               "n_points = 4\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "o")]) == 0
 
 
 def test_thin_long_purcell_stats_region_exits_2(tmp_path, capsys):
@@ -638,6 +663,27 @@ def test_peaks_model_rejects_bad_width_or_noise(tmp_path, capsys, flag,
     assert main(["fit", path, "--model", "peaks", flag, value,
                  "--output", out]) == 2
     assert name in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, noise", [
+    (2, []), (3, []), (8, []), (9, []),
+    (3, ["--noise-sigma", "1"]), (9, ["--noise-sigma", "1"])])
+def test_peaks_on_data_that_overflow_exit_2(tmp_path, capsys, n, noise):
+    """y alternating +-1e308: its spread about the median overflows a
+    double (with an odd n, y itself less the median does), which is one
+    error line, not a numpy warning."""
+    path = str(tmp_path / "huge.csv")
+    y = np.where(np.arange(n) % 2, 1e308, -1e308)
+    write_csv_atomic(path, [("x", np.arange(n) * 1e6), ("y", y)], header={})
+    out = str(tmp_path / "peaks.json")
+    assert main(["fit", path, "--model", "peaks", *noise,
+                 "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: the data overflow double "
+                            "precision; rescale them\n")
     assert not os.path.exists(out)
 
 

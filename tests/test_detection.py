@@ -153,6 +153,20 @@ def _expand(first, lengths):
     return np.repeat(np.tile([first, not first], len(lengths) // 2), lengths)
 
 
+def _bright_flags(n_pulses, blocks):
+    """Per-pulse bright flags of the (start, length) runs blocks yields,
+    checking that the runs are in order, disjoint and inside the pulses."""
+    flags = np.zeros(n_pulses, dtype=bool)
+    end = 0
+    for start, length in blocks:
+        assert start.dtype == length.dtype == np.int64
+        for s, n in zip(start.tolist(), length.tolist()):
+            assert end <= s and n >= 0 and s + n <= n_pulses
+            flags[s:s + n] = True
+            end = s + n
+    return flags
+
+
 @pytest.mark.parametrize("n_pulses,p_bright,switch_time", [
     (1, 0.5, 800e-6), (4096, 0.3, 500e-6), (30_000, 0.5, 800e-6),
     (50_000, 0.02, 1e-2), (20_000, 0.9, 1e-6), (3_000, 0.5, 1e6),
@@ -160,45 +174,49 @@ def _expand(first, lengths):
     (5_000, 1 - 1e-12, 1.0), (5_000, 1e-12, 1.0)])
 def test_telegraph_matches_a_sojourn_loop(n_pulses, p_bright, switch_time):
     fast, slow = np.random.default_rng(8), np.random.default_rng(8)
-    first, ends = _telegraph_runs(n_pulses, p_bright, 100e-6, switch_time,
-                                  fast)
-    lengths = np.diff(ends, prepend=0)
-    flags = _expand(first, lengths)
+    flags = _bright_flags(n_pulses, _telegraph_runs(
+        n_pulses, p_bright, 100e-6, switch_time, fast))
     reference = _sojourn_loop(n_pulses, p_bright, 100e-6, switch_time, slow)
-    assert flags.dtype == bool
-    assert lengths.sum() == n_pulses
     assert np.array_equal(flags, reference)
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
-def _telegraph_bright(n_pulses, p_bright, rep_period, switch_time, rng):
-    """Reference telegraph flags: the per-pulse version _telegraph_runs
-    replaced, one bool per pulse."""
+def _telegraph_blocks(n_pulses, p_bright, rep_period, switch_time, rng):
+    """Reference telegraph: per-pulse bright flags, one block of 2048
+    sojourn pairs at a time, drawn only as they are read."""
     decay = math.exp(-rep_period / switch_time)
     first = bool(rng.random() < p_bright)
     leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
     leave_a, leave_b = leave if first else leave[::-1]
-    lengths, total = [], 0
-    while total < n_pulses and leave_a > 0.0:
+    if leave_a <= 0.0:
+        yield np.full(n_pulses, first)
+        return
+    total = 0
+    while total < n_pulses:
         runs = np.empty(2 * 2048, dtype=np.int64)
         runs[0::2] = rng.geometric(leave_a, size=2048)
         runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=2048)
         ends = np.minimum(np.cumsum(np.minimum(runs, n_pulses)),
                           n_pulses - total)
-        lengths.append(np.diff(ends, prepend=0))
-        total += int(ends[-1])
-    lengths = np.concatenate(lengths) if lengths else [n_pulses, 0]
-    return _expand(first, lengths)
+        flags = _expand(first, np.diff(ends, prepend=0))
+        total += len(flags)
+        yield flags
 
 
 def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
                            rep_period=100e-6, background_per_pulse=0.0):
-    """Reference draw_clicks: one uniform and one bright flag per pulse."""
+    """Reference draw_clicks: a bright flag per pulse, and one uniform per
+    bright pulse in pulse order, each block of the telegraph's before the
+    next block is drawn."""
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
     if blink is not None and blink.p_bright < 1.0:
-        bright = _telegraph_bright(n_pulses, blink.p_bright, rep_period,
-                                   blink.switch_time, rng)
-        fire = rng.random(n_pulses) < (p_click * bright)
+        fire = []
+        for bright in _telegraph_blocks(n_pulses, blink.p_bright, rep_period,
+                                        blink.switch_time, rng):
+            block = np.zeros(len(bright), dtype=bool)
+            block[bright] = rng.random(np.count_nonzero(bright)) < p_click
+            fire.append(block)
+        fire = np.concatenate(fire)
     else:
         fire = rng.random(n_pulses) < p_click
     src_pulse = np.flatnonzero(fire).astype(np.uint64)
@@ -254,6 +272,36 @@ def test_block_draw_matches_the_per_pulse_draw(case):
     assert np.array_equal(pulse, ref_pulse)
     assert np.array_equal(t.view(np.uint64), ref_t.view(np.uint64))
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [7, detection._UNIFORM_BLOCK])
+@pytest.mark.parametrize("p_excited,switch_time", [
+    (1.0, 1e-9), (1.0, 800e-6), (0.3, 1e-9), (0.3, 800e-6)])
+def test_only_bright_pulses_fire(block, p_excited, switch_time):
+    """No source click lands in a dark run, and a bright pulse fires with
+    p_click: every one of them at p_click = 1."""
+    n_pulses, blocks = 60_000, []
+
+    def recorded(*args):
+        for runs in _telegraph_runs(*args):
+            blocks.append(runs)
+            yield runs
+
+    with mock.patch.object(detection, "_telegraph_runs", recorded), \
+            mock.patch.object(detection, "_UNIFORM_BLOCK", block):
+        pulse, _ = draw_clicks(_emitter(p_excited), WIDE_GATE, n_pulses,
+                               np.random.default_rng(21),
+                               blink=BlinkConfig(0.5, switch_time))
+    bright = _bright_flags(n_pulses, blocks)
+    n_bright = np.count_nonzero(bright)
+    assert 0.4 * n_pulses < n_bright < 0.6 * n_pulses
+    assert np.all(bright[pulse.astype(np.int64)])
+    assert np.all(np.diff(pulse.astype(np.int64)) > 0)
+    if p_excited == 1.0:
+        assert len(pulse) == n_bright
+    else:
+        sd = math.sqrt(n_bright * p_excited * (1.0 - p_excited))
+        assert abs(len(pulse) - n_bright * p_excited) < 4.0 * sd
 
 
 class _NoDraws:

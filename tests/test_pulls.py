@@ -7,13 +7,19 @@ bounds follow from N alone and were fixed before any run:
 |mean z| <= 4 / sqrt(N) and |var z - 1| <= 5 sqrt(2 / (N - 1)).
 
 `pytest --pull-points N` sets the points per scan (default 2,000).
+
+The g2(0) pulls take z = (g2(0) - floor_predicted) / stderr over G2_RUNS
+runs of run_g2, with the same bounds at N = G2_RUNS = 300: |mean z| <=
+0.231 and |var z - 1| <= 0.409.
 """
 
 import numpy as np
 import pytest
 
+from cavityspec.detection import BlinkConfig
 from cavityspec.experiments import (PulseSequence, expected_linewidth,
-                                    run_ple_scan, run_saturation_series)
+                                    run_g2, run_ple_scan,
+                                    run_saturation_series)
 from test_experiments import (CAV, EMITTER, F0, STD_DET, _ion, _ions,
                               _power_for_s)
 
@@ -30,7 +36,10 @@ def n_points(request):
 
 
 def _assert_pulls(counts, expected, variance):
-    z = (counts - expected) / np.sqrt(variance)
+    _assert_unit_normal((counts - expected) / np.sqrt(variance))
+
+
+def _assert_unit_normal(z):
     n = z.size
     assert abs(z.mean()) <= 4.0 / np.sqrt(n), z.mean()
     assert abs(z.var(ddof=1) - 1.0) <= 5.0 * np.sqrt(2.0 / (n - 1)), z.var()
@@ -65,3 +74,23 @@ def test_saturation_pulls(n_points):
     expected = np.concatenate([res.expected_on, res.expected_off])
     n_p = expected - LAM
     _assert_pulls(counts, expected, LAM + n_p * (1.0 - n_p / PULSES))
+
+
+G2_RUNS = 300
+G2_SEQ = PulseSequence(input_power=_power_for_s(400.0, 321.0))
+
+
+@pytest.mark.parametrize("blink", [None, BlinkConfig(0.5, 800e-6)],
+                         ids=["steady", "blinking"])
+def test_g2_zero_pulls(blink):
+    """g2(0) against the background floor run_g2 predicts, over 300 runs
+    of 200,000 pulses at 0.0182 background clicks a pulse (0.01 plus the
+    dark counts): |mean z| <= 4 / sqrt(300) = 0.231 and |var z - 1| <=
+    5 sqrt(2 / 299) = 0.409, fixed from N before any run."""
+    z = np.empty(G2_RUNS)
+    for seed in range(G2_RUNS):
+        res = run_g2(_ion(), CAV, EMITTER, G2_SEQ, STD_DET, 200_000,
+                     seed=seed, blink=blink, background_per_pulse=0.01,
+                     max_offset=0)
+        z[seed] = (res.g2[0] - res.floor_predicted) / res.stderr[0]
+    _assert_unit_normal(z)
