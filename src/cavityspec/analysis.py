@@ -1,7 +1,8 @@
 """Model fitting and spectrum reduction.
 
 A small Levenberg-Marquardt engine drives a fixed set of models with
-analytic Jacobians, over one fit or a stack of independent fits at once.
+analytic Jacobians, by weighted least squares or, for counts, Poisson
+likelihood, over one fit or a stack of independent fits at once.
 On top of it sit the spectrum tools: a greedy matched-filter peak counter
 for dense scans and a density-envelope fit that extrapolates through
 masked windows.
@@ -21,18 +22,24 @@ from .errors import DomainError, FitError
 _REL_TOL = 1e-8
 _MAX_REJECTS = 50
 _MAX_ITER = 200
+# A Poisson fit also converges on a step that lowers its deviance by less
+# than this: its Fisher-scoring steps crawl where zero-count bins make the
+# offset's expected information far exceed the observed, or where the
+# offset sits at the boundary mu > 0, and a crawl of 1e-6 in -2 ln L moves
+# no parameter by a statistically visible amount.
+_DEV_TOL = 1e-6
 PEAK_THRESHOLD = 3.0  # count_peaks keeps amplitudes above this many sigma
 _MAX_PEAKS = 100_000
 
 
 @dataclass
 class FitResult:
-    """Outcome of one weighted least-squares fit."""
+    """Outcome of one fit."""
 
     model: str
     params: dict[str, float]
     stderr: dict[str, float]
-    residual_norm: float          # sqrt of the weighted residual sum
+    residual_norm: float  # sqrt of the weighted residual sum, or deviance
     converged: bool
     n_iter: int
     history: list[float] = field(default_factory=list)
@@ -238,12 +245,15 @@ def _quiet():
         yield
 
 
-def fit_model(model, x, y, weights=None) -> FitResult:
+def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
     """Damped least squares with analytic Jacobians.
 
     weights multiply squared residuals; the default 1/max(|y|, 1) treats y
-    as counts.  Convergence is declared when the accepted step changes every
-    parameter by less than 1e-8 relative.  This is fit_models on one row.
+    as counts.  With poisson the fit instead minimises the Poisson deviance
+    of counts y (see fit_models).  Convergence is declared when the
+    accepted step changes every parameter by less than 1e-8 relative, or
+    in a Poisson fit lowers the deviance by less than 1e-6.  This is
+    fit_models on one row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -251,33 +261,50 @@ def fit_model(model, x, y, weights=None) -> FitResult:
         raise FitError("x and y must be 1-d arrays of the same length")
     if weights is not None:
         weights = np.asarray(weights, dtype=float)[None]
-    (result,) = fit_models(model, x[None], y[None], weights)
+    (result,) = fit_models(model, x[None], y[None], weights, poisson=poisson)
     if isinstance(result, FitError):
         raise result
     return result
 
 
-def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
+def fit_models(model, x, y, weights=None, *,
+               poisson=False) -> list[FitResult | FitError]:
     """fit_model on every row of 2-d x and y, run as one batched engine.
 
-    Rows are independent: each keeps its own parameters, chi2, damping and
-    counters, and its result equals fit_model on that row alone, bit for
-    bit, whatever else is in the stack.  A row fit_model would refuse comes
-    back as that FitError in place of a FitResult.
+    Rows are independent: each keeps its own parameters, objective, damping
+    and counters, and its result equals fit_model on that row alone, bit
+    for bit, whatever else is in the stack.  A row fit_model would refuse
+    comes back as that FitError in place of a FitResult.
+
+    With poisson each row of y is a histogram of counts, and the fit
+    minimises the Poisson deviance 2 sum[mu - y + y ln(y / mu)] (Baker &
+    Cousins, NIM 221 (1984) 437), which no weighting of squared residuals
+    does without bias: every Hessian is built with weights 1 / mu(p) at the
+    parameters it is built at, so the steps solve the Poisson likelihood
+    equations, and the stderr is the unscaled covariance, since the counts'
+    variance is known.  residual_norm is then the deviance's square root.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2:
         raise FitError("x and y must be 2-d arrays of the same shape")
     n_par = len(model.param_names)
-    if weights is None:
-        w = 1.0 / np.maximum(np.abs(y), 1.0)
+    if poisson:
+        if weights is not None:
+            raise FitError("a Poisson fit weighs by the model: pass no weights")
+        w = None
+        good_w = np.all(y >= 0, axis=1)
+        refusal = "a Poisson fit needs counts: y must not be negative"
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != y.shape:
-            raise FitError("weights must be positive, finite, and match y")
+        if weights is None:
+            w = 1.0 / np.maximum(np.abs(y), 1.0)
+        else:
+            w = np.asarray(weights, dtype=float)
+            if w.shape != y.shape:
+                raise FitError("weights must be positive, finite, and match y")
+        good_w = np.all(w > 0, axis=1) & np.all(np.isfinite(w), axis=1)
+        refusal = "weights must be positive, finite, and match y"
     finite = np.all(np.isfinite(x), axis=1) & np.all(np.isfinite(y), axis=1)
-    good_w = np.all(w > 0, axis=1) & np.all(np.isfinite(w), axis=1)
     results: list[FitResult | FitError | None] = [None] * len(y)
     for i in range(len(y)):
         if not finite[i]:
@@ -286,8 +313,7 @@ def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
             results[i] = FitError(f"need more than {n_par} points to fit "
                                   f"{model.name}")
         elif not good_w[i]:
-            results[i] = FitError("weights must be positive, finite, and "
-                                  "match y")
+            results[i] = FitError(refusal)
     with _quiet():
         guesses = {}
         for i, r in enumerate(results):
@@ -300,13 +326,15 @@ def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
         rows = np.array(list(guesses), dtype=np.intp)
         p = np.array(list(guesses.values()),
                      dtype=float).reshape(len(rows), n_par)
-        chi2 = _chi2(model, x[rows], y[rows], w[rows], p)
+        w = None if poisson else w[rows]
+        chi2 = _objective(model, x[rows], y[rows], w, p)
         for i in rows[~np.isfinite(chi2)]:
             results[i] = FitError("initial parameters give a non-finite "
                                   "residual")
         keep = np.isfinite(chi2)
         rows, p, chi2 = rows[keep], p[keep], chi2[keep]
-        x, y, w = x[rows], y[rows], w[rows]
+        x, y = x[rows], y[rows]
+        w = None if poisson else w[keep]
         p, chi2, converged, n_iter, history = _levenberg_marquardt(
             model, x, y, w, p, chi2)
         p = model.canonical(p)
@@ -325,7 +353,8 @@ def fit_models(model, x, y, weights=None) -> list[FitResult | FitError]:
 
 
 def _levenberg_marquardt(model, x, y, w, p, chi2):
-    """Damped Gauss-Newton on every row at once, from p with residual chi2.
+    """Damped Gauss-Newton on every row at once, from p with objective chi2
+    (w None: the Poisson deviance, with weights 1 / mu(p)).
 
     Each round, every live row tries one damped step.  A rejected step (or
     a singular damped matrix) multiplies that row's damping by 10, and 50
@@ -353,11 +382,11 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
             sel = slice(None) if n_stale == rows.size else stale
             xs, ps = x[sel], p[sel]
             jac = model.jacobian(xs, ps)
-            jw = jac * w[sel][..., None]
+            mu = model(xs, ps)
+            jw = jac * (1.0 / mu if w is None else w[sel])[..., None]
             hess[sel] = jac.mT @ jw
             # an (n, 1) column keeps matmul on its matrix-vector routine
-            resid = y[sel] - model(xs, ps)
-            grad[sel] = (jw.mT @ resid[..., None])[..., 0]
+            grad[sel] = (jw.mT @ (y[sel] - mu)[..., None])[..., 0]
         floor = np.maximum(hess.diagonal(axis1=1, axis2=2), 1e-300)
         damping = np.zeros_like(hess)
         damping.reshape(rows.size, -1)[:, ::n_par + 1] = floor
@@ -366,7 +395,7 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
                                 grad[..., None])
         step = step[..., 0]
         p_try = p + step
-        chi2_try = _chi2(model, x, y, w, p_try)
+        chi2_try = _objective(model, x, y, w, p_try)
         accepted = solved & np.isfinite(chi2_try) & (chi2_try <= chi2)
         lam = np.where(accepted, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
         rejects = np.where(accepted, 0, rejects + 1)
@@ -378,6 +407,8 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
             done = accepted & ((rel < _REL_TOL) | (
                 _norm(scale * step) <= _REL_TOL * (_REL_TOL
                                                    + _norm(scale * p_try))))
+            if w is None:
+                done |= accepted & (chi2 - chi2_try < _DEV_TOL)
             np.copyto(p, p_try, where=accepted[:, None])
             np.copyto(chi2, chi2_try, where=accepted)
             for i, c, moved in zip(rows.tolist(), chi2_try.tolist(),
@@ -394,7 +425,8 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
             keep = ~out
             rows, p, chi2, lam, rejects, its, stale = (
                 a[keep] for a in (rows, p, chi2, lam, rejects, its, stale))
-            hess, grad, x, y, w = (a[keep] for a in (hess, grad, x, y, w))
+            hess, grad, x, y = (a[keep] for a in (hess, grad, x, y))
+            w = None if w is None else w[keep]
     return p_end, chi2_end, converged, n_iter, history
 
 
@@ -424,19 +456,28 @@ def _norm(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _chi2(model, x, y, w, p):
-    """Weighted residual sum of squares of each row."""
-    r = y - model(x, p)
-    return (w * r * r).sum(axis=-1)
+def _objective(model, x, y, w, p):
+    """Weighted residual sum of squares of each row; with w None the
+    Poisson deviance, infinite where some model value is not positive."""
+    mu = model(x, p)
+    if w is not None:
+        r = y - mu
+        return (w * r * r).sum(axis=-1)
+    # y ln(y / mu) -> 0 as y -> 0
+    dev = 2.0 * (mu - y + y * np.log(np.where(y > 0, y / mu, 1.0))).sum(-1)
+    return np.where(np.all(mu > 0, axis=-1), dev, np.inf)
 
 
 def _param_errors(model, x, y, w, p, chi2):
-    """Standard errors of each row, NaN where the Hessian is singular."""
-    dof = x.shape[-1] - p.shape[-1]
+    """Standard errors of each row, NaN where the Hessian is singular; a
+    weighted fit's covariance is scaled by chi2 / dof, a Poisson fit's
+    (w None) is not."""
     jac = model.jacobian(x, p)
-    hess = jac.mT @ (jac * w[..., None])
+    hess = jac.mT @ (jac * (1.0 / model(x, p) if w is None else w)[..., None])
     cov, _ = _stacked(np.linalg.inv, hess)
-    var = np.diagonal(cov, axis1=1, axis2=2) * (chi2 / dof)[:, None]
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    if w is not None:
+        var = var * (chi2 / (x.shape[-1] - p.shape[-1]))[:, None]
     return np.where(var >= 0, np.sqrt(var), np.nan)
 
 

@@ -1,12 +1,12 @@
 """Pulsed-experiment runners.
 
 Each runner turns a parameter plan plus an integer seed into synthetic
-data.  A PLE scan or saturation series draws from one default_rng(seed),
-over whole arrays with the points in sorted order (rank): a point's counts
-depend on the rest of the grid, but reordering a drift-free grid only
-permutes the output.  Each cavity-sweep point draws from its own stream,
-numpy's default_rng(SeedSequence(seed, spawn_key=(rank,))), built as the
-point draws.
+data.  A PLE scan, saturation series or cavity sweep draws from one
+default_rng(seed), over whole arrays with the points in sorted order
+(rank): a point's counts depend on the rest of the grid, but reordering a
+drift-free grid only permutes the output.  A cavity sweep without dead
+time draws each point's gate histogram directly from the law of its
+clicks; with dead time it draws every click.
 
 EXPERIMENTS, at the end, maps each experiment name to the function that
 runs it from a RunConfig.
@@ -321,9 +321,11 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
 
 
 def fit_lifetime(result: LifetimeResult) -> FitResult:
-    """Exponential fit of the binned decay; tau is in seconds."""
+    """Exponential fit of the binned decay, by Poisson likelihood; tau is
+    in seconds."""
     x = result.bin_mids - result.bin_mids[0]
-    return fit_model(EXPONENTIAL, x, result.bin_counts.astype(float))
+    return fit_model(EXPONENTIAL, x, result.bin_counts.astype(float),
+                     poisson=True)
 
 
 # histogram bins per batched lifetime fit: bounds the fit's working arrays
@@ -351,11 +353,14 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                      gate_factor: float = 6.0) -> CavitySweepResult:
     """Lifetime versus cavity-ion detuning, laser parked on the ion.
 
-    The gate stretches with the expected lifetime so every point resolves
-    its own decay; each point's histogram is fit for gamma.  The emission
-    of the whole grid is computed at once; points then draw and bin their
-    clicks in grid order, and are fitted a block at a time as one batch
-    (fit_models), each exactly as a fit of its own.
+    The gate opens as the drive ends and lasts gate_factor expected
+    lifetimes, so every point resolves its own decay; each point's gate
+    histogram is fit for gamma by Poisson likelihood.  The emission of the
+    whole grid is computed at once.  The histograms come from one
+    default_rng(seed), with the points in sorted order (rank): drawn
+    directly without dead time (_drawn_histograms), from every click with
+    it (_clicked_histograms).  They are fitted a block of ranks at a time
+    as one batch (fit_models), each exactly as a fit of its own.
     """
     detunings, ranks = _point_grid(detunings_hz, "detunings")
     if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
@@ -374,24 +379,26 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
         raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} dark counts "
                           "in a sweep point's gate: lower dark_rate, "
                           "gate_factor or pulses_per_point, or raise gamma0")
-    # one stream per point, built as the point draws: a grid may hold
-    # MAX_GRID_POINTS points, too many Generators to keep alive at once
-    points = zip(_point_models(seq, det, p_exc, gamma_expected, eta,
-                               gate_factor), _point_rngs(seed, ranks))
+    order = np.argsort(ranks)  # the grid index of each rank
+    p_exc, gamma, eta = p_exc[order], gamma_expected[order], eta[order]
+    gate = gate_factor / gamma
+    rng = np.random.default_rng(seed)
     block = max(1, _FIT_BLOCK // n_bins)
-    for start in range(0, len(detunings), block):
-        rows = min(block, len(detunings) - start)
-        mids = np.empty((rows, n_bins))
-        hist = np.empty((rows, n_bins))
-        for j, ((emission, det_k, seq_k), rng) in enumerate(
-                itertools.islice(points, rows)):
-            pulse, t = draw_clicks(emission, det_k, pulses_per_point, rng,
-                                   rep_period=seq_k.rep_period)
-            if dead_time > 0:  # bin counts do not depend on click order
-                _, t = settle_clicks(pulse, t, dead_time)
-            gate_mids, hist[j] = _gate_histogram(t, det_k, n_bins)
-            mids[j] = gate_mids - det_k.gate_start
-        for j, fit in enumerate(fit_models(EXPONENTIAL, mids, hist)):
+    if dead_time > 0:
+        hists = _clicked_histograms(
+            rng, _point_models(seq, det, p_exc, gamma, eta, gate_factor),
+            pulses_per_point, n_bins, block)
+    else:
+        hists = _drawn_histograms(rng, pulses_per_point,
+                                  p_exc * eta * eta_total,
+                                  dark_rate * gate * pulses_per_point,
+                                  n_bins, gate_factor, block)
+    for start, hist in zip(range(0, len(detunings), block), hists):
+        # bin mids, from the gate's opening
+        mids = ((np.arange(n_bins) + 0.5)
+                * (gate[start:start + block, None] / n_bins))
+        fits = fit_models(EXPONENTIAL, mids, hist, poisson=True)
+        for j, (k, fit) in enumerate(zip(order[start:start + block], fits)):
             if isinstance(fit, FitError):
                 continue
             tau = fit.params["tau"]
@@ -401,9 +408,9 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                 err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
             if (fit.converged and tau > mids[j, 1] - mids[j, 0]
                     and np.isfinite(err)):
-                gamma_fit[start + j] = 1.0 / tau
-                gamma_err[start + j] = float(err)
-                converged[start + j] = True
+                gamma_fit[k] = 1.0 / tau
+                gamma_err[k] = float(err)
+                converged[k] = True
     purcell = gamma_fit / emitter.gamma0 - 1.0
     return CavitySweepResult(detuning_hz=detunings, gamma_fit=gamma_fit,
                              gamma_err=gamma_err,
@@ -411,18 +418,45 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
                              purcell_fit=purcell, converged=converged)
 
 
-def _point_rngs(seed: int, ranks: np.ndarray):
-    """default_rng(SeedSequence(seed, spawn_key=(rank,))) for each rank, lazily.
+def _drawn_histograms(rng, n_pulses, p_click, dark_mean, n_bins,
+                      gate_factor, block):
+    """Gate histograms, block rows at a time, drawn directly from each
+    point's click probability a pulse and mean dark counts a gate.
 
-    A rank must be one spawn-key word below the ensemble draw's key, so that
-    no point draws from the ensemble's stream.
+    This is the law of the click path without dead time, drawn exactly.
+    The gate opens as the decay starts and lasts gate_factor lifetimes, so
+    at every point a decay lands in it with probability 1 - exp(-g), and
+    in bin k with exp(-k u) (1 - exp(-u)), g = gate_factor, u = g / n_bins.
+    A point's gated source counts are then Binomial(n_pulses, p_click (1 -
+    exp(-g))) and its dark counts Poisson(dark_mean).  Both totals are
+    drawn for every point first; then each point in turn splits its source
+    counts, and then its dark counts, multinomially over the bins (Devroye
+    1986, ch. XI).  So the block size does not change the draw.
     """
-    for r in ranks.tolist():
-        if not 0 <= r < _ENSEMBLE_STREAM:
-            raise DomainError(f"a sweep point's rank must lie in [0, 2**32), "
-                              f"below the ensemble draw's key; got {r}")
-        yield np.random.default_rng(np.random.SeedSequence(seed,
-                                                           spawn_key=(r,)))
+    u = gate_factor / n_bins
+    in_gate = -math.expm1(-gate_factor)
+    decay_bins = -math.expm1(-u) / in_gate * np.exp(-u * np.arange(n_bins))
+    split = np.stack([decay_bins, np.full(n_bins, 1.0 / n_bins)])
+    totals = np.stack([rng.binomial(n_pulses, p_click * in_gate),
+                       rng.poisson(dark_mean)], axis=1)
+    for start in range(0, len(totals), block):
+        yield rng.multinomial(totals[start:start + block],
+                              split).sum(axis=1, dtype=float)
+
+
+def _clicked_histograms(rng, points, n_pulses, n_bins, block):
+    """Gate histograms of every click, block rows at a time: each point of
+    points (_point_models' output) in turn draws its clicks, drops those
+    its detector's dead time hides, and bins the rest."""
+    while rows := list(itertools.islice(points, block)):
+        hist = np.empty((len(rows), n_bins))
+        for j, (emission, det, seq) in enumerate(rows):
+            pulse, t = draw_clicks(emission, det, n_pulses, rng,
+                                   rep_period=seq.rep_period)
+            if det.dead_time > 0:  # bin counts do not depend on click order
+                _, t = settle_clicks(pulse, t, det.dead_time)
+            _, hist[j] = _gate_histogram(t, det, n_bins)
+        yield hist
 
 
 def fit_enhancement(result: CavitySweepResult) -> FitResult:
@@ -580,8 +614,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                               predicted=predicted, slope_fit=slope_fit)
 
 
-# The ensemble draw's spawn key.  A sweep point's key is its rank, below
-# MAX_GRID_POINTS, so no point's stream is the ensemble's.
+# The ensemble draw's spawn key.
 _ENSEMBLE_STREAM = 2**32
 
 

@@ -99,8 +99,11 @@ def test_failed_run_leaves_no_bundle(tmp_path):
 
 
 def test_single_point_cavity_sweep_sits_on_resonance(tmp_path):
+    # the point's relative stderr is ~17% at 30,000 pulses and ~1.2% at
+    # 6,000,000, so the 5% bound is at least 4 of them
     cfg = _write_cfg(tmp_path, "experiment = cavity_sweep\n\n"
-                               "[cavity_sweep]\nn_points = 1\n")
+                               "[cavity_sweep]\nn_points = 1\n"
+                               "pulses_per_point = 6000000\n")
     out = str(tmp_path / "o")
     assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
     _, cols = read_csv(os.path.join(out, "cavity_sweep-seed7",

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -8,20 +7,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from cavityspec import experiments, output
-from cavityspec.config import COUNT_LIMITS, build_config
+from cavityspec.config import build_config
 from cavityspec.constants import TWO_PI
 from cavityspec.detection import (BlinkConfig, DetectorConfig, EmissionModel,
                                   g2_background_floor, simulate_clicks)
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
-from cavityspec.analysis import EXPONENTIAL, _pow, fit_model, fit_models
+from cavityspec.analysis import EXPONENTIAL, _pow, fit_model
 from cavityspec.errors import ConfigError, DomainError, FitError
-from cavityspec.experiments import (EXPERIMENTS, MAX_GRID_POINTS,
-                                    PulseSequence, expected_linewidth,
-                                    fit_enhancement, fit_lifetime,
-                                    run_cavity_sweep, run_g2, run_lifetime,
-                                    run_ple_scan, run_saturation_series,
-                                    run_zeeman_series, scan_grid)
+from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
+                                    expected_linewidth, fit_enhancement,
+                                    fit_lifetime, run_cavity_sweep, run_g2,
+                                    run_lifetime, run_ple_scan,
+                                    run_saturation_series, run_zeeman_series,
+                                    scan_grid)
 from cavityspec.dynamics import intracavity_photon_number
 from cavityspec.output import read_csv, write_csv_atomic
 from cavityspec.physics import CavityParams, EmitterConstants
@@ -214,8 +213,10 @@ def test_cavity_sweep_maps_enhancement_lorentzian():
     ion = _ion()
     seq = PulseSequence(input_power=_power_for_s(30.0, 321.0))
     detunings = np.linspace(-1.2, 1.2, 13) * 3.85e9
+    # the fitted width's sd is ~8% at 30,000 pulses a point and ~1.8% at
+    # 400,000, so the 10% bounds are at least 4 of it
     res = run_cavity_sweep(ion, CAV, EMITTER, seq, detunings,
-                           pulses_per_point=30_000, seed=17)
+                           pulses_per_point=400_000, seed=17)
     assert np.all(res.converged)
     manual = EMITTER.gamma0 * (1.0 + ion.purcell
                                / (1.0 + (2.0 * TWO_PI * detunings / CAV.kappa) ** 2))
@@ -243,36 +244,54 @@ def _default_sweep(seed, **changes):
              cfg["cavity_sweep", "pulses_per_point"], seed), kwargs)
 
 
-# The sweep's per-point path before the emission of its whole grid was
-# computed at once, kept verbatim: run_cavity_sweep must equal it bit for bit.
+# The sweep as a loop over its points, one at a time in rank order from one
+# stream, with one-point physics (as before the emission of the whole grid
+# was computed at once) and one fit_model per point: run_cavity_sweep must
+# equal it bit for bit, at any fit block size.  With dead time each point
+# draws every click; without, its histogram is drawn directly.
 
-def _loop_ion_clicks(ion, cavity, emitter, seq, det, n_pulses, rng, *,
-                     laser_detuning_hz=0.0, cavity_detuning_hz=0.0,
-                     gate_factor=None, **clicks):
+def _loop_point(ion, cavity, emitter, seq, det, cavity_detuning_hz,
+                gate_factor):
+    """One point's emission model, detector and pulse sequence."""
     roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / cavity.kappa) ** 2
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega) / roll
     p_exc, gamma, eta = experiments._excitation(
-        n_ph, ion.g, ion.purcell / roll, TWO_PI * laser_detuning_hz, emitter,
-        seq.excite_duration)
-    if gate_factor is not None:
-        det = replace(det, gate_start=seq.excite_duration,
-                      gate_duration=gate_factor / gamma)
-        seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
+        n_ph, ion.g, ion.purcell / roll, 0.0, emitter, seq.excite_duration)
+    det = replace(det, gate_start=seq.excite_duration,
+                  gate_duration=gate_factor / gamma)
+    seq = replace(seq, rep_period=seq.excite_duration + det.gate_duration)
     experiments._validate_gate(seq, det)
     emission = EmissionModel(p_excited=p_exc, gamma=gamma,
                              eta_into_cavity=eta,
                              decay_start=seq.excite_duration)
-    stream = simulate_clicks(emission, det, n_pulses, rng,
-                             rep_period=seq.rep_period, **clicks)
-    return emission, det, stream
+    return emission, det, seq
 
 
-def _loop_gate_histogram(stream, det, n_bins):
-    edges = np.linspace(det.gate_start, det.gate_start + det.gate_duration,
-                        n_bins + 1)
-    counts, _ = np.histogram(stream.t_in_pulse, bins=edges)
-    return 0.5 * (edges[:-1] + edges[1:]), counts
+def _loop_histograms(rng, points, pulses_per_point, n_bins, gate_factor):
+    """Each point's gate histogram, points taken in the order given."""
+    if points[0][1].dead_time > 0:
+        hists = []
+        for emission, det, seq in points:
+            stream = simulate_clicks(emission, det, pulses_per_point, rng,
+                                     rep_period=seq.rep_period)
+            edges = np.linspace(det.gate_start,
+                                det.gate_start + det.gate_duration,
+                                n_bins + 1)
+            hists.append(np.histogram(stream.t_in_pulse, bins=edges)[0])
+        return hists
+    # every point's gated source total, then every point's dark total, then
+    # each point's split of the two over the bins
+    u = gate_factor / n_bins
+    in_gate = -math.expm1(-gate_factor)
+    decay_bins = -math.expm1(-u) / in_gate * np.exp(-u * np.arange(n_bins))
+    sources = [rng.binomial(pulses_per_point, e.p_excited * e.eta_into_cavity
+                            * d.eta_total * in_gate) for e, d, _ in points]
+    darks = [rng.poisson(d.dark_rate * d.gate_duration * pulses_per_point)
+             for _, d, _ in points]
+    return [rng.multinomial(s, decay_bins)
+            + rng.multinomial(b, np.full(n_bins, 1.0 / n_bins))
+            for s, b in zip(sources, darks)]
 
 
 def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
@@ -285,57 +304,19 @@ def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    points = zip(detunings, (np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(rank,))) for rank in ranks.tolist()))
-    block = max(1, experiments._FIT_BLOCK // n_bins)
-    for start in range(0, len(detunings), block):
-        rows = min(block, len(detunings) - start)
-        mids = np.empty((rows, n_bins))
-        hist = np.empty((rows, n_bins))
-        for j, (delta, rng) in enumerate(itertools.islice(points, rows)):
-            emission, det_k, stream = _loop_ion_clicks(
-                ion, cavity, emitter, seq, det, pulses_per_point, rng,
-                cavity_detuning_hz=delta, gate_factor=gate_factor)
-            gamma_expected[start + j] = emission.gamma
-            gate_mids, hist[j] = _loop_gate_histogram(stream, det_k, n_bins)
-            mids[j] = gate_mids - det_k.gate_start
-        for j, fit in enumerate(fit_models(EXPONENTIAL, mids, hist)):
-            if isinstance(fit, FitError):
-                continue
-            tau = fit.params["tau"]
-            with np.errstate(over="ignore"):
-                err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
-            if (fit.converged and tau > mids[j, 1] - mids[j, 0]
-                    and np.isfinite(err)):
-                gamma_fit[start + j] = 1.0 / tau
-                gamma_err[start + j] = float(err)
-                converged[start + j] = True
-    purcell = gamma_fit / emitter.gamma0 - 1.0
-    return [detunings, gamma_fit, gamma_err, gamma_expected, purcell,
-            converged]
-
-
-def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
-                      seed, *, eta_total, dark_rate, dead_time, n_bins,
-                      gate_factor):
-    """The sweep as it ran before its fits were batched: one fit_model per
-    point, right after the point is simulated."""
-    detunings, ranks = experiments._point_grid(detunings, "detunings")
-    gamma_fit = np.full(len(detunings), np.nan)
-    gamma_err = np.full(len(detunings), np.nan)
-    converged = np.zeros(len(detunings), dtype=bool)
-    det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
-                         dead_time=dead_time)
-    for k, (delta, rank) in enumerate(zip(detunings, ranks.tolist())):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            seed, spawn_key=(rank,)))
-        _, det_k, stream = _loop_ion_clicks(
-            ion, cavity, emitter, seq, det, pulses_per_point, rng,
-            cavity_detuning_hz=delta, gate_factor=gate_factor)
-        mids, hist = _loop_gate_histogram(stream, det_k, n_bins)
-        mids = mids - det_k.gate_start
+    points = [_loop_point(ion, cavity, emitter, seq, det, delta, gate_factor)
+              for delta in detunings]
+    by_rank = np.argsort(ranks).tolist()
+    hists = _loop_histograms(np.random.default_rng(seed),
+                             [points[k] for k in by_rank], pulses_per_point,
+                             n_bins, gate_factor)
+    for k, hist in zip(by_rank, hists):
+        emission, det_k, _ = points[k]
+        gamma_expected[k] = emission.gamma
+        mids = (np.arange(n_bins) + 0.5) * (det_k.gate_duration / n_bins)
         try:
-            fit = fit_model(EXPONENTIAL, mids, hist.astype(float))
+            fit = fit_model(EXPONENTIAL, mids, hist.astype(float),
+                            poisson=True)
         except FitError:
             continue
         tau = fit.params["tau"]
@@ -345,23 +326,14 @@ def _sweep_fit_by_fit(ion, cavity, emitter, seq, detunings, pulses_per_point,
             gamma_fit[k] = 1.0 / tau
             gamma_err[k] = float(err)
             converged[k] = True
-    return gamma_fit, gamma_err, converged
+    purcell = gamma_fit / emitter.gamma0 - 1.0
+    return [detunings, gamma_fit, gamma_err, gamma_expected, purcell,
+            converged]
 
 
 def _sweep_arrays(res):
     return [res.detuning_hz, res.gamma_fit, res.gamma_err, res.gamma_expected,
             res.purcell_fit, res.converged]
-
-
-def test_batched_sweep_fits_equal_one_fit_per_point():
-    # the default 50 pW sweep at seed 0 leaves 5 of its 13 fits failed
-    args, kwargs = _default_sweep(0)
-    res = run_cavity_sweep(*args, **kwargs)
-    gamma_fit, gamma_err, converged = _sweep_fit_by_fit(*args, **kwargs)
-    assert 0 < np.count_nonzero(~converged) < len(converged)
-    np.testing.assert_array_equal(res.gamma_fit, gamma_fit)
-    np.testing.assert_array_equal(res.gamma_err, gamma_err)
-    np.testing.assert_array_equal(res.converged, converged)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -408,11 +380,47 @@ def test_sweep_equals_the_per_point_loop(monkeypatch, seed, changes,
         assert _same_bits(a, b)
 
 
-def test_sweep_stream_keys_stay_below_the_ensemble_key():
-    # a sweep point's spawn key is its rank, so no point of a grid the
-    # config accepts draws from the ensemble's stream
-    assert (COUNT_LIMITS[("cavity_sweep", "n_points")] <= MAX_GRID_POINTS
-            < experiments._ENSEMBLE_STREAM)
+@pytest.mark.parametrize("dead_time", [0.0, 50e-9])
+def test_permuted_sweep_grid_permutes_the_sweep(dead_time):
+    args, kwargs = _default_sweep(5, dead_time=dead_time)
+    perm = np.random.default_rng(0).permutation(len(args[4]))
+    res = _sweep_arrays(run_cavity_sweep(*args, **kwargs))
+    permuted = args[:4] + (args[4][perm],) + args[5:]
+    for a, b in zip(_sweep_arrays(run_cavity_sweep(*permuted, **kwargs)), res,
+                    strict=True):
+        assert _same_bits(a, b[perm])
+
+
+LAW_DRAWS = 400
+
+
+def test_drawn_sweep_histograms_follow_the_click_law():
+    """Per-bin means of the direct draw against the per-click draw, each
+    over M = LAW_DRAWS draws of three points: a bin expecting mu counts
+    has variance at most mu in either draw, so the two means may differ
+    by at most 5 sqrt(2 mu / M), a bound fixed from M before any run."""
+    ion, n_pulses, n_bins, gate_factor = _ion(), 20_000, 8, 6.0
+    det = DetectorConfig(eta_total=0.04, dark_rate=100.0)
+    seq = PulseSequence(input_power=5e-9)
+    _, _, p_exc, gamma, eta = experiments._ion_emission(
+        ion, CAV, EMITTER, seq, np.array([-4e9, 0.0, 2e9]))
+    points = list(experiments._point_models(seq, det, p_exc, gamma, eta,
+                                            gate_factor))
+    p_click = p_exc * eta * det.eta_total
+    dark = det.dark_rate * (gate_factor / gamma) * n_pulses
+    rng = np.random.default_rng(11)
+    direct = sum(next(experiments._drawn_histograms(
+        rng, n_pulses, p_click, dark, n_bins, gate_factor, 3))
+        for _ in range(LAW_DRAWS)) / LAW_DRAWS
+    clicked = sum(next(experiments._clicked_histograms(
+        rng, iter(points), n_pulses, n_bins, 3))
+        for _ in range(LAW_DRAWS)) / LAW_DRAWS
+    edges = np.linspace(0.0, gate_factor, n_bins + 1)
+    mu = (n_pulses * p_click[:, None] * -np.diff(np.exp(-edges))
+          + dark[:, None] / n_bins)
+    assert np.all(mu > 5.0)
+    assert np.all(np.abs(direct - clicked) <= 5.0 * np.sqrt(2.0 * mu
+                                                            / LAW_DRAWS))
 
 
 # cavity detunings (Hz) at which numpy's array square of 2 delta / kappa,
@@ -422,7 +430,7 @@ POW_SQUARE_SPLITS = [3772001000.0, 2975122000.0, 6753515000.0,
 
 
 def _one_point_emission(ion, seq, cavity_detuning_hz, laser_detuning_hz):
-    """The one-point physics of _loop_ion_clicks, on scalars."""
+    """The one-point physics of _loop_point, on scalars."""
     roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / CAV.kappa) ** 2
     n_ph = intracavity_photon_number(seq.input_power, CAV.eta_cav,
                                      CAV.kappa, EMITTER.omega) / roll

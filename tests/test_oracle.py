@@ -15,14 +15,11 @@ from unittest import mock
 
 import mpmath
 import numpy as np
-import pytest
 from hypothesis import example, given, strategies as st
 
 from cavityspec import dynamics
 from cavityspec.dynamics import (GROUND, DriveParams, _step_limit,
                                  evolve_bloch, pulse_excitation)
-from cavityspec.errors import DomainError
-from cavityspec.experiments import _point_rngs
 
 RK4_MAX_STEPS = 200_000
 RK4_MAX_ANGLE = 100.0
@@ -90,9 +87,3 @@ def test_pulse_excitation_matches_oracles(drive):
         slow = evolve_bloch(GROUND, params, duration).final.rho_ee
         assert abs(fast - slow) <= 1e-7
 
-
-@pytest.mark.parametrize("rank", [2**32, 2**40, -1])
-def test_rank_outside_one_key_word_is_refused(rank):
-    # 2**32 would need a second spawn-key word: the ensemble draw's stream
-    with pytest.raises(DomainError, match="2\\*\\*32"):
-        next(_point_rngs(7, np.array([rank])))
