@@ -10,9 +10,7 @@ masked windows.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +67,44 @@ def _pow(v, n):
     return np.array([t ** n for t in v.ravel()]).reshape(v.shape)
 
 
-def _line(x, y):
-    """np.polyfit(x, y, 1), refusing an x polyfit would scale by 1/0: LAPACK
-    would print its complaint about the NaN on stdout."""
-    if not np.sum(x * x):
-        raise FitError("x is zero, or too small to square in double precision")
-    return np.polyfit(x, y, 1)
+# the one reason an initial guess refuses a row: the exponential and
+# linear guesses fit a line against x, and no x of the row has a square
+# above zero
+_ZERO_X = "x is zero, or too small to square in double precision"
+
+
+def _lines(x, y, keep):
+    """Least-squares lines through the points keep marks in each row of x
+    and y, shape (rows, n), y finite where keep is not: slopes and
+    intercepts of shape (rows,), and the rows refused because their kept x
+    squares sum to zero.
+
+    Each row's x is divided by its largest kept |x| and then centred, so x
+    near 1e+-300 neither overflows nor underflows; a row whose kept x have
+    no spread gets slope 0.
+    """
+    ax = np.where(keep, np.abs(x), 0.0)
+    refused = ~(ax * ax > 0).any(axis=-1)
+    scale = ax.max(axis=-1)
+    scale[scale == 0] = 1.0
+    n = keep.sum(axis=-1)
+    u = np.where(keep, x / scale[:, None], 0.0)
+    u_mean = u.sum(axis=-1) / n
+    y_mean = np.where(keep, y, 0.0).sum(axis=-1) / n
+    d = np.where(keep, u - u_mean[:, None], 0.0)
+    sdd = (d * d).sum(axis=-1)
+    slope_u = (d * (y - y_mean[:, None])).sum(axis=-1) / sdd
+    slope_u[sdd == 0] = 0.0
+    return slope_u / scale, y_mean - slope_u * u_mean, refused
 
 
 class _Model:
-    """A fit model whose fitted parameters are reported as they are."""
+    """A fit model whose fitted parameters are reported as they are.
+
+    initial_guess(x, y) starts every row of x and y, shape (rows, n), at
+    once: it returns (rows, k) parameters and which rows it refuses, and
+    each row's guess is the same, bit for bit, at any stack height.
+    """
 
     def canonical(self, p):
         return p
@@ -101,20 +127,22 @@ class ExponentialModel(_Model):
                         axis=-1)
 
     def initial_guess(self, x, y):
-        tail = max(1, len(y) // 10)
-        c0 = float(np.mean(y[-tail:]))
-        a0 = float(y[0] - c0)
-        if a0 == 0.0:
-            a0 = float(np.max(y) - c0) or 1.0
-        span = float(x[-1] - x[0]) or 1.0
-        lifted = (y - c0) / a0
+        tail = max(1, y.shape[-1] // 10)
+        c0 = y[:, -tail:].mean(axis=-1)
+        a0 = y[:, 0] - c0
+        a0 = np.where(a0 == 0.0, y.max(axis=-1) - c0, a0)
+        a0[a0 == 0.0] = 1.0
+        span = x[:, -1] - x[:, 0]
+        span[span == 0.0] = 1.0
+        lifted = (y - c0[:, None]) / a0[:, None]
         usable = lifted > 0.05
-        if np.count_nonzero(usable) >= 2:
-            slope = _line(x[usable], np.log(lifted[usable]))[0]
-            tau0 = -1.0 / slope if slope < 0 else span / 3.0
-        else:
-            tau0 = span / 3.0
-        return np.array([a0, tau0, c0])
+        fit = usable.sum(axis=-1) >= 2
+        slope, _, refused = _lines(x, np.log(np.where(usable, lifted, 1.0)),
+                                   usable & fit[:, None])
+        p = np.empty((len(y), 3))
+        p[:, 0], p[:, 2] = a0, c0
+        p[:, 1] = np.where(fit & (slope < 0), -1.0 / slope, span / 3.0)
+        return p, fit & refused
 
 
 class _PeakModel(_Model):
@@ -124,17 +152,23 @@ class _PeakModel(_Model):
     sigma = False  # the width is a FWHM; a Gaussian's is its sigma
 
     def initial_guess(self, x, y):
-        c0 = float(np.percentile(y, 10))
-        i_pk = int(np.argmax(y))
-        a0 = float(y[i_pk] - c0)
-        if a0 <= 0:
-            a0 = float(np.max(y) - np.min(y)) or 1.0
-        above = y >= c0 + a0 / 2.0
-        w0 = float(np.ptp(x[above])) if np.count_nonzero(above) >= 2 else 0.0
-        w0 = w0 or float(np.ptp(x)) / 10.0
-        if self.sigma:
-            return np.array([a0, float(x[i_pk]), w0 / 2.3548, c0])
-        return np.array([a0, float(x[i_pk]), w0, c0])
+        rows = np.arange(len(y))
+        c0 = np.percentile(y, 10, axis=-1)
+        i_pk = y.argmax(axis=-1)
+        y_pk = y[rows, i_pk]
+        a0 = y_pk - c0
+        spread = y_pk - y.min(axis=-1)
+        spread[spread == 0.0] = 1.0
+        a0 = np.where(a0 <= 0, spread, a0)
+        above = y >= (c0 + a0 / 2.0)[:, None]
+        w0 = (np.where(above, x, -np.inf).max(axis=-1)
+              - np.where(above, x, np.inf).min(axis=-1))
+        w0[above.sum(axis=-1) < 2] = 0.0
+        w0 = np.where(w0 == 0.0, (x.max(axis=-1) - x.min(axis=-1)) / 10.0, w0)
+        p = np.empty((len(y), 4))
+        p[:, 0], p[:, 1], p[:, 3] = a0, x[rows, i_pk], c0
+        p[:, 2] = w0 / 2.3548 if self.sigma else w0
+        return p, np.zeros(len(y), dtype=bool)
 
     def canonical(self, p):
         p = p.copy()
@@ -198,7 +232,8 @@ class LinearModel(_Model):
         return np.stack([x, np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
-        return np.asarray(_line(x, y), dtype=float)
+        slope, intercept, refused = _lines(x, y, np.ones(x.shape, dtype=bool))
+        return np.stack([slope, intercept], axis=-1), refused
 
 
 class BunchingModel(_Model):
@@ -217,12 +252,15 @@ class BunchingModel(_Model):
         return np.stack([e, a * x * e / _pow(tau, 2)], axis=-1)
 
     def initial_guess(self, x, y):
-        a0 = float(y[0] - 1.0)
-        if a0 <= 0:
-            a0 = max(float(np.max(y) - 1.0), 0.1)
-        drop = y - 1.0 < a0 / math.e
-        tau0 = float(x[np.argmax(drop)]) if np.any(drop) else float(x[-1]) / 3.0
-        return np.array([a0, tau0 if tau0 > 0 else float(x[-1]) / 3.0])
+        a0 = y[:, 0] - 1.0
+        a0 = np.where(a0 <= 0, np.maximum(y.max(axis=-1) - 1.0, 0.1), a0)
+        drop = y - 1.0 < (a0 / math.e)[:, None]
+        first = x[np.arange(len(y)), drop.argmax(axis=-1)]
+        fallback = x[:, -1] / 3.0
+        tau0 = np.where(drop.any(axis=-1), first, fallback)
+        p = np.empty((len(y), 2))
+        p[:, 0], p[:, 1] = a0, np.where(tau0 > 0, tau0, fallback)
+        return p, np.zeros(len(y), dtype=bool)
 
 
 EXPONENTIAL = ExponentialModel()
@@ -233,16 +271,6 @@ BUNCHING = BunchingModel()
 
 MODELS = {m.name: m for m in (EXPONENTIAL, LORENTZIAN, GAUSSIAN, LINEAR,
                               BUNCHING)}
-
-
-@contextlib.contextmanager
-def _quiet():
-    """The engine's numpy state: wild trial parameters may overflow, and a
-    degenerate row makes polyfit warn; the step tests below already discard
-    any non-finite outcome, so neither reaches the caller."""
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", np.exceptions.RankWarning)
-        yield
 
 
 def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
@@ -314,18 +342,18 @@ def fit_models(model, x, y, weights=None, *,
                                   f"{model.name}")
         elif not good_w[i]:
             results[i] = FitError(refusal)
-    with _quiet():
-        guesses = {}
-        for i, r in enumerate(results):
-            if r is not None:
-                continue
-            try:
-                guesses[i] = model.initial_guess(x[i], y[i])
-            except (FitError, np.linalg.LinAlgError) as exc:
-                results[i] = FitError(f"initial guess failed: {exc}")
-        rows = np.array(list(guesses), dtype=np.intp)
-        p = np.array(list(guesses.values()),
-                     dtype=float).reshape(len(rows), n_par)
+    rows = np.array([i for i, r in enumerate(results) if r is None],
+                    dtype=np.intp)
+    if not rows.size:
+        return results
+    # guesses on extreme x and wild trial parameters may overflow; the
+    # tests below discard any non-finite outcome, so no warning reaches
+    # the caller
+    with np.errstate(all="ignore"):
+        p, refused = model.initial_guess(x[rows], y[rows])
+        for i in rows[refused]:
+            results[i] = FitError(f"initial guess failed: {_ZERO_X}")
+        rows, p = rows[~refused], p[~refused]
         w = None if poisson else w[rows]
         chi2 = _objective(model, x[rows], y[rows], w, p)
         for i in rows[~np.isfinite(chi2)]:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 numeric failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -211,6 +212,9 @@ def _cmd_inspect(args) -> int:
     return 1 if bad else 0
 
 
+# built once a process: parsing does not change the parser, and argparse
+# looks up sys.stdout and sys.stderr only when it prints
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityspec",
