@@ -44,8 +44,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
-# one scale setting per experiment, two for lifetime's two slow paths,
-# and four for g2: with and without the blinking telegraph, with a
+# one scale setting per experiment, three for lifetime (many background
+# clicks, sparse dead time, a detector saturated under dead time), and four
+# for g2: with and without the blinking telegraph, with a
 # telegraph that switches about every other pulse, and with many offsets
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
@@ -56,6 +57,9 @@ SCALE = {
     "lifetime @ 50 ns dead time, 2e6 clicks": "experiment = lifetime\n"
         "[lifetime]\nn_pulses = 1000000\nbackground_per_pulse = 2\n"
         "[detector]\ndead_time = 50 ns\n",
+    "lifetime @ 1,000 clicks a pulse, 1 us dead time": "experiment = "
+        "lifetime\n[lifetime]\nn_pulses = 10000\nbackground_per_pulse = "
+        "1000\n[detector]\ndead_time = 1 us\n",
     "purcell_stats @ 2048 fractions": "experiment = purcell_stats\n"
         "[purcell_stats]\nn_points = 2048\n",
     "g2 @ 1e7 pulses": "experiment = g2\n[g2]\nn_pulses = 10000000\n",

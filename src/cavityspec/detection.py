@@ -197,9 +197,9 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
                 n_pulses: int, rng: np.random.Generator, *,
                 blink: BlinkConfig | None = None, rep_period: float = 100e-6,
                 background_per_pulse: float = 0.0):
-    """(pulse index, time in pulse) of every click before ordering and
-    dead time.  Draw order is fixed (telegraph and excitation, decay times,
-    background) so a given generator state always yields the same clicks.
+    """(pulse index, time in pulse) of every click before dead time, in
+    (pulse, time) order.  Draw order is fixed (telegraph and excitation,
+    decay times, background), so a generator state gives the same clicks.
 
     Only a bright pulse can fire, so only bright pulses draw a uniform: one
     each, in pulse order, and it fires below p_click.  A steady emitter's
@@ -247,10 +247,31 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
     in_gate = (src_t >= detector.gate_start) & (src_t < gate_end)
     src_pulse, src_t = src_pulse[in_gate], src_t[in_gate]
 
-    total_bg = rng.poisson(lam * n_pulses)
-    bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
-    bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
-    return np.concatenate([src_pulse, bg_pulse]), np.concatenate([src_t, bg_t])
+    # background: one Poisson process along the gates laid end to end, its
+    # points in order from normalised exponential spacings (Devroye 1986,
+    # ch. V); a point's integer part is its pulse, its fraction in the gate
+    x = rng.standard_exponential(rng.poisson(lam * n_pulses) + 1)
+    np.cumsum(x, out=x)
+    x *= n_pulses / x[-1]
+    x = x[:-1]
+    # rounding can lift the last few points to n_pulses
+    x[np.searchsorted(x, n_pulses):] = np.nextafter(n_pulses, 0)
+    bg_pulse = x.astype(np.uint64)
+    x -= bg_pulse
+    x *= detector.gate_duration
+    x += detector.gate_start
+    # each source click goes before the first background click of its
+    # pulse at or after its time, found by bisection within the pulse
+    lo = np.searchsorted(bg_pulse, src_pulse)
+    hi = np.searchsorted(bg_pulse, src_pulse, side="right")
+    todo = np.flatnonzero(lo < hi)
+    while len(todo):
+        mid = (lo[todo] + hi[todo]) // 2
+        later = x[mid] < src_t[todo]
+        lo[todo[later]] = mid[later] + 1
+        hi[todo[~later]] = mid[~later]
+        todo = todo[lo[todo] < hi[todo]]
+    return np.insert(bg_pulse, lo, src_pulse), np.insert(x, lo, src_t)
 
 
 def _fired_slots(n, p_click, buf, rng):
@@ -265,84 +286,27 @@ def _fired_slots(n, p_click, buf, rng):
 
 
 def settle_clicks(pulse, t, dead_time):
-    """Clicks sorted by pulse and then by time, each dropped that follows
-    the last kept click of its pulse by less than dead_time."""
-    order = _click_order(pulse, t)
-    pulse, t = pulse[order], t[order]
-    if dead_time > 0 and len(pulse) > 1:
-        pulse, t = _prune_dead_time(pulse, t, dead_time)
-    return pulse, t
+    """Drop each click of a (pulse, time)-sorted stream that follows the
+    last kept click of its pulse by less than dead_time.
 
-
-def _click_order(pulse, t):
-    """The permutation np.lexsort((t, pulse)) gives, in about a third of
-    its time.
-
-    Clicks are ranked by time (ties by position, as a stable sort would),
-    then one uint64 key per click, pulse * n + rank, is sorted: the keys
-    are unique, so any sort gives the same order.  The key stays below
-    2**64 while n_pulses and the n clicks are both below 4e9, and 4e9
-    pulses already take 32 GB of draws.
+    A click at least dead_time after its pulse's previous click is kept:
+    the last kept click is no later, and a rounded difference does not
+    fall as what it subtracts falls.  So each run of closer clicks is
+    settled from the kept click before it: its first click is dropped, and
+    the rest of a longer run are walked (_walk_pulses).
     """
-    n = len(t)
-    by_t = np.argsort(t)
-    t_sorted = t[by_t]
-    tie = np.flatnonzero(t_sorted[1:] == t_sorted[:-1])
-    if len(tie):
-        pos = np.union1d(tie, tie + 1)
-        tied = by_t[pos]
-        by_t[pos] = tied[np.lexsort((tied, t_sorted[pos]))]
-    del t_sorted  # the peak memory stays at lexsort's
-    key = pulse[by_t]
-    key *= np.uint64(n)
-    key += np.arange(n, dtype=np.uint64)
-    key.sort()
-    if n:
-        key %= np.uint64(n)
-    return by_t[key]
-
-
-# _prune_dead_time's cost model, in units of one click settled in a
-# lockstep step: a step's numpy calls cost about _STEP_COST of them, a
-# walked pulse about _WALK_COST per click it keeps (timed on numpy 2.4)
-_STEP_COST = 300.0
-_WALK_COST = 50.0
-_WALK_CHECK = 16  # lockstep steps between choices
-
-
-def _prune_dead_time(pulse, t, dead_time):
-    """Drop each click that follows the last kept click of its pulse by
-    less than dead_time.
-
-    Pulses advance in lockstep: step k settles the k-th click of every
-    pulse that has one.  Every _WALK_CHECK steps, if walking the pulses
-    still active one by one, a jump per kept click, would cost less than
-    lockstep to the end of the longest, they are handed to _walk_pulses.
-    """
-    keep = np.ones(len(pulse), dtype=bool)
-    starts = np.flatnonzero(np.r_[True, pulse[1:] != pulse[:-1]])
-    end = np.r_[starts[1:], len(pulse)]
-    j, last = starts + 1, t[starts]
-    step = 0
-    while True:
-        active = j < end
-        j, end, last = j[active], end[active], last[active]
-        if not len(j):
-            return pulse[keep], t[keep]
-        step += 1
-        if step % _WALK_CHECK == 0:
-            left = end - j
-            # a pulse keeps at most one click per dead_time of its span
-            kept = np.minimum(left, (t[end - 1] - last) / dead_time + 1.0)
-            if (_WALK_COST * kept.sum()
-                    < left.max() * (_STEP_COST + len(left))):
-                _walk_pulses(t, j, end, last, dead_time, keep)
-                return pulse[keep], t[keep]
-        t_j = t[j]
-        dead = t_j - last < dead_time
-        keep[j[dead]] = False
-        last = np.where(dead, last, t_j)
-        j += 1
+    if not dead_time > 0:
+        return pulse, t
+    close = np.zeros(len(t) + 1, dtype=bool)
+    close[1:-1] = (np.diff(t) < dead_time) & (pulse[1:] == pulse[:-1])
+    # the runs of close clicks, [start, end)
+    start, end = (np.flatnonzero(close[1:] != close[:-1]) + 1).reshape(-1, 2).T
+    keep = np.ones(len(t), dtype=bool)
+    keep[start] = False
+    long = end - start > 1
+    _walk_pulses(t, start[long] + 1, end[long], t[start[long] - 1], dead_time,
+                 keep)
+    return pulse[keep], t[keep]
 
 
 def _walk_pulses(t, starts, ends, lasts, dead_time, keep):

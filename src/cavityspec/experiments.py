@@ -25,9 +25,8 @@ from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult, _pow,
                        count_peaks, fit_model, fit_models)
 from .constants import TWO_PI
 from .detection import (MAX_BACKGROUND_CLICKS, BlinkConfig, ClickStream,
-                        DetectorConfig, EmissionModel, draw_clicks,
-                        g2_background_floor, g2_pulsed, settle_clicks,
-                        simulate_clicks)
+                        DetectorConfig, EmissionModel, g2_background_floor,
+                        g2_pulsed, simulate_clicks)
 from .dynamics import (SpinRelaxParams, intracavity_photon_number,
                        pulse_excitation, spin_t1, window_capture_fraction)
 from .ensemble import (IonRecord, ZeemanConfig, ions_above_purcell,
@@ -157,7 +156,8 @@ def expected_linewidth(ion: IonRecord, cavity: CavityParams,
 
 def run_ple_scan(grid, ions, cavity: CavityParams,
                  emitter: EmitterConstants, seq: PulseSequence,
-                 det: DetectorConfig, pulses_per_point: int, seed: int, *,
+                 det: DetectorConfig, pulses_per_point: int,
+                 seed: int | np.random.Generator, *,
                  zeeman: ZeemanConfig | None = None,
                  co_scan: bool = True,
                  cavity_drift_rate: float = 0.0,
@@ -169,7 +169,8 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     cavity is servoed to the laser (plus cavity_drift_rate, Hz/s); with a
     fixed cavity the intracavity drive and each ion's enhancement roll off
     with the respective detunings.  Ions are Bernoulli click sources, dark
-    counts and the unresolved-ion background are Poisson.
+    counts and the unresolved-ion background are Poisson, drawn from
+    default_rng(seed), which returns a Generator seed as it is.
     """
     grid, ranks = _point_grid(grid, "grid")
     f_ion = np.atleast_1d(ions.f0)
@@ -360,7 +361,8 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     default_rng(seed), with the points in sorted order (rank): drawn
     directly without dead time (_drawn_histograms), from every click with
     it (_clicked_histograms).  They are fitted a block of ranks at a time
-    as one batch (fit_models), each exactly as a fit of its own.
+    as one batch (fit_models), each exactly as a fit of its own.  A failed
+    or unconverged fit, or a gamma_err not below gamma, is a NaN row.
     """
     detunings, ranks = _point_grid(detunings_hz, "detunings")
     if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
@@ -402,12 +404,12 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
             if isinstance(fit, FitError):
                 continue
             tau = fit.params["tau"]
-            # a collapsed fit can return tau ~ 0 with a wild stderr; keep
-            # such points as NaN rows instead of propagating overflow
+            # a collapsed fit (tau ~ 0, a wild stderr) and one on a flat
+            # likelihood (a gamma its stderr reaches) are kept as NaN rows
             with np.errstate(over="ignore"):
                 err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
             if (fit.converged and tau > mids[j, 1] - mids[j, 0]
-                    and np.isfinite(err)):
+                    and err < 1.0 / tau):
                 gamma_fit[k] = 1.0 / tau
                 gamma_err[k] = float(err)
                 converged[k] = True
@@ -451,11 +453,9 @@ def _clicked_histograms(rng, points, n_pulses, n_bins, block):
     while rows := list(itertools.islice(points, block)):
         hist = np.empty((len(rows), n_bins))
         for j, (emission, det, seq) in enumerate(rows):
-            pulse, t = draw_clicks(emission, det, n_pulses, rng,
-                                   rep_period=seq.rep_period)
-            if det.dead_time > 0:  # bin counts do not depend on click order
-                _, t = settle_clicks(pulse, t, det.dead_time)
-            _, hist[j] = _gate_histogram(t, det, n_bins)
+            stream = simulate_clicks(emission, det, n_pulses, rng,
+                                     rep_period=seq.rep_period)
+            _, hist[j] = _gate_histogram(stream.t_in_pulse, det, n_bins)
         yield hist
 
 
@@ -566,10 +566,11 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                       ) -> ZeemanSeriesResult:
     """Measure the line splitting at several applied fields along x.
 
-    Each field value gets its own small scan; the two spin lines are found
-    by a coarse peak search and refined with Lorentzian fits.  The returned
-    linear fit of splitting versus field carries the slope and the
-    zero-field intercept from any residual offset field.
+    Each field value gets its own small scan, drawn in turn from one
+    default_rng(seed); the two spin lines are found by a coarse peak search
+    and refined with Lorentzian fits.  The returned linear fit of splitting
+    versus field carries the slope and the zero-field intercept from any
+    residual offset field.
     """
     b_values = np.ascontiguousarray(b_values, dtype=float)
     if b_values.ndim != 1 or len(b_values) < 3:
@@ -578,6 +579,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     fwhm = expected_linewidth(ion, cavity, emitter, seq)
     splittings = np.empty(len(b_values))
     predicted = np.empty(len(b_values))
+    rng = np.random.default_rng(seed)
     for i, b in enumerate(b_values):
         cfg = replace(base, b_applied=(float(b), 0.0, 0.0))
         predicted[i] = zeeman_splitting(cfg)
@@ -591,10 +593,8 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
                        f"[ion] offset: the scan at {b:g} T steps below the "
                        "float spacing at the line centre (frequency, offset;"
                        " gamma0, gamma_dephasing, purcell, power)")
-        field_seed = int(np.random.SeedSequence(seed, spawn_key=(i, 1))
-                         .generate_state(1, np.uint64)[0])
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
-                            pulses_per_point, field_seed, zeeman=cfg)
+                            pulses_per_point, rng, zeeman=cfg)
         baseline = float(np.median(scan.counts))
         y = scan.counts.astype(float) - baseline
         noise = math.sqrt(max(baseline, 1.0))

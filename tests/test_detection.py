@@ -1,9 +1,9 @@
 """Click simulation and pulsed correlation statistics.
 
-The sparse g2_pulsed and its partner pointers, the click ordering, the
-vectorised dead-time pruning and the block-wise click draw are checked
-against the dense, search-per-offset, lexsort, per-click loop and
-per-pulse versions they replaced, kept here as oracles.
+The sparse g2_pulsed and its partner pointers, the dead-time pass and the
+block-wise, in-order click draw are checked against the dense,
+search-per-offset, per-click loop and per-pulse, lexsorted versions they
+replaced, kept here as oracles.
 """
 
 import math
@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cavityspec import detection
 from cavityspec.constants import TWO_PI
@@ -20,12 +20,11 @@ from cavityspec.detection import (
     ClickStream,
     DetectorConfig,
     EmissionModel,
-    _click_order,
-    _prune_dead_time,
     _telegraph_runs,
     draw_clicks,
     g2_background_floor,
     g2_pulsed,
+    settle_clicks,
     simulate_clicks,
 )
 from cavityspec.errors import ConfigError, DomainError
@@ -207,7 +206,9 @@ def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
                            rep_period=100e-6, background_per_pulse=0.0):
     """Reference draw_clicks: a bright flag per pulse, and one uniform per
     bright pulse in pulse order, each block of the telegraph's before the
-    next block is drawn."""
+    next block is drawn; the background's ordered points are cut into
+    pulse and time with floor, and every click is put in order by
+    lexsort."""
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
     if blink is not None and blink.p_bright < 1.0:
         fire = []
@@ -226,10 +227,16 @@ def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
     in_gate = (src_t >= detector.gate_start) & (src_t < gate_end)
     src_pulse, src_t = src_pulse[in_gate], src_t[in_gate]
     lam = detector.dark_rate * detector.gate_duration + background_per_pulse
-    total_bg = rng.poisson(lam * n_pulses)
-    bg_pulse = rng.integers(0, n_pulses, size=total_bg, dtype=np.uint64)
-    bg_t = detector.gate_start + rng.random(total_bg) * detector.gate_duration
-    return np.concatenate([src_pulse, bg_pulse]), np.concatenate([src_t, bg_t])
+    ends = np.cumsum(rng.standard_exponential(rng.poisson(lam * n_pulses)
+                                              + 1))
+    x = np.minimum(ends[:-1] * (n_pulses / ends[-1]),
+                   np.nextafter(n_pulses, 0))
+    bg_pulse = np.floor(x).astype(np.uint64)
+    bg_t = detector.gate_start + (x - np.floor(x)) * detector.gate_duration
+    pulse = np.concatenate([src_pulse, bg_pulse])
+    t = np.concatenate([src_t, bg_t])
+    order = np.lexsort((t, pulse))
+    return pulse[order], t[order]
 
 
 @st.composite
@@ -272,6 +279,44 @@ def test_block_draw_matches_the_per_pulse_draw(case):
     assert np.array_equal(pulse, ref_pulse)
     assert np.array_equal(t.view(np.uint64), ref_t.view(np.uint64))
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@given(block_draws())
+def test_drawn_clicks_are_in_pulse_then_time_order(case):
+    block, n_pulses, emission, blink, background = case
+    with mock.patch.object(detection, "_UNIFORM_BLOCK", block):
+        pulse, t = draw_clicks(emission, NARROW_GATE, n_pulses,
+                               np.random.default_rng(24), blink=blink,
+                               background_per_pulse=background)
+    step = np.diff(pulse.astype(np.int64))
+    assert np.all(step >= 0)
+    assert np.all(np.diff(t)[step == 0] >= 0)
+    assert np.all(pulse < n_pulses)
+    gate_end = NARROW_GATE.gate_start + NARROW_GATE.gate_duration
+    assert np.all((t >= NARROW_GATE.gate_start) & (t <= gate_end))
+
+
+def test_background_is_poisson_in_count_and_uniform_in_time():
+    """Background alone over N = 200,000 pulses at 2 clicks a pulse.  The
+    bounds were fixed from N before any run: the per-pulse count's mean
+    within 4 sqrt(lam / N) of lam, and its variance within 4 sqrt((lam +
+    2 lam^2) / N) of lam (the sample variance's sd for a Poisson count);
+    the in-gate times' Kolmogorov distance from uniform below 1.95 /
+    sqrt(n) over the n clicks (exceeded with probability 0.001)."""
+    n_pulses, lam = 200_000, 2.0
+    det = DetectorConfig(eta_total=1.0, dark_rate=0.0, gate_start=10e-6,
+                         gate_duration=82e-6)
+    pulse, t = draw_clicks(_emitter(0.0), det, n_pulses,
+                           np.random.default_rng(2024),
+                           background_per_pulse=lam)
+    counts = np.bincount(pulse.astype(np.int64), minlength=n_pulses)
+    assert abs(counts.mean() - lam) <= 4.0 * math.sqrt(lam / n_pulses)
+    assert (abs(counts.var(ddof=1) - lam)
+            <= 4.0 * math.sqrt((lam + 2.0 * lam ** 2) / n_pulses))
+    u = np.sort((t - det.gate_start) / det.gate_duration)
+    n = len(u)
+    ks = max(np.max(np.arange(1, n + 1) / n - u), np.max(u - np.arange(n) / n))
+    assert ks < 1.95 / math.sqrt(n)
 
 
 @pytest.mark.parametrize("block", [7, detection._UNIFORM_BLOCK])
@@ -601,12 +646,6 @@ def raw_clicks(draw, max_clicks=120, max_pulses=50):
     return np.array(pulse, dtype=np.uint64), np.array(t, dtype=float)
 
 
-@given(raw_clicks())
-def test_click_order_is_lexsort(clicks):
-    pulse, t = clicks
-    assert np.array_equal(_click_order(pulse, t), np.lexsort((t, pulse)))
-
-
 def _prune_loop(pulse, t, dead_time):
     """Reference pruning: one click at a time, from each pulse's first."""
     keep = np.ones(len(pulse), dtype=bool)
@@ -625,36 +664,29 @@ DEAD_TIMES = st.sampled_from([1e-9, 1e-6, 3e-6, 1e-5, 1.0])
 def _check_pruning(pulse, t, dead_time):
     order = np.lexsort((t, pulse))
     pulse, t = pulse[order], t[order]
-    fast = _prune_dead_time(pulse, t, dead_time)
+    fast = settle_clicks(pulse, t, dead_time)
     slow = _prune_loop(pulse, t, dead_time)
     assert np.array_equal(fast[0], slow[0])
-    assert np.array_equal(fast[1], slow[1])
+    assert np.array_equal(fast[1].view(np.uint64), slow[1].view(np.uint64))
 
 
 @given(raw_clicks(), DEAD_TIMES)
 def test_vectorised_dead_time_matches_a_click_loop(clicks, dead_time):
-    pulse, t = clicks
-    assume(len(pulse) > 1)  # simulate_clicks prunes from two clicks on
-    _check_pruning(pulse, t, dead_time)
+    _check_pruning(*clicks, dead_time)
 
 
-# few pulses of many clicks, which lockstep hands to the per-pulse walk
+def _long_pulses():
+    """3 pulses of 5,000 clicks, the first 40 at one time."""
+    t = np.random.default_rng(3).random(15_000) * 1e-4
+    t[:40] = 2e-6
+    return np.repeat(np.arange(3, dtype=np.uint64), 5000), t
+
+
+# few pulses of many clicks: long runs of close clicks, walked
+@example(_long_pulses(), 5e-8)
 @given(raw_clicks(max_clicks=400, max_pulses=3), DEAD_TIMES)
 def test_walked_dead_time_matches_a_click_loop(clicks, dead_time):
-    pulse, t = clicks
-    assume(len(pulse) > 1)
-    _check_pruning(pulse, t, dead_time)
-
-
-def test_long_pulses_leave_lockstep_for_the_walk():
-    rng = np.random.default_rng(3)
-    pulse = np.repeat(np.arange(3, dtype=np.uint64), 5000)
-    t = rng.random(15_000) * 1e-4
-    t[:40] = 2e-6  # a run of equal times
-    with mock.patch.object(detection, "_walk_pulses",
-                           wraps=detection._walk_pulses) as walk:
-        _check_pruning(pulse, t, 5e-8)
-    assert walk.called
+    _check_pruning(*clicks, dead_time)
 
 
 def test_walk_settles_rounded_gaps_as_the_loop():
@@ -667,5 +699,6 @@ def test_walk_settles_rounded_gaps_as_the_loop():
     keep = np.ones(4, dtype=bool)
     detection._walk_pulses(t, np.array([1]), np.array([4]), t[:1], dead, keep)
     assert keep.tolist() == [True, True, True, False]
-    assert np.array_equal(t[keep], _prune_loop(np.zeros(4, np.uint64), t,
-                                                dead)[1])
+    pulse = np.zeros(4, np.uint64)
+    assert np.array_equal(t[keep], _prune_loop(pulse, t, dead)[1])
+    assert np.array_equal(t[keep], settle_clicks(pulse, t, dead)[1])

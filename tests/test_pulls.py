@@ -12,8 +12,8 @@ The g2(0) pulls take z = (g2(0) - floor_predicted) / stderr over G2_RUNS
 runs of run_g2, with the same bounds at N = G2_RUNS = 300: |mean z| <=
 0.231 and |var z - 1| <= 0.409.
 
-The cavity sweep's lifetime pulls test the mean only; see
-test_sweep_tau_pulls.
+The lifetime pull (test_lifetime_tau_pulls) and the cavity sweep's test
+the mean, and report the variance in their docstrings.
 """
 
 import numpy as np
@@ -22,7 +22,8 @@ import pytest
 from cavityspec.config import build_config
 from cavityspec.detection import BlinkConfig
 from cavityspec.experiments import (PulseSequence, expected_linewidth,
-                                    run_cavity_sweep, run_g2, run_ple_scan,
+                                    fit_lifetime, run_cavity_sweep, run_g2,
+                                    run_lifetime, run_ple_scan,
                                     run_saturation_series)
 from test_experiments import (CAV, EMITTER, F0, STD_DET, _ion, _ions,
                               _power_for_s)
@@ -132,3 +133,26 @@ def test_sweep_tau_pulls():
     z = np.concatenate(z)
     assert z.size >= 0.99 * SWEEP_RUNS * len(detunings)
     assert abs(z.mean()) <= 4.0 / np.sqrt(z.size), z.mean()
+
+
+LIFETIME_RUNS = 300
+
+
+def test_lifetime_tau_pulls():
+    """fit_lifetime's tau against 1 / gamma, z = (tau - 1 / gamma) /
+    stderr(tau), over LIFETIME_RUNS default lifetime runs (dark counts
+    100 Hz, about 0.008 a pulse) of 1,000,000 pulses each, about 17,600
+    gated clicks: |mean z| <= 4 / sqrt(300) = 0.231, fixed from N before
+    any run.  Measured: mean z -0.014 and var z 0.94.  At the default
+    100,000 pulses, about 1,800 clicks, the mean is -0.26: the small-count
+    bias of the three-parameter fit, which a tighter stop does not move."""
+    cfg = build_config({("", "experiment"): "lifetime"})
+    z = np.empty(LIFETIME_RUNS)
+    for seed in range(LIFETIME_RUNS):
+        res = run_lifetime(cfg.ion, cfg.cavity, cfg.emitter, cfg.sequence,
+                           cfg.detector, 1_000_000, seed,
+                           n_bins=cfg["lifetime", "n_bins"])
+        fit = fit_lifetime(res)
+        assert fit.converged
+        z[seed] = (fit.params["tau"] - 1.0 / res.gamma) / fit.stderr["tau"]
+    assert abs(z.mean()) <= 4.0 / np.sqrt(LIFETIME_RUNS), z.mean()
