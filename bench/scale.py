@@ -44,8 +44,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
-# one scale setting per experiment, three for lifetime (many background
-# clicks, sparse dead time, a detector saturated under dead time), and four
+# one scale setting per experiment, four for lifetime (many background
+# clicks, sparse dead time, dead time that closes a few clicks in many
+# pulses, a detector saturated under dead time), and four
 # for g2: with and without the blinking telegraph, with a
 # telegraph that switches about every other pulse, and with many offsets
 SCALE = {
@@ -57,6 +58,9 @@ SCALE = {
     "lifetime @ 50 ns dead time, 2e6 clicks": "experiment = lifetime\n"
         "[lifetime]\nn_pulses = 1000000\nbackground_per_pulse = 2\n"
         "[detector]\ndead_time = 50 ns\n",
+    "lifetime @ 10 us dead time, 2e6 clicks": "experiment = lifetime\n"
+        "[lifetime]\nn_pulses = 1000000\nbackground_per_pulse = 2\n"
+        "[detector]\ndead_time = 10 us\n",
     "lifetime @ 1,000 clicks a pulse, 1 us dead time": "experiment = "
         "lifetime\n[lifetime]\nn_pulses = 10000\nbackground_per_pulse = "
         "1000\n[detector]\ndead_time = 1 us\n",

@@ -20,11 +20,11 @@ from .errors import DomainError, FitError
 _REL_TOL = 1e-8
 _MAX_REJECTS = 50
 _MAX_ITER = 200
-# A Poisson fit also converges on a step that lowers its deviance by less
-# than this: its Fisher-scoring steps crawl where zero-count bins make the
-# offset's expected information far exceed the observed, or where the
-# offset sits at the boundary mu > 0, and a crawl of 1e-6 in -2 ln L moves
-# no parameter by a statistically visible amount.
+# A fit also converges on a step that lowers its objective by less than
+# this many of its variance units (1 for a Poisson deviance, chi2 / dof for
+# a weighted fit): Fisher scoring crawls by zero-count bins or the boundary
+# mu > 0, Gauss-Newton on a large-residual fit, and a crawl of 1e-6 units
+# moves no parameter by a statistically visible amount.
 _DEV_TOL = 1e-6
 PEAK_THRESHOLD = 3.0  # count_peaks keeps amplitudes above this many sigma
 _MAX_PEAKS = 100_000
@@ -280,8 +280,8 @@ def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
     as counts.  With poisson the fit instead minimises the Poisson deviance
     of counts y (see fit_models).  Convergence is declared when the
     accepted step changes every parameter by less than 1e-8 relative, or
-    in a Poisson fit lowers the deviance by less than 1e-6.  This is
-    fit_models on one row.
+    lowers the objective by less than 1e-6 of its scale (_DEV_TOL).  This
+    is fit_models on one row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -435,8 +435,8 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
             done = accepted & ((rel < _REL_TOL) | (
                 _norm(scale * step) <= _REL_TOL * (_REL_TOL
                                                    + _norm(scale * p_try))))
-            if w is None:
-                done |= accepted & (chi2 - chi2_try < _DEV_TOL)
+            unit = 1.0 if w is None else chi2_try / (x.shape[1] - n_par)
+            done |= accepted & (chi2 - chi2_try < _DEV_TOL * unit)
             np.copyto(p, p_try, where=accepted[:, None])
             np.copyto(chi2, chi2_try, where=accepted)
             for i, c, moved in zip(rows.tolist(), chi2_try.tolist(),

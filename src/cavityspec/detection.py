@@ -292,8 +292,8 @@ def settle_clicks(pulse, t, dead_time):
     A click at least dead_time after its pulse's previous click is kept:
     the last kept click is no later, and a rounded difference does not
     fall as what it subtracts falls.  So each run of closer clicks is
-    settled from the kept click before it: its first click is dropped, and
-    the rest of a longer run are walked (_walk_pulses).
+    settled from the kept click before it: its first click is dropped, a
+    second of two is kept if dead_time after it, longer runs are walked.
     """
     if not dead_time > 0:
         return pulse, t
@@ -303,7 +303,9 @@ def settle_clicks(pulse, t, dead_time):
     start, end = (np.flatnonzero(close[1:] != close[:-1]) + 1).reshape(-1, 2).T
     keep = np.ones(len(t), dtype=bool)
     keep[start] = False
-    long = end - start > 1
+    two = start[end - start == 2]
+    keep[two + 1] = t[two + 1] - t[two - 1] >= dead_time
+    long = end - start > 2
     _walk_pulses(t, start[long] + 1, end[long], t[start[long] - 1], dead_time,
                  keep)
     return pulse[keep], t[keep]
@@ -326,11 +328,10 @@ def _walk_pulses(t, starts, ends, lasts, dead_time, keep):
                 c += 1
             if c == len(times):
                 break
-            kept.append(c)
+            kept.append(start + c)
             last, i = times[c], c + 1
-        mask = np.zeros(len(times), dtype=bool)
-        mask[kept] = True
-        keep[start:stop] = mask
+        keep[start:stop] = False
+        keep[kept] = True
 
 
 def g2_pulsed(stream: ClickStream, max_offset: int = 10):

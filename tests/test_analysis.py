@@ -233,10 +233,12 @@ def _reference_fit(model, x, y, weights=None) -> FitResult:
         scale = np.sqrt(np.maximum(np.diag(hess), 1e-300))
         scaled_step = np.linalg.norm(scale * step)
         scaled_p = np.linalg.norm(scale * p_try)
+        unit = chi2_try / (len(x) - n_par)
+        crawl = chi2 - chi2_try < analysis._DEV_TOL * unit
         p, chi2 = p_try, chi2_try
         history.append(chi2)
         lam = max(lam / 10.0, 1e-12)
-        if (rel < analysis._REL_TOL
+        if (rel < analysis._REL_TOL or crawl
                 or scaled_step <= analysis._REL_TOL * (analysis._REL_TOL
                                                        + scaled_p)):
             converged = True
@@ -396,11 +398,12 @@ def _weights(kinds, y, weighting):
 
 
 # a noise row per model that runs its fit to _MAX_ITER; a linear fit starts
-# on its least-squares line and ends within a few iterations, so its noise
-# row reaches the cap only when the cap is 3
-_STALLING_SEED = {"exponential": 1, "lorentzian": 2, "gaussian": 1,
-                  "linear": 8, "bunching": 23}
-_STALLING_CAP = {"linear": 3}
+# on its least-squares line and ends within a few iterations, and the
+# exponential and bunching noise rows end on a crawl of chi2 well before
+# 200, so theirs reach the cap only when the cap is a few iterations
+_STALLING_SEED = {"exponential": 1, "lorentzian": 13, "gaussian": 7,
+                  "linear": 2, "bunching": 23}
+_STALLING_CAP = {"exponential": 3, "linear": 2, "bunching": 5}
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))

@@ -670,6 +670,10 @@ def _check_pruning(pulse, t, dead_time):
     assert np.array_equal(fast[1].view(np.uint64), slow[1].view(np.uint64))
 
 
+# two runs of two close clicks: the second click of the first is exactly
+# the dead time after the click before the run, that of the second is not
+@example((np.repeat(np.arange(2, dtype=np.uint64), 3),
+          np.array([0.0, 0.5, 1.0, 0.0, 0.5, 0.75]) * 1e-6), 1e-6)
 @given(raw_clicks(), DEAD_TIMES)
 def test_vectorised_dead_time_matches_a_click_loop(clicks, dead_time):
     _check_pruning(*clicks, dead_time)
