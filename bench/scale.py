@@ -46,9 +46,10 @@ EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
 # one scale setting per experiment, four for lifetime (many background
 # clicks, sparse dead time, dead time that closes a few clicks in many
-# pulses, a detector saturated under dead time), and four
+# pulses, a detector saturated under dead time), and five
 # for g2: with and without the blinking telegraph, with a
-# telegraph that switches about every other pulse, and with many offsets
+# telegraph that switches about every other pulse, with a rarely bright
+# one (its candidate pulses far outnumber its clicks), and with many offsets
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
@@ -72,6 +73,8 @@ SCALE = {
     "g2 @ 1e7 pulses, blinking, switch_time 1 ns": "experiment = g2\n[g2]\n"
         "n_pulses = 10000000\nblink = true\np_bright = 0.5\n"
         "switch_time = 1 ns\n",
+    "g2 @ 1e7 pulses, blinking, p_bright 0.02": "experiment = g2\n[g2]\n"
+        "n_pulses = 10000000\nblink = true\np_bright = 0.02\n",
     "g2 @ 1e7 pulses, max_offset 1000": "experiment = g2\n[g2]\n"
         "n_pulses = 10000000\nmax_offset = 1000\n",
     "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"

@@ -6,16 +6,16 @@ contributes at most one photon per pulse (the drive is off once the gate
 opens), thinned by the collection chain and the gate; dark counts and
 residual laser background arrive as Poisson processes inside the gate.
 Slow intensity switching (blinking) gates the emitter with a two-state
-telegraph sampled at the pulse boundaries.  The telegraph is drawn a block
-of sojourns at a time and only its bright pulses draw a firing uniform,
-so memory follows the clicks, not the pulses or the sojourns.
+telegraph sampled at the pulse boundaries.  The pulses whose photon would
+be collected are drawn as geometric gaps, and a blinking emitter's
+telegraph is sampled only at those pulses, a block at a time, so work and
+memory follow the clicks, not the pulses or the telegraph's switches.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,7 @@ from .output import write_bytes_atomic
 _BINARY_MAGIC = b"CSPK"
 _BINARY_VERSION = 1
 _RECORD_DTYPE = np.dtype([("pulse_index", "<u8"), ("t_ns", "<f8")])
-_SOJOURN_BLOCK = 2048  # telegraph sojourn pairs drawn per block
-_UNIFORM_BLOCK = 32_768  # firing uniforms drawn per block: 256 kB, in L2
+_BLOCK = 32_768  # candidate pulses drawn and thinned per block
 
 
 @dataclass(frozen=True)
@@ -141,42 +140,6 @@ class ClickStream:
                    n_pulses=int(n_pulses), seed=int(seed))
 
 
-def _telegraph_runs(n_pulses, p_bright, rep_period, switch_time, rng):
-    """The bright runs of the stationary two-state telegraph over n_pulses
-    pulses, yielded a block at a time as (start, length) arrays.
-
-    Sojourn lengths are geometric and alternate from a stationary first
-    state.  A block draws _SOJOURN_BLOCK sojourns of the first state's
-    kind, then as many of the other's, so it holds an even number of whole
-    runs and the next block starts in the first state again; clipped at
-    n_pulses, a run may be empty.  Blocks are drawn only as they are read,
-    until they cover n_pulses, and a state that is never left lasts to the
-    end.
-    """
-    decay = math.exp(-rep_period / switch_time)
-    first = bool(rng.random() < p_bright)
-    leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
-    leave_a, leave_b = leave if first else leave[::-1]
-    if leave_a <= 0.0:
-        if first:
-            yield np.zeros(1, dtype=np.int64), np.array([n_pulses])
-        return
-    bright = 0 if first else 1  # the bright runs' parity in a block
-    edges = np.empty(2 * _SOJOURN_BLOCK + 1, dtype=np.int64)
-    total = edges[0] = 0
-    while total < n_pulses:
-        runs = edges[1:]
-        runs[0::2] = rng.geometric(leave_a, size=_SOJOURN_BLOCK)
-        runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=_SOJOURN_BLOCK)
-        np.minimum(runs, n_pulses, out=runs)
-        np.cumsum(runs, out=runs)
-        np.minimum(runs, n_pulses - total, out=runs)
-        runs += total
-        start = edges[bright:-1:2].copy()
-        yield start, edges[bright + 1::2] - start
-        total = edges[0] = int(edges[-1])
-
-
 MAX_BACKGROUND_CLICKS = 100_000_000  # a record each: the n_pulses cap
 
 
@@ -198,20 +161,10 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
                 blink: BlinkConfig | None = None, rep_period: float = 100e-6,
                 background_per_pulse: float = 0.0):
     """(pulse index, time in pulse) of every click before dead time, in
-    (pulse, time) order.  Draw order is fixed (telegraph and excitation,
-    decay times, background), so a generator state gives the same clicks.
-
-    Only a bright pulse can fire, so only bright pulses draw a uniform: one
-    each, in pulse order, and it fires below p_click.  A steady emitter's
-    pulses are all bright.  A blinking emitter's telegraph comes a block
-    of runs at a time; each block's bright pulses draw theirs before the
-    next block is drawn, and a fired one is mapped from its slot among
-    them back to its pulse through the block's cumulative bright lengths.
-    The uniforms are drawn _UNIFORM_BLOCK at a time into one buffer, and
-    no array holds one entry per pulse or per sojourn, so memory follows
-    the clicks.  random() takes one 64-bit output per double, so a steady
-    emitter's uniforms are the values, and leave the generator state, of
-    one rng.random(n_pulses).
+    (pulse, time) order.  Draw order is fixed, so a generator state gives
+    the same clicks: the candidate pulses' geometric gaps and, if blinking,
+    their thinning uniforms, a block at a time (_source_pulses); then the
+    source clicks' decay times; then the background.
     """
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be positive, got {n_pulses}")
@@ -226,21 +179,8 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
                           "gate_duration or background_per_pulse")
 
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
-    buf = np.empty(min(n_pulses, _UNIFORM_BLOCK))
-    if blink is not None and blink.p_bright < 1.0:
-        fired = [np.empty(0, dtype=np.int64)]
-        for start, length in _telegraph_runs(n_pulses, blink.p_bright,
-                                             rep_period, blink.switch_time,
-                                             rng):
-            cum = np.cumsum(length)
-            slot = _fired_slots(int(cum[-1]), p_click, buf, rng)
-            # a slot's pulse: its run's first pulse, plus its place in the run
-            run = np.searchsorted(cum, slot, side="right")
-            fired.append(slot + (start - cum + length)[run])
-        src_pulse = np.concatenate(fired)
-    else:
-        src_pulse = _fired_slots(n_pulses, p_click, buf, rng)
-    src_pulse = src_pulse.astype(np.uint64)
+    src_pulse = _source_pulses(n_pulses, p_click, blink, rep_period,
+                               rng).astype(np.uint64)
     src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
                                                    size=len(src_pulse))
     gate_end = detector.gate_start + detector.gate_duration
@@ -274,14 +214,59 @@ def draw_clicks(emission: EmissionModel, detector: DetectorConfig,
     return np.insert(bg_pulse, lo, src_pulse), np.insert(x, lo, src_t)
 
 
-def _fired_slots(n, p_click, buf, rng):
-    """Indices of the n slots whose uniform falls below p_click, the
-    uniforms drawn len(buf) at a time into buf."""
+def _source_pulses(n_pulses, p_click, blink, rep_period, rng):
+    """The pulses whose emitter photon is collected, in order.
+
+    Candidates are the pulses whose Bernoulli(p_click) trial succeeds,
+    drawn as cumulative geometric gaps (Batagelj and Brandes, Phys. Rev. E
+    71, 036113, 2005).  A steady emitter's candidates are its source
+    pulses.  A blinking emitter keeps a candidate iff its stationary
+    telegraph is bright there.  After k pulses the telegraph is bright with
+    probability p + (s - p) decay^k, s its state at the last candidate.
+    So, by one uniform u each, a candidate is bright whatever s was below
+    lo = p - p decay^k, dark at or above hi = p + (1 - p) decay^k, and
+    keeps s between; the first candidate is bright below p.  (lo is
+    written so to give the bits of p + (s - p) decay^k at s = 0.)  Its
+    state is then that of the last candidate so forced, filled forward.
+
+    Each block draws its gaps, at most _BLOCK and about four sd more than
+    the candidates left to expect, then one uniform per candidate in range
+    if blinking; the last pulse and state carry to the next block.
+    """
     fired = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, n, len(buf)):
-        u = buf[:n - lo]
-        rng.random(out=u)
-        fired.append(np.flatnonzero(u < p_click) + lo)
+    thin = blink is not None and blink.p_bright < 1.0
+    if thin:
+        p = blink.p_bright
+        decay = math.exp(-rep_period / blink.switch_time)
+    last, bright = -1, None
+    while p_click > 0 and last < n_pulses - 1:
+        left = n_pulses - 1 - last
+        mean = left * p_click
+        size = min(_BLOCK, left, int(mean + 4 * math.sqrt(mean)) + 1)
+        pulse = rng.geometric(p_click, size)
+        # numpy gives INT64_MAX for p_click below ~1e-20; any gap past the
+        # last pulse ends the draw alike, and the clip keeps the sum in int64
+        np.minimum(pulse, left + 1, out=pulse)
+        np.cumsum(pulse, out=pulse)
+        pulse += last
+        pulse = pulse[:np.searchsorted(pulse, n_pulses)]
+        if thin and len(pulse):
+            u = rng.random(len(pulse))
+            dk = decay ** np.diff(pulse, prepend=last)
+            if bright is None:
+                dk[0] = 0.0
+            on = u < p - p * dk
+            forced = np.where(on | (u >= p + (1.0 - p) * dk),
+                              np.arange(1, len(u) + 1), 0)
+            np.maximum.accumulate(forced, out=forced)
+            state = np.r_[bool(bright), on][forced]
+            bright = state[-1]
+            fired.append(pulse[state])
+        else:
+            fired.append(pulse)
+        if len(pulse) < size:
+            break
+        last = int(pulse[-1])
     return np.concatenate(fired)
 
 
@@ -301,8 +286,7 @@ def settle_clicks(pulse, t, dead_time):
     close[1:-1] = (np.diff(t) < dead_time) & (pulse[1:] == pulse[:-1])
     # the runs of close clicks, [start, end)
     start, end = (np.flatnonzero(close[1:] != close[:-1]) + 1).reshape(-1, 2).T
-    keep = np.ones(len(t), dtype=bool)
-    keep[start] = False
+    keep = ~close[:-1]
     two = start[end - start == 2]
     keep[two + 1] = t[two + 1] - t[two - 1] >= dead_time
     long = end - start > 2
@@ -312,26 +296,28 @@ def settle_clicks(pulse, t, dead_time):
 
 
 def _walk_pulses(t, starts, ends, lasts, dead_time, keep):
-    """Settle clicks starts[i]:ends[i] of each pulse after a kept click at
-    lasts[i], jumping by bisection from each kept click to the next."""
-    for start, stop, last in zip(starts.tolist(), ends.tolist(),
-                                 lasts.tolist()):
-        times = t[start:stop].tolist()
-        kept = []
-        i = 0
-        while True:
-            c = bisect_left(times, last + dead_time, i)
-            # the sum is rounded: settle c by the loop's own test
-            while c > i and times[c - 1] - last >= dead_time:
-                c -= 1
-            while c < len(times) and times[c] - last < dead_time:
-                c += 1
-            if c == len(times):
-                break
-            kept.append(start + c)
-            last, i = times[c], c + 1
-        keep[start:stop] = False
-        keep[kept] = True
+    """Mark in keep, False there before, the clicks kept among
+    starts[i]:ends[i] of each pulse after a kept click at lasts[i].
+
+    All runs step together: each round bisects every live run for its
+    first click whose difference from the run's last kept click is at
+    least dead_time, by the loop's own test, keeps it and walks on from
+    it.  A run ends when no such click is left.
+    """
+    lo, end, last = starts.copy(), ends, lasts
+    while len(lo):
+        hi = end.copy()
+        todo = np.flatnonzero(lo < hi)
+        while len(todo):
+            mid = (lo[todo] + hi[todo]) // 2
+            far = t[mid] - last[todo] >= dead_time
+            hi[todo[far]] = mid[far]
+            lo[todo[~far]] = mid[~far] + 1
+            todo = todo[lo[todo] < hi[todo]]
+        live = lo < end
+        found = lo[live]
+        keep[found] = True
+        lo, end, last = found + 1, end[live], t[found]
 
 
 def g2_pulsed(stream: ClickStream, max_offset: int = 10):

@@ -2,8 +2,9 @@
 
 The sparse g2_pulsed and its partner pointers, the dead-time pass and the
 block-wise, in-order click draw are checked against the dense,
-search-per-offset, per-click loop and per-pulse, lexsorted versions they
-replaced, kept here as oracles.
+search-per-offset, per-click loop and per-candidate, lexsorted versions
+they replaced, kept here as oracles; the telegraph's thinning, against
+its law.
 """
 
 import math
@@ -20,7 +21,6 @@ from cavityspec.detection import (
     ClickStream,
     DetectorConfig,
     EmissionModel,
-    _telegraph_runs,
     draw_clicks,
     g2_background_floor,
     g2_pulsed,
@@ -122,105 +122,52 @@ def test_blinking_builds_the_analytic_bunching_tail():
     assert expected[1] > expected[8] > 1.0
 
 
-def _sojourn_loop(n_pulses, p_bright, rep_period, switch_time, rng):
-    """Reference telegraph: one sojourn at a time, the same draws."""
-    decay = math.exp(-rep_period / switch_time)
-    state = bool(rng.random() < p_bright)
-    leave = {True: (1 - p_bright) * (1 - decay), False: p_bright * (1 - decay)}
-    flags = []
-    while len(flags) < n_pulses:
-        if leave[state] <= 0:
-            return np.array(flags + [state] * (n_pulses - len(flags)))
-        runs_a = rng.geometric(leave[state], size=2048)
-        runs_b = rng.geometric(max(leave[not state], 1e-12), size=2048)
-        for pair in zip(runs_a, runs_b):
-            for on, run in zip((state, not state), pair):
-                flags += [on] * int(min(run, n_pulses))
-            if len(flags) >= n_pulses:
-                break
-    return np.array(flags[:n_pulses])
-
-
 # (p_bright, switch_time) at a 100 us period: slow, fast, sticky and
 # rarely-bright telegraphs
 TELEGRAPHS = [(0.5, 800e-6), (0.3, 500e-6), (0.02, 1e-2), (0.9, 1e-6),
               (0.5, 1e6), (1 - 1e-12, 1.0), (1e-12, 1.0)]
 
 
-def _expand(first, lengths):
-    """Per-pulse bright flags of a telegraph given as runs."""
-    return np.repeat(np.tile([first, not first], len(lengths) // 2), lengths)
-
-
-def _bright_flags(n_pulses, blocks):
-    """Per-pulse bright flags of the (start, length) runs blocks yields,
-    checking that the runs are in order, disjoint and inside the pulses."""
-    flags = np.zeros(n_pulses, dtype=bool)
-    end = 0
-    for start, length in blocks:
-        assert start.dtype == length.dtype == np.int64
-        for s, n in zip(start.tolist(), length.tolist()):
-            assert end <= s and n >= 0 and s + n <= n_pulses
-            flags[s:s + n] = True
-            end = s + n
-    return flags
-
-
-@pytest.mark.parametrize("n_pulses,p_bright,switch_time", [
-    (1, 0.5, 800e-6), (4096, 0.3, 500e-6), (30_000, 0.5, 800e-6),
-    (50_000, 0.02, 1e-2), (20_000, 0.9, 1e-6), (3_000, 0.5, 1e6),
-    # the first sojourn is drawn at the int64 maximum
-    (5_000, 1 - 1e-12, 1.0), (5_000, 1e-12, 1.0)])
-def test_telegraph_matches_a_sojourn_loop(n_pulses, p_bright, switch_time):
-    fast, slow = np.random.default_rng(8), np.random.default_rng(8)
-    flags = _bright_flags(n_pulses, _telegraph_runs(
-        n_pulses, p_bright, 100e-6, switch_time, fast))
-    reference = _sojourn_loop(n_pulses, p_bright, 100e-6, switch_time, slow)
-    assert np.array_equal(flags, reference)
-    assert fast.bit_generator.state == slow.bit_generator.state
-
-
-def _telegraph_blocks(n_pulses, p_bright, rep_period, switch_time, rng):
-    """Reference telegraph: per-pulse bright flags, one block of 2048
-    sojourn pairs at a time, drawn only as they are read."""
-    decay = math.exp(-rep_period / switch_time)
-    first = bool(rng.random() < p_bright)
-    leave = ((1.0 - p_bright) * (1.0 - decay), p_bright * (1.0 - decay))
-    leave_a, leave_b = leave if first else leave[::-1]
-    if leave_a <= 0.0:
-        yield np.full(n_pulses, first)
-        return
-    total = 0
-    while total < n_pulses:
-        runs = np.empty(2 * 2048, dtype=np.int64)
-        runs[0::2] = rng.geometric(leave_a, size=2048)
-        runs[1::2] = rng.geometric(max(leave_b, 1e-12), size=2048)
-        ends = np.minimum(np.cumsum(np.minimum(runs, n_pulses)),
-                          n_pulses - total)
-        flags = _expand(first, np.diff(ends, prepend=0))
-        total += len(flags)
-        yield flags
-
-
-def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
-                           rep_period=100e-6, background_per_pulse=0.0):
-    """Reference draw_clicks: a bright flag per pulse, and one uniform per
-    bright pulse in pulse order, each block of the telegraph's before the
-    next block is drawn; the background's ordered points are cut into
-    pulse and time with floor, and every click is put in order by
-    lexsort."""
+def _draw_clicks_per_candidate(emission, detector, n_pulses, rng, *,
+                               blink=None, rep_period=100e-6,
+                               background_per_pulse=0.0):
+    """Reference draw_clicks: the same draws (each block's geometric gaps,
+    then a uniform per candidate in range if blinking), walked one
+    candidate at a time in Python integers, the telegraph stepped by
+    P(bright) = p + (s - p) decay^k over a gap of k pulses; the
+    background's ordered points are cut into pulse and time with floor,
+    and every click is put in order by lexsort."""
     p_click = emission.p_excited * emission.eta_into_cavity * detector.eta_total
-    if blink is not None and blink.p_bright < 1.0:
-        fire = []
-        for bright in _telegraph_blocks(n_pulses, blink.p_bright, rep_period,
-                                        blink.switch_time, rng):
-            block = np.zeros(len(bright), dtype=bool)
-            block[bright] = rng.random(np.count_nonzero(bright)) < p_click
-            fire.append(block)
-        fire = np.concatenate(fire)
-    else:
-        fire = rng.random(n_pulses) < p_click
-    src_pulse = np.flatnonzero(fire).astype(np.uint64)
+    blinking = blink is not None and blink.p_bright < 1.0
+    if blinking:
+        p = blink.p_bright
+        decay = math.exp(-rep_period / blink.switch_time)
+    fired, last, state = [], -1, None
+    while p_click > 0 and last < n_pulses - 1:
+        left = n_pulses - 1 - last
+        mean = left * p_click
+        gaps = rng.geometric(p_click, min(detection._BLOCK, left,
+                                          int(mean + 4 * math.sqrt(mean)) + 1))
+        candidates, at = [], last
+        for gap in gaps.tolist():
+            at += gap
+            if at >= n_pulses:
+                break
+            candidates.append(at)
+        if blinking and candidates:
+            for pulse, u in zip(candidates,
+                                rng.random(len(candidates)).tolist()):
+                bright = p if state is None else (
+                    p + (state - p) * decay ** (pulse - last))
+                state, last = u < bright, pulse
+                if state:
+                    fired.append(pulse)
+        else:
+            fired += candidates
+        if len(candidates) < len(gaps):
+            break
+        last = candidates[-1]
+    src_pulse = np.array(fired, dtype=np.uint64)
     src_t = emission.decay_start + rng.exponential(1.0 / emission.gamma,
                                                    size=len(src_pulse))
     gate_end = detector.gate_start + detector.gate_duration
@@ -242,15 +189,18 @@ def _draw_clicks_per_pulse(emission, detector, n_pulses, rng, *, blink=None,
 @st.composite
 def block_draws(draw):
     """(block, n_pulses, emission, blink, background): n_pulses at or near
-    the block boundaries, or anywhere below four blocks."""
-    block = draw(st.sampled_from([1, 7, detection._UNIFORM_BLOCK]))
+    the block boundaries, or anywhere below four blocks; p_excited 0, 1,
+    or any, subnormal included, whose gaps numpy gives as INT64_MAX."""
+    block = draw(st.sampled_from([1, 7, detection._BLOCK]))
     boundary = [n for n in (block - 1, block, block + 1, 3 * block + 7) if n]
     n_pulses = draw(st.one_of(st.sampled_from(boundary),
                               st.integers(1, min(4 * block, 5000))))
     p_excited = draw(st.one_of(st.sampled_from([0.0, 1.0]),
                                st.floats(0.0, 1.0)))
-    # a state that is never left: exp(-period / 1e300 s) rounds to 1
-    telegraph = st.sampled_from(TELEGRAPHS + [(0.5, 1e300), (1.0, 1e-3)])
+    # a state that is never left: exp(-period / 1e300 s) rounds to 1; and
+    # a state that is left at once: exp(-period / 1 ns) rounds to 0
+    telegraph = st.sampled_from(TELEGRAPHS + [(0.5, 1e300), (0.5, 1e-9),
+                                              (1.0, 1e-3)])
     blink = draw(st.one_of(st.none(), telegraph.map(lambda c: BlinkConfig(*c))))
     background = draw(st.sampled_from([0.0, 0.01, 2.0]))
     return block, n_pulses, _emitter(p_excited, gamma=2e5), blink, background
@@ -263,18 +213,23 @@ NARROW_GATE = DetectorConfig(eta_total=1.0, dark_rate=1e3, gate_start=1e-6,
 
 @example((1, 1, _emitter(1.0), BlinkConfig(0.5, 1e300), 0.0))
 @example((7, 28, _emitter(0.0), None, 2.0))
-@example((detection._UNIFORM_BLOCK, 3 * detection._UNIFORM_BLOCK + 7,
-          _emitter(0.3), BlinkConfig(0.5, 800e-6), 0.01))
+# a block a candidate: each steps the telegraph from the block before
+@example((1, 400, _emitter(0.3), BlinkConfig(0.5, 100e-6), 0.0))
+@example((detection._BLOCK, 3 * detection._BLOCK + 7, _emitter(0.3),
+          BlinkConfig(0.5, 800e-6), 0.01))
+@example((detection._BLOCK, 3 * detection._BLOCK + 7, _emitter(1.0),
+          BlinkConfig(0.02, 1e-2), 0.0))
+@example((7, 20, _emitter(1e-30), None, 0.0))
 @given(block_draws())
-def test_block_draw_matches_the_per_pulse_draw(case):
+def test_block_draw_matches_the_per_candidate_draw(case):
     block, n_pulses, emission, blink, background = case
     fast, slow = np.random.default_rng(18), np.random.default_rng(18)
-    with mock.patch.object(detection, "_UNIFORM_BLOCK", block):
+    with mock.patch.object(detection, "_BLOCK", block):
         pulse, t = draw_clicks(emission, NARROW_GATE, n_pulses, fast,
                                blink=blink, background_per_pulse=background)
-    ref_pulse, ref_t = _draw_clicks_per_pulse(
-        emission, NARROW_GATE, n_pulses, slow, blink=blink,
-        background_per_pulse=background)
+        ref_pulse, ref_t = _draw_clicks_per_candidate(
+            emission, NARROW_GATE, n_pulses, slow, blink=blink,
+            background_per_pulse=background)
     assert pulse.dtype == ref_pulse.dtype == np.uint64
     assert np.array_equal(pulse, ref_pulse)
     assert np.array_equal(t.view(np.uint64), ref_t.view(np.uint64))
@@ -284,7 +239,7 @@ def test_block_draw_matches_the_per_pulse_draw(case):
 @given(block_draws())
 def test_drawn_clicks_are_in_pulse_then_time_order(case):
     block, n_pulses, emission, blink, background = case
-    with mock.patch.object(detection, "_UNIFORM_BLOCK", block):
+    with mock.patch.object(detection, "_BLOCK", block):
         pulse, t = draw_clicks(emission, NARROW_GATE, n_pulses,
                                np.random.default_rng(24), blink=blink,
                                background_per_pulse=background)
@@ -319,34 +274,50 @@ def test_background_is_poisson_in_count_and_uniform_in_time():
     assert ks < 1.95 / math.sqrt(n)
 
 
-@pytest.mark.parametrize("block", [7, detection._UNIFORM_BLOCK])
+def _within(value, expected, sd, what):
+    assert abs(value - expected) < 4.0 * sd, (what, value, expected, sd)
+
+
+@pytest.mark.parametrize("block", [7, detection._BLOCK])
 @pytest.mark.parametrize("p_excited,switch_time", [
     (1.0, 1e-9), (1.0, 800e-6), (0.3, 1e-9), (0.3, 800e-6)])
 def test_only_bright_pulses_fire(block, p_excited, switch_time):
-    """No source click lands in a dark run, and a bright pulse fires with
-    p_click: every one of them at p_click = 1."""
-    n_pulses, blocks = 60_000, []
-
-    def recorded(*args):
-        for runs in _telegraph_runs(*args):
-            blocks.append(runs)
-            yield runs
-
-    with mock.patch.object(detection, "_telegraph_runs", recorded), \
-            mock.patch.object(detection, "_UNIFORM_BLOCK", block):
-        pulse, _ = draw_clicks(_emitter(p_excited), WIDE_GATE, n_pulses,
+    """The telegraph's law, seen through the fired pulses of N = 60,000
+    at p_bright p = 0.5 and a 100 us period, d = exp(-period / switch_time),
+    p_click q.  A pulse fires at most once, with probability p q, and a
+    fired pulse's next pulse fires with probability pi = q (p + (1 - p) d).
+    At q = 1 the fired pulses are the bright ones, so the bright runs
+    between dark ones have mean length 1 / ((1 - p)(1 - d)), and the dark
+    runs 1 / (p (1 - d)).  The bounds were fixed from N before any run, at
+    4 sd each: the fired fraction's sd is sqrt((p q (1 - p q) + 2 q^2
+    p (1 - p) d / (1 - d)) / N), pi's over the M fired pulses with a
+    successor sqrt(pi (1 - pi) / M), and a mean run's over its R whole
+    runs sqrt(1 - leave) / leave / sqrt(R), leave its run's leave rate."""
+    n_pulses, p, q = 60_000, 0.5, p_excited
+    d = math.exp(-100e-6 / switch_time)
+    with mock.patch.object(detection, "_BLOCK", block):
+        pulse, _ = draw_clicks(_emitter(q), WIDE_GATE, n_pulses,
                                np.random.default_rng(21),
-                               blink=BlinkConfig(0.5, switch_time))
-    bright = _bright_flags(n_pulses, blocks)
-    n_bright = np.count_nonzero(bright)
-    assert 0.4 * n_pulses < n_bright < 0.6 * n_pulses
-    assert np.all(bright[pulse.astype(np.int64)])
-    assert np.all(np.diff(pulse.astype(np.int64)) > 0)
-    if p_excited == 1.0:
-        assert len(pulse) == n_bright
-    else:
-        sd = math.sqrt(n_bright * p_excited * (1.0 - p_excited))
-        assert abs(len(pulse) - n_bright * p_excited) < 4.0 * sd
+                               blink=BlinkConfig(p, switch_time))
+    pulse = pulse.astype(np.int64)
+    assert np.all(np.diff(pulse) > 0)
+    _within(len(pulse) / n_pulses, p * q,
+            math.sqrt((p * q * (1 - p * q) + 2 * q * q * p * (1 - p) * d
+                       / (1 - d)) / n_pulses), "fired fraction")
+    has_next = pulse[pulse < n_pulses - 1]
+    pi = q * (p + (1 - p) * d)
+    _within(np.isin(has_next + 1, pulse).mean(), pi,
+            math.sqrt(pi * (1 - pi) / len(has_next)), "next fires")
+    if q == 1.0:
+        fired = np.zeros(n_pulses, dtype=np.int8)
+        fired[pulse] = 1
+        edges = np.flatnonzero(np.diff(fired)) + 1
+        runs = np.diff(edges)  # whole runs, from the first switch on
+        for first, leave in ((1, (1 - p) * (1 - d)), (0, p * (1 - d))):
+            kind = runs[int(fired[edges[0]] != first)::2]
+            _within(kind.mean(), 1 / leave,
+                    math.sqrt(1 - leave) / leave / math.sqrt(len(kind)),
+                    f"mean run of state {first}")
 
 
 class _NoDraws:
@@ -700,7 +671,7 @@ def test_walk_settles_rounded_gaps_as_the_loop():
     dead = 5.084741201379321e-06
     t = np.array([2.3439488134573915e-07, 5.31913608272506e-06,
                   1.003655057153186e-04, 1.0545024691669792e-04])
-    keep = np.ones(4, dtype=bool)
+    keep = np.array([True, False, False, False])
     detection._walk_pulses(t, np.array([1]), np.array([4]), t[:1], dead, keep)
     assert keep.tolist() == [True, True, True, False]
     pulse = np.zeros(4, np.uint64)
