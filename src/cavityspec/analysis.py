@@ -11,7 +11,7 @@ masked windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,12 +40,9 @@ class FitResult:
     residual_norm: float  # sqrt of the weighted residual sum, or deviance
     converged: bool
     n_iter: int
-    history: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in ("model", "params", "stderr",
-                                              "residual_norm", "converged",
-                                              "n_iter")}
+        return asdict(self)
 
 
 def _columns(p):
@@ -154,6 +151,11 @@ class _PeakModel(_Model):
     def initial_guess(self, x, y):
         rows = np.arange(len(y))
         c0 = np.percentile(y, 10, axis=-1)
+        k = max(1, y.shape[-1] // 50)  # smooth long rows: a spike wins no peak
+        if k > 1:  # a centred running mean of k points; the edges read c0
+            run = sum(y[:, j:j + y.shape[-1] - k + 1] for j in range(k)) / k
+            y = np.repeat(c0[:, None], y.shape[-1], axis=-1)
+            y[:, (k - 1) // 2:][:, :run.shape[-1]] = run
         i_pk = y.argmax(axis=-1)
         y_pk = y[rows, i_pk]
         a0 = y_pk - c0
@@ -276,20 +278,19 @@ MODELS = {m.name: m for m in (EXPONENTIAL, LORENTZIAN, GAUSSIAN, LINEAR,
 def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
     """Damped least squares with analytic Jacobians.
 
-    weights multiply squared residuals; the default 1/max(|y|, 1) treats y
-    as counts.  With poisson the fit instead minimises the Poisson deviance
-    of counts y (see fit_models).  Convergence is declared when the
-    accepted step changes every parameter by less than 1e-8 relative, or
-    lowers the objective by less than 1e-6 of its scale (_DEV_TOL).  This
-    is fit_models on one row.
+    weights multiply squared residuals, and with none the fit is
+    unweighted; with poisson it instead minimises the Poisson deviance of
+    counts y (see fit_models).  Convergence is declared when the accepted
+    step changes every parameter by less than 1e-8 relative, or lowers the
+    objective by less than 1e-6 of its scale (_DEV_TOL).  This is
+    fit_models on one row.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of the same length")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)[None]
-    (result,) = fit_models(model, x[None], y[None], weights, poisson=poisson)
+    w = None if weights is None else np.asarray(weights, dtype=float)[None]
+    (result,) = fit_models(model, x[None], y[None], w, poisson=poisson)
     if isinstance(result, FitError):
         raise result
     return result
@@ -297,7 +298,8 @@ def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
 
 def fit_models(model, x, y, weights=None, *,
                poisson=False) -> list[FitResult | FitError]:
-    """fit_model on every row of 2-d x and y, run as one batched engine.
+    """fit_model on every row of 2-d x and y (and weights, which default to
+    1), run as one batched engine.
 
     Rows are independent: each keeps its own parameters, objective, damping
     and counters, and its result equals fit_model on that row alone, bit
@@ -324,12 +326,9 @@ def fit_models(model, x, y, weights=None, *,
         good_w = np.all(y >= 0, axis=1)
         refusal = "a Poisson fit needs counts: y must not be negative"
     else:
-        if weights is None:
-            w = 1.0 / np.maximum(np.abs(y), 1.0)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != y.shape:
-                raise FitError("weights must be positive, finite, and match y")
+        w = np.ones_like(y) if weights is None else np.asarray(weights, float)
+        if w.shape != y.shape:
+            raise FitError("weights must be positive, finite, and match y")
         good_w = np.all(w > 0, axis=1) & np.all(np.isfinite(w), axis=1)
         refusal = "weights must be positive, finite, and match y"
     finite = np.all(np.isfinite(x), axis=1) & np.all(np.isfinite(y), axis=1)
@@ -363,7 +362,7 @@ def fit_models(model, x, y, weights=None, *,
         rows, p, chi2 = rows[keep], p[keep], chi2[keep]
         x, y = x[rows], y[rows]
         w = None if poisson else w[keep]
-        p, chi2, converged, n_iter, history = _levenberg_marquardt(
+        p, chi2, converged, n_iter = _levenberg_marquardt(
             model, x, y, w, p, chi2)
         p = model.canonical(p)
         stderr = _param_errors(model, x, y, w, p, chi2)
@@ -375,7 +374,6 @@ def fit_models(model, x, y, weights=None, *,
             residual_norm=math.sqrt(chi2[j]),
             converged=bool(converged[j]),
             n_iter=int(n_iter[j]),
-            history=history[j],
         )
     return results
 
@@ -395,7 +393,6 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
     p, chi2 = p.copy(), chi2.copy()
     converged = np.zeros(n_rows, dtype=bool)
     n_iter = np.ones(n_rows, dtype=int)
-    history = [[c] for c in chi2.tolist()]
     # the live rows' state; a row that finishes is written out and dropped
     rows = np.arange(n_rows)
     lam = np.full(n_rows, 1e-3)
@@ -439,10 +436,6 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
             done |= accepted & (chi2 - chi2_try < _DEV_TOL * unit)
             np.copyto(p, p_try, where=accepted[:, None])
             np.copyto(chi2, chi2_try, where=accepted)
-            for i, c, moved in zip(rows.tolist(), chi2_try.tolist(),
-                                   accepted.tolist()):
-                if moved:
-                    history[i].append(c)
         out = done | (accepted & (its == _MAX_ITER)) | (rejects == _MAX_REJECTS)
         stale = accepted & ~out
         its += stale
@@ -455,7 +448,7 @@ def _levenberg_marquardt(model, x, y, w, p, chi2):
                 a[keep] for a in (rows, p, chi2, lam, rejects, its, stale))
             hess, grad, x, y = (a[keep] for a in (hess, grad, x, y))
             w = None if w is None else w[keep]
-    return p_end, chi2_end, converged, n_iter, history
+    return p_end, chi2_end, converged, n_iter
 
 
 def _stacked(solver, *arrays):
@@ -583,7 +576,7 @@ class DensityEstimate:
 
 def fit_peak_density(peaks: PeakList, *, n_bins=40, mask_ranges=(),
                      x_range=None) -> DensityEstimate:
-    """Fit a Gaussian envelope to the center histogram.
+    """Fit a Gaussian envelope to the center histogram, by Poisson likelihood.
 
     Bins overlapping a masked interval are excluded from the fit; the model
     value there, minus the fitted offset, estimates how many peaks the mask
@@ -598,7 +591,7 @@ def fit_peak_density(peaks: PeakList, *, n_bins=40, mask_ranges=(),
         valid &= (edges[1:] <= lo) | (edges[:-1] >= hi)
     if np.count_nonzero(valid) <= 5:
         raise FitError("mask leaves too few histogram bins")
-    fit = fit_model(GAUSSIAN, mids[valid], counts[valid].astype(float))
+    fit = fit_model(GAUSSIAN, mids[valid], counts[valid], poisson=True)
     model_counts = GAUSSIAN(mids, np.array([fit.params[k]
                                             for k in GAUSSIAN.param_names]))
     hidden = float(np.sum(np.maximum(model_counts[~valid]

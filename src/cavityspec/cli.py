@@ -160,7 +160,8 @@ def _cmd_fit(args) -> int:
     if args.model == "bunching":
         keep = x > 0  # the zero-offset point is antibunched, not bunching
     fit = fit_model(MODELS[args.model], x[keep], y[keep], weights=(
-        np.ones_like(y[keep]) if args.weights == "uniform" else None))
+        np.ones_like(y[keep]) if args.weights == "uniform"
+        else 1.0 / np.maximum(np.abs(y[keep]), 1.0)))
     print(f"model       {fit.model}")
     state = "yes" if fit.converged else "NO"
     print(f"converged   {state} ({fit.n_iter} iterations)")

@@ -460,12 +460,13 @@ def _clicked_histograms(rng, points, n_pulses, n_bins, block):
 
 
 def fit_enhancement(result: CavitySweepResult) -> FitResult:
-    """Lorentzian fit of the fitted enhancement versus cavity detuning."""
+    """Lorentzian fit of enhancement versus cavity detuning, by 1 / sigma^2."""
     ok = result.converged
     if np.count_nonzero(ok) < 5:
         raise FitError("too few converged sweep points")
+    sigma = (1.0 + result.purcell_fit) * result.gamma_err / result.gamma_fit
     return fit_model(LORENTZIAN, result.detuning_hz[ok],
-                     result.purcell_fit[ok])
+                     result.purcell_fit[ok], weights=1.0 / sigma[ok] ** 2)
 
 
 @dataclass
@@ -567,24 +568,25 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     """Measure the line splitting at several applied fields along x.
 
     Each field value gets its own small scan, drawn in turn from one
-    default_rng(seed); the two spin lines are found by a coarse peak search
-    and refined with Lorentzian fits.  The returned linear fit of splitting
-    versus field carries the slope and the zero-field intercept from any
-    residual offset field.
+    default_rng(seed).  Its two strongest peaks, unresolved at most 2.5 FWHM
+    apart, are refined by one Poisson stack of Lorentzians on the raw counts
+    of their +-2.5 FWHM windows; a window fit refused, unconverged, centred
+    outside it or with no finite centre stderr fails its field.  A linear
+    fit of splitting versus field by 1 / sigma^2 gives slope and intercept.
     """
     b_values = np.ascontiguousarray(b_values, dtype=float)
     if b_values.ndim != 1 or len(b_values) < 3:
         raise DomainError("need at least three fields in b_values")
     base = zeeman_base if zeeman_base is not None else ZeemanConfig()
     fwhm = expected_linewidth(ion, cavity, emitter, seq)
-    splittings = np.empty(len(b_values))
     predicted = np.empty(len(b_values))
+    windows, counts = [], []
     rng = np.random.default_rng(seed)
+    step = fwhm / 6.0
     for i, b in enumerate(b_values):
         cfg = replace(base, b_applied=(float(b), 0.0, 0.0))
         predicted[i] = zeeman_splitting(cfg)
         span = max(8.0 * fwhm, 1.3 * predicted[i] + 8.0 * fwhm)
-        step = fwhm / 6.0
         _check_grid_size(span / step + 1.0, "fields, b_offset, delta_g", (
             f"the scan at {b:g} T, splitting over linewidth (gamma0, "
             "gamma_dephasing, purcell, power),"))
@@ -596,20 +598,27 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
         scan = run_ple_scan(grid, ion, cavity, emitter, seq, det,
                             pulses_per_point, rng, zeeman=cfg)
         baseline = float(np.median(scan.counts))
-        y = scan.counts.astype(float) - baseline
-        noise = math.sqrt(max(baseline, 1.0))
-        peaks = count_peaks(grid, y, width=fwhm, noise_sigma=noise)
-        if peaks.count < 2:
+        peaks = count_peaks(grid, scan.counts - baseline, width=fwhm,
+                            noise_sigma=math.sqrt(max(baseline, 1.0)))
+        centers = np.sort(peaks.centers[np.argsort(peaks.amplitudes)[-2:]])
+        if peaks.count < 2 or centers[1] - centers[0] <= 2.5 * fwhm:
             raise FitError(f"splitting unresolved at B = {b} T")
-        top = np.argsort(peaks.amplitudes)[-2:]
-        centers = np.sort(peaks.centers[top])
-        refined = []
-        for c in centers:
-            window = np.abs(grid - c) <= 2.5 * fwhm
-            fit = fit_model(LORENTZIAN, grid[window], y[window])
-            refined.append(fit.params["center"])
-        splittings[i] = abs(refined[1] - refined[0])
-    slope_fit = fit_model(LINEAR, b_values, splittings)
+        # the 31 nearest points at the step FWHM / 6, clamped at the edge
+        for lo in np.clip(np.searchsorted(grid, centers) - 15, 0,
+                          len(grid) - 31):
+            windows.append(grid[lo:lo + 31] - ion.f0)
+            counts.append(scan.counts[lo:lo + 31])
+    x = np.array(windows)
+    fits = fit_models(LORENTZIAN, x, np.array(counts), poisson=True)
+    centre, err = np.array([
+        (f.params["center"], f.stderr["center"]) if isinstance(f, FitResult)
+        and f.converged else (math.nan, math.nan) for f in fits]).T
+    ok = (x[:, 0] <= centre) & (centre <= x[:, -1]) & (err > 0) & (err < np.inf)
+    if not ok.all():
+        raise FitError(f"line fit failed at B = {b_values[ok.argmin() // 2]} T")
+    splittings = centre[1::2] - centre[::2]
+    slope_fit = fit_model(LINEAR, b_values, splittings,
+                          weights=1.0 / (err[::2] ** 2 + err[1::2] ** 2))
     return ZeemanSeriesResult(b_values=b_values, splittings=splittings,
                               predicted=predicted, slope_fit=slope_fit)
 
@@ -765,8 +774,10 @@ def _zeeman(cfg: RunConfig):
                             pulses_per_point=cfg["zeeman", "pulses_per_point"])
     cols = [("b_field_t", res.b_values), ("splitting_hz", res.splittings),
             ("predicted_hz", res.predicted)]
-    return cols, {"slope_hz_per_t": res.slope_fit.params["slope"],
-                  "intercept_hz": res.slope_fit.params["intercept"]}, None
+    p, err = res.slope_fit.params, res.slope_fit.stderr
+    return cols, {"slope_hz_per_t": p["slope"], "intercept_hz": p["intercept"],
+                  "slope_err_hz_per_t": err["slope"],
+                  "intercept_err_hz": err["intercept"]}, None
 
 
 def _g2(cfg: RunConfig):

@@ -743,3 +743,16 @@ def test_fit_on_a_zero_x_column_prints_one_error_line(tmp_path, model, x):
     assert proc.stdout == ""
     assert proc.stderr == ("error: initial guess failed: x is zero, or too "
                            "small to square in double precision\n")
+
+
+def test_zeeman_series_with_unresolved_lines_exits_1(tmp_path):
+    """At 1 mT the two lines sit 1.9 FWHM apart, inside one fit window, so
+    the series refuses that field: exit 1, one error line naming it, and
+    no numpy warning or traceback where the user sees the streams."""
+    cfg = _write_cfg(tmp_path, "experiment = zeeman\n\n[zeeman]\n"
+                               "fields = 1 mT, 2 mT, 3 mT\n")
+    out = tmp_path / "o"
+    proc = _cli_in_child("run", cfg, "--seed", "7", "--output", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: splitting unresolved at B = 0.001 T\n"
+    assert os.listdir(out) == []

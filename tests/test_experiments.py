@@ -594,6 +594,50 @@ def test_zeeman_series_recovers_slope_and_offset():
     assert 1e6 < res.slope_fit.params["intercept"] < 3.5e6
 
 
+@pytest.mark.parametrize("seed", [6, 39, 43, 47])
+def test_zeeman_line_centres_stay_in_their_windows(seed):
+    # at 8,000 pulses a point these seeds once wrote splittings 16.7x,
+    # 4.7x, 5.9e18x and 2.7e8x the predicted: Neyman weights on
+    # background-subtracted counts, and centres used outside their windows
+    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
+                        excite_duration=30e-6, rep_period=200e-6)
+    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
+                         gate_start=30e-6, gate_duration=82e-6)
+    res = run_zeeman_series(_ion(), CAV, EMITTER, seq, det,
+                            np.array([2e-3, 4e-3, 6e-3, 8e-3, 10e-3]),
+                            seed=seed, pulses_per_point=8000)
+    assert np.allclose(res.splittings, res.predicted, rtol=0.05)
+
+
+@pytest.mark.parametrize("defect", ["refused", "unconverged", "outside",
+                                    "nan_stderr", "zero_stderr"])
+def test_a_failed_zeeman_window_fails_its_field(monkeypatch, defect):
+    # the fourth window is the second field's upper line
+    real = experiments.fit_models
+
+    def fit_models(model, x, y, **kwargs):
+        fits = real(model, x, y, **kwargs)
+        fit = fits[3]
+        if defect == "refused":
+            fits[3] = FitError("initial parameters give a non-finite residual")
+        elif defect == "unconverged":
+            fit.converged = False
+        elif defect == "outside":
+            fit.params["center"] = x[3, -1] + 1.0
+        else:
+            fit.stderr["center"] = math.nan if defect == "nan_stderr" else 0.0
+        return fits
+
+    monkeypatch.setattr(experiments, "fit_models", fit_models)
+    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
+                        excite_duration=30e-6, rep_period=200e-6)
+    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
+                         gate_start=30e-6, gate_duration=82e-6)
+    with pytest.raises(FitError, match=r"^line fit failed at B = 0\.006 T$"):
+        run_zeeman_series(_ion(), CAV, EMITTER, seq, det, [2e-3, 6e-3, 10e-3],
+                          seed=31, pulses_per_point=8000)
+
+
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
 def test_zeeman_fields_draw_in_turn_from_one_stream(monkeypatch, seed):
     # every field scans with the one default_rng(seed), as the field
@@ -631,7 +675,8 @@ SCHEMAS = {
     "saturation": (["input_power_w", "on_counts", "off_counts", "expected_on",
                     "expected_off"], ["pulses_per_point", "seed"]),
     "zeeman": (["b_field_t", "splitting_hz", "predicted_hz"],
-               ["slope_hz_per_t", "intercept_hz"]),
+               ["slope_hz_per_t", "intercept_hz", "slope_err_hz_per_t",
+                "intercept_err_hz"]),
     "g2": (["offset", "g2", "stderr"],
            ["floor_predicted", "signal_per_pulse", "background_per_pulse",
             "seed"]),
