@@ -46,8 +46,9 @@ EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
 # one scale setting per experiment, four for lifetime (many background
 # clicks, sparse dead time, dead time that closes a few clicks in many
-# pulses, a detector saturated under dead time), and five
-# for g2: with and without the blinking telegraph, with a
+# pulses, a detector saturated under dead time), two for cavity_sweep (many
+# points drawn directly, and every click of each point under dead time), and
+# five for g2: with and without the blinking telegraph, with a
 # telegraph that switches about every other pulse, with a rarely bright
 # one (its candidate pulses far outnumber its clicks), and with many offsets
 SCALE = {
@@ -79,6 +80,9 @@ SCALE = {
         "n_pulses = 10000000\nmax_offset = 1000\n",
     "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"
         "[cavity_sweep]\nn_points = 1001\npulses_per_point = 100000\n",
+    "cavity_sweep @ 201 points, 50 ns dead time, 2 kHz dark": "experiment = "
+        "cavity_sweep\n[cavity_sweep]\nn_points = 201\n[detector]\n"
+        "dead_time = 50 ns\ndark_rate = 2 kHz\n",
     "saturation @ 200,000 powers": "experiment = saturation\n[saturation]\n"
         "n_points = 200000\n",
     # from 2 mT: at defaults the lines split by 1.9 FWHM at 1 mT, inside one

@@ -55,15 +55,6 @@ def _columns(p):
     return [p[..., j, None] for j in range(p.shape[-1])]
 
 
-def _pow(v, n):
-    """v ** n as a float64 scalar computes it: libm's pow, element by element.
-
-    numpy's array power squares, or takes a SIMD pow, and for ~0.1% of
-    inputs either differs from libm in the last bit, which moves whole fits.
-    """
-    return np.array([t ** n for t in v.ravel()]).reshape(v.shape)
-
-
 # the one reason an initial guess refuses a row: the exponential and
 # linear guesses fit a line against x, and no x of the row has a square
 # above zero
@@ -120,7 +111,7 @@ class ExponentialModel(_Model):
     def jacobian(self, x, p):
         a, tau, _ = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / _pow(tau, 2), np.ones_like(x)],
+        return np.stack([e, a * x * e / (tau * tau), np.ones_like(x)],
                         axis=-1)
 
     def initial_guess(self, x, y):
@@ -216,7 +207,7 @@ class GaussianModel(_PeakModel):
         a, x0, s, _ = _columns(p)
         d = x - x0
         e = np.exp(-(d * d) / (2.0 * s * s))
-        return np.stack([e, a * e * d / _pow(s, 2), a * e * d * d / _pow(s, 3),
+        return np.stack([e, a * e * d / (s * s), a * e * d * d / (s * s * s),
                          np.ones_like(x)], axis=-1)
 
 
@@ -251,7 +242,7 @@ class BunchingModel(_Model):
     def jacobian(self, x, p):
         a, tau = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / _pow(tau, 2)], axis=-1)
+        return np.stack([e, a * x * e / (tau * tau)], axis=-1)
 
     def initial_guess(self, x, y):
         a0 = y[:, 0] - 1.0

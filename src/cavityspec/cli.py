@@ -32,23 +32,25 @@ from .output import (read_csv, read_text, write_csv_atomic,
                      write_json_atomic, write_text_atomic)
 
 
-def _execute(cfg: RunConfig, outdir: str, fmt: str) -> list[str]:
-    """Run cfg.experiment and return the data file names written."""
+def _execute(cfg: RunConfig, outdir: str, fmt: str) -> dict[str, str]:
+    """Write config.txt and run cfg.experiment; return each file written, by
+    name, with the SHA-256 digest of its bytes."""
+    # config.txt holds dump_config(cfg), so its digest is the config hash
+    files = {"config.txt": write_text_atomic(
+        os.path.join(outdir, "config.txt"), dump_config(cfg))}
     cols, meta, clicks = EXPERIMENTS[cfg.experiment](cfg)
-    meta = {**meta, "config_hash": cfg.config_hash()}
+    meta = {**meta, "config_hash": files["config.txt"]}
+    name = f"{cfg.experiment}.{fmt}"
+    path = os.path.join(outdir, name)
     if fmt == "json":
-        name = cfg.experiment + ".json"
-        payload = {"header": meta,
-                   "columns": {k: np.asarray(arr, dtype=float).tolist()
-                               for k, arr in cols}}
-        write_json_atomic(os.path.join(outdir, name), payload)
+        files[name] = write_json_atomic(path, {"header": meta, "columns": {
+            k: np.asarray(arr, dtype=float).tolist() for k, arr in cols}})
     else:
-        name = cfg.experiment + ".csv"
-        write_csv_atomic(os.path.join(outdir, name), cols, header=meta)
-    if clicks is None:
-        return [name]
-    clicks.to_binary(os.path.join(outdir, "clicks.bin"))
-    return [name, "clicks.bin"]
+        files[name] = write_csv_atomic(path, cols, header=meta)
+    if clicks is not None:
+        files["clicks.bin"] = clicks.to_binary(
+            os.path.join(outdir, "clicks.bin"))
+    return files
 
 
 def _sha256_file(path: str) -> str:
@@ -90,16 +92,13 @@ def _cmd_run(args) -> int:
         os.mkdir(new)
         started = time.monotonic()
         files = _execute(cfg, new, args.format)
-        write_text_atomic(os.path.join(new, "config.txt"), dump_config(cfg))
-        files.append("config.txt")
         manifest = {
             "experiment": cfg.experiment,
             "seed": cfg.seed,
-            "config_hash": cfg.config_hash(),
+            "config_hash": files["config.txt"],
             "package_version": __version__,
             "format": args.format,
-            "files": {name: _sha256_file(os.path.join(new, name))
-                      for name in sorted(files)},
+            "files": files,  # written with sorted keys
         }
         write_json_atomic(os.path.join(new, "manifest.json"), manifest)
         if os.path.lexists(outdir):

@@ -24,7 +24,7 @@ from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
                        ZeemanConfig)
 from .errors import ConfigError, DomainError
 from .experiments import EXPERIMENTS, MAX_GRID_POINTS, PulseSequence
-from .output import read_text, sha256_text
+from .output import read_text
 from .physics import CavityParams, EmitterConstants, TransverseEnvelope
 
 
@@ -318,9 +318,6 @@ class RunConfig:
 
     def __getitem__(self, key: tuple[str, str]):
         return self.values[key]
-
-    def config_hash(self) -> str:
-        return sha256_text(dump_config(self))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[tuple[str, str], str]:

@@ -111,13 +111,14 @@ class ClickStream:
     def __len__(self) -> int:
         return len(self.pulse_index)
 
-    def to_binary(self, path) -> None:
+    def to_binary(self, path) -> str:
+        """Write the stream as a click file; return its SHA-256 hex digest."""
         records = np.empty(len(self), dtype=_RECORD_DTYPE)
         records["pulse_index"] = self.pulse_index
         records["t_ns"] = self.t_in_pulse * 1e9
         head = struct.pack("<4sIQQQ", _BINARY_MAGIC, _BINARY_VERSION,
                            self.n_pulses, self.seed, len(self))
-        write_bytes_atomic(path, head, records)
+        return write_bytes_atomic(path, head, records)
 
     @classmethod
     def from_binary(cls, path) -> "ClickStream":

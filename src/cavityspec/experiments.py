@@ -14,14 +14,13 @@ runs it from a RunConfig.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult, _pow,
+from .analysis import (EXPONENTIAL, LINEAR, LORENTZIAN, FitResult,
                        count_peaks, fit_model, fit_models)
 from .constants import TWO_PI
 from .detection import (MAX_BACKGROUND_CLICKS, BlinkConfig, ClickStream,
@@ -115,7 +114,8 @@ def _validate_gate(seq: PulseSequence, det: DetectorConfig) -> None:
 def _rolloff(delta, kappa):
     """Cavity Lorentzian: drive and Purcell factor at detuning delta are
     their resonant values divided by 1 + (2 delta / kappa)^2."""
-    return 1.0 + (2.0 * delta / kappa) ** 2
+    u = 2.0 * delta / kappa
+    return 1.0 + u * u
 
 
 def _decay(purcell, emitter: EmitterConstants):
@@ -127,7 +127,7 @@ def _half_width(n_ph, g, purcell, emitter):
     """Power-broadened half-width of a line driven by n_ph cavity photons."""
     gamma, _ = _decay(purcell, emitter)
     gamma2 = gamma / 2.0 + emitter.gamma_d
-    return gamma2 * np.sqrt(1.0 + n_ph * g ** 2 / (gamma * gamma2))
+    return gamma2 * np.sqrt(1.0 + n_ph * (g * g) / (gamma * gamma2))
 
 
 def _excitation(n_ph, g, purcell, detuning, emitter, duration):
@@ -253,34 +253,24 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
 
 def _ion_emission(ion, cavity, emitter, seq, cavity_detuning_hz,
                   laser_detuning_hz=0.0):
-    """Roll-off, drive photons, excitation, decay rate and cavity branching
-    of one ion at each of an array of cavity detunings, as one-point calls
-    give them: _rolloff's square is libm's pow here, as for a float64
-    scalar, where an array ** squares (_pow)."""
-    delta = TWO_PI * np.asarray(cavity_detuning_hz, dtype=float)
-    roll = 1.0 + _pow(2.0 * delta / cavity.kappa, 2)
+    """Excitation, decay rate and cavity branching of one ion at each of an
+    array of cavity detunings, the laser laser_detuning_hz from its line."""
+    roll = _rolloff(TWO_PI * np.asarray(cavity_detuning_hz, dtype=float),
+                    cavity.kappa)
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega) / roll
-    p_exc, gamma, eta = _excitation(n_ph, ion.g, ion.purcell / roll,
-                                    TWO_PI * laser_detuning_hz, emitter,
-                                    seq.excite_duration)
-    return roll, n_ph, p_exc, gamma, eta
+    return _excitation(n_ph, ion.g, ion.purcell / roll,
+                       TWO_PI * laser_detuning_hz, emitter, seq.excite_duration)
 
 
-def _point_models(seq, det, p_exc, gamma, eta, gate_factor=None):
-    """Each point's emission model, detector and pulse sequence, checked;
-    with gate_factor the gate opens as the drive ends and lasts gate_factor
-    lifetimes, and the period ends with it."""
-    for p, g, e in zip(p_exc.tolist(), gamma.tolist(), eta.tolist()):
-        det_k, seq_k = det, seq
-        if gate_factor is not None:
-            det_k = replace(det, gate_start=seq.excite_duration,
-                            gate_duration=gate_factor / g)
-            seq_k = replace(seq, rep_period=seq.excite_duration
-                            + det_k.gate_duration)
-        _validate_gate(seq_k, det_k)
-        yield (EmissionModel(p_excited=p, gamma=g, eta_into_cavity=e,
-                             decay_start=seq.excite_duration), det_k, seq_k)
+def _ion_model(ion, cavity, emitter, seq, det, cavity_detuning_hz=0.0,
+               laser_detuning_hz=0.0) -> EmissionModel:
+    """One driven ion's click model, its gate checked against the drive."""
+    _validate_gate(seq, det)
+    (p_exc,), (gamma,), (eta,) = (v.tolist() for v in _ion_emission(
+        ion, cavity, emitter, seq, [cavity_detuning_hz], laser_detuning_hz))
+    return EmissionModel(p_excited=p_exc, gamma=gamma, eta_into_cavity=eta,
+                         decay_start=seq.excite_duration)
 
 
 def _gate_histogram(t, det: DetectorConfig, n_bins: int):
@@ -308,9 +298,8 @@ def run_lifetime(ion: IonRecord, cavity: CavityParams,
                  background_per_pulse: float = 0.0,
                  n_bins: int = 64) -> LifetimeResult:
     """Time-tag the gated decay after each excitation pulse."""
-    emission, _, seq = next(_point_models(seq, det, *_ion_emission(
-        ion, cavity, emitter, seq, [cavity_detuning_hz],
-        laser_detuning_hz)[2:]))
+    emission = _ion_model(ion, cavity, emitter, seq, det, cavity_detuning_hz,
+                          laser_detuning_hz)
     stream = simulate_clicks(
         emission, det, n_pulses, np.random.default_rng(seed),
         rep_period=seq.rep_period,
@@ -357,12 +346,14 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     The gate opens as the drive ends and lasts gate_factor expected
     lifetimes, so every point resolves its own decay; each point's gate
     histogram is fit for gamma by Poisson likelihood.  The emission of the
-    whole grid is computed at once.  The histograms come from one
-    default_rng(seed), with the points in sorted order (rank): drawn
-    directly without dead time (_drawn_histograms), from every click with
-    it (_clicked_histograms).  They are fitted a block of ranks at a time
-    as one batch (fit_models), each exactly as a fit of its own.  A failed
-    or unconverged fit, or a gamma_err not below gamma, is a NaN row.
+    whole grid is computed at once, each point's as a one-point call gives
+    it, bit for bit, since every square is an IEEE product.  The histograms
+    come from one default_rng(seed), with the points in sorted order
+    (rank): drawn directly without dead time (_drawn_histograms), from
+    every click with it (_clicked_histograms).  They are fitted a block of
+    ranks at a time as one batch (fit_models), each exactly as a fit of its
+    own.  A failed or unconverged fit, or a gamma_err not below gamma, is a
+    NaN row.
     """
     detunings, ranks = _point_grid(detunings_hz, "detunings")
     if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
@@ -373,8 +364,8 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     converged = np.zeros(len(detunings), dtype=bool)
     det = DetectorConfig(eta_total=eta_total, dark_rate=dark_rate,
                          dead_time=dead_time)
-    _, _, p_exc, gamma_expected, eta = _ion_emission(ion, cavity, emitter,
-                                                     seq, detunings)
+    p_exc, gamma_expected, eta = _ion_emission(ion, cavity, emitter, seq,
+                                               detunings)
     # the longest gate, gate_factor lifetimes, holds the most dark counts
     dark = dark_rate * (gate_factor / gamma_expected.min()) * pulses_per_point
     if not dark <= MAX_BACKGROUND_CLICKS:
@@ -387,9 +378,9 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     rng = np.random.default_rng(seed)
     block = max(1, _FIT_BLOCK // n_bins)
     if dead_time > 0:
-        hists = _clicked_histograms(
-            rng, _point_models(seq, det, p_exc, gamma, eta, gate_factor),
-            pulses_per_point, n_bins, block)
+        hists = _clicked_histograms(rng, seq, det, p_exc, gamma, eta,
+                                    pulses_per_point, n_bins, gate_factor,
+                                    block)
     else:
         hists = _drawn_histograms(rng, pulses_per_point,
                                   p_exc * eta * eta_total,
@@ -407,7 +398,7 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
             # a collapsed fit (tau ~ 0, a wild stderr) and one on a flat
             # likelihood (a gamma its stderr reaches) are kept as NaN rows
             with np.errstate(over="ignore"):
-                err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
+                err = np.float64(fit.stderr["tau"]) / (np.float64(tau) * tau)
             if (fit.converged and tau > mids[j, 1] - mids[j, 0]
                     and err < 1.0 / tau):
                 gamma_fit[k] = 1.0 / tau
@@ -446,16 +437,24 @@ def _drawn_histograms(rng, n_pulses, p_click, dark_mean, n_bins,
                               split).sum(axis=1, dtype=float)
 
 
-def _clicked_histograms(rng, points, n_pulses, n_bins, block):
-    """Gate histograms of every click, block rows at a time: each point of
-    points (_point_models' output) in turn draws its clicks, drops those
-    its detector's dead time hides, and bins the rest."""
-    while rows := list(itertools.islice(points, block)):
+def _clicked_histograms(rng, seq, det, p_exc, gamma, eta, n_pulses, n_bins,
+                        gate_factor, block):
+    """Gate histograms of every click, block rows at a time: each point in
+    turn draws its clicks, drops those its detector's dead time hides, and
+    bins the rest.  A point's gate opens as its drive ends and lasts
+    gate_factor lifetimes, and its pulse period ends with the gate."""
+    points = list(zip(p_exc.tolist(), gamma.tolist(), eta.tolist()))
+    for start in range(0, len(points), block):
+        rows = points[start:start + block]
         hist = np.empty((len(rows), n_bins))
-        for j, (emission, det, seq) in enumerate(rows):
-            stream = simulate_clicks(emission, det, n_pulses, rng,
-                                     rep_period=seq.rep_period)
-            _, hist[j] = _gate_histogram(stream.t_in_pulse, det, n_bins)
+        for j, (p, g, e) in enumerate(rows):
+            det_k = replace(det, gate_start=seq.excite_duration,
+                            gate_duration=gate_factor / g)
+            stream = simulate_clicks(
+                EmissionModel(p, g, e, decay_start=seq.excite_duration),
+                det_k, n_pulses, rng,
+                rep_period=seq.excite_duration + det_k.gate_duration)
+            _, hist[j] = _gate_histogram(stream.t_in_pulse, det_k, n_bins)
         yield hist
 
 
@@ -531,8 +530,7 @@ def run_g2(ion: IonRecord, cavity: CavityParams, emitter: EmitterConstants,
            background_per_pulse: float = 0.0,
            max_offset: int = 10) -> G2Result:
     """Pulse-wise autocorrelation of one driven ion."""
-    emission, _, seq = next(_point_models(seq, det, *_ion_emission(
-        ion, cavity, emitter, seq, [0.0])[2:]))
+    emission = _ion_model(ion, cavity, emitter, seq, det)
     stream = simulate_clicks(
         emission, det, n_pulses, np.random.default_rng(seed),
         rep_period=seq.rep_period, blink=blink,

@@ -22,41 +22,42 @@ from .errors import ConfigError
 _CSV_BLOCK = 4096  # rows formatted per tolist() in write_csv_atomic
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def write_bytes_atomic(path, *chunks) -> None:
-    """Write the bytes-like chunks, in order, as one file."""
+def write_bytes_atomic(path, *chunks) -> str:
+    """Write the bytes-like chunks, in order, as one file; return the
+    SHA-256 hex digest of the bytes written."""
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-", suffix="~")
     umask = os.umask(0)
     os.umask(umask)
+    digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as fh:
             # mkstemp makes the file owner-only; give it open()'s mode
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             for chunk in chunks:
                 fh.write(chunk)
+                digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
-def write_text_atomic(path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+def write_text_atomic(path, text: str) -> str:
+    return write_bytes_atomic(path, text.encode("utf-8"))
 
 
-def write_json_atomic(path, obj) -> None:
-    write_bytes_atomic(path, (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8"))
+def write_json_atomic(path, obj) -> str:
+    return write_bytes_atomic(path, (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
-                     header: dict | None = None) -> None:
-    """Write named columns with '# key: value' header lines before the data."""
+                     header: dict | None = None) -> str:
+    """Write named columns with '# key: value' header lines before the data;
+    return the file's SHA-256 hex digest."""
     lines = []
     for key, value in (header or {}).items():
         lines.append(f"# {key}: {value}")
@@ -77,7 +78,7 @@ def write_csv_atomic(path, columns: list[tuple[str, np.ndarray]],
         cols = [(c.astype(np.int64) if i else c).tolist()
                 for c, i in zip(cols, integral)]
         lines.extend(map(row.__mod__, zip(*cols)))
-    write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    return write_bytes_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_text(path, what: str) -> str:

@@ -499,9 +499,10 @@ def test_no_weights_are_unit_weights(model):
 
 
 def test_parameter_powers_round_as_float64_scalars():
-    """A stack's parameters reach pow as scalar parameters do, through
-    libm: numpy's array square and SIMD pow differ from it in the last bit
-    for values such as these two."""
+    """Each row of a stacked Jacobian equals the one-row Jacobian and the
+    formula on float64 scalars, bit for bit, at values such as these two,
+    where libm's pow and a product differ in the last bit: every power of a
+    parameter is a product."""
     x = np.linspace(0.0, 3.0, 7)
     s = np.array([1.2131646764254524, 1.8190554752387018])
     for model, p in ((EXPONENTIAL, [2.0, 0.0, 0.5]), (BUNCHING, [2.0, 0.0]),
@@ -510,16 +511,18 @@ def test_parameter_powers_round_as_float64_scalars():
         j = {"gaussian": 2}.get(model.name, 1)
         stack[:, j] = s
         jac = model.jacobian(np.tile(x, (2, 1)), stack)
-        for row, t in zip(jac, s):
+        for row, params, t in zip(jac, stack, s.tolist()):
+            one = model.jacobian(x[None], params[None])[0]
+            assert one.tobytes() == row.tobytes()
             t = np.float64(t)
             if model is GAUSSIAN:
                 d = x - 0.3
                 e = np.exp(-(d * d) / (2.0 * t * t))
-                assert np.array_equal(row[:, 1], 2.0 * e * d / t**2)
-                assert np.array_equal(row[:, 2], 2.0 * e * d * d / t**3)
+                assert np.array_equal(row[:, 1], 2.0 * e * d / (t * t))
+                assert np.array_equal(row[:, 2], 2.0 * e * d * d / (t * t * t))
             else:
                 e = np.exp(-x / t)
-                assert np.array_equal(row[:, 1], 2.0 * x * e / t**2)
+                assert np.array_equal(row[:, 1], 2.0 * x * e / (t * t))
 
 
 # -- the stacked initial guesses against the one-row code they replaced -------

@@ -64,11 +64,14 @@ def test_rerun_is_byte_identical(tmp_path, experiment, fmt, cfg):
         bundle = os.path.join(out, f"{experiment}-seed7")
         assert main(["inspect", bundle]) == 0
         manifests.append(_bundle_files(bundle)["manifest.json"])
-    # the manifest hashes every data file and config.txt
+    # the manifest hashes every data file and config.txt, whose digest is
+    # the config hash
     assert manifests[0] == manifests[1]
-    files = set(json.loads(manifests[0])["files"])
+    manifest = json.loads(manifests[0])
     clicks = {"clicks.bin"} if experiment in ("lifetime", "g2") else set()
-    assert files == {f"{experiment}.{fmt}", "config.txt"} | clicks
+    assert set(manifest["files"]) == ({f"{experiment}.{fmt}", "config.txt"}
+                                      | clicks)
+    assert manifest["files"]["config.txt"] == manifest["config_hash"]
 
 
 def test_rerun_replaces_the_bundle(tmp_path, capsys):

@@ -13,7 +13,7 @@ from cavityspec.detection import (BlinkConfig, DetectorConfig, EmissionModel,
                                   g2_background_floor, simulate_clicks)
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
                                  zeeman_splitting)
-from cavityspec.analysis import EXPONENTIAL, _pow, fit_model
+from cavityspec.analysis import EXPONENTIAL, fit_model
 from cavityspec.errors import ConfigError, DomainError, FitError
 from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
                                     expected_linewidth, fit_enhancement,
@@ -253,7 +253,8 @@ def _default_sweep(seed, **changes):
 def _loop_point(ion, cavity, emitter, seq, det, cavity_detuning_hz,
                 gate_factor):
     """One point's emission model, detector and pulse sequence."""
-    roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / cavity.kappa) ** 2
+    u = 2.0 * (TWO_PI * cavity_detuning_hz) / cavity.kappa
+    roll = 1.0 + u * u
     n_ph = intracavity_photon_number(seq.input_power, cavity.eta_cav,
                                      cavity.kappa, emitter.omega) / roll
     p_exc, gamma, eta = experiments._excitation(
@@ -321,7 +322,7 @@ def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
             continue
         tau = fit.params["tau"]
         with np.errstate(over="ignore"):
-            err = np.float64(fit.stderr["tau"]) / np.float64(tau) ** 2
+            err = np.float64(fit.stderr["tau"]) / (np.float64(tau) * tau)
         if fit.converged and tau > mids[1] - mids[0] and err < 1.0 / tau:
             gamma_fit[k] = 1.0 / tau
             gamma_err[k] = float(err)
@@ -414,10 +415,8 @@ def test_drawn_sweep_histograms_follow_the_click_law():
     ion, n_pulses, n_bins, gate_factor = _ion(), 20_000, 8, 6.0
     det = DetectorConfig(eta_total=0.04, dark_rate=100.0)
     seq = PulseSequence(input_power=5e-9)
-    _, _, p_exc, gamma, eta = experiments._ion_emission(
+    p_exc, gamma, eta = experiments._ion_emission(
         ion, CAV, EMITTER, seq, np.array([-4e9, 0.0, 2e9]))
-    points = list(experiments._point_models(seq, det, p_exc, gamma, eta,
-                                            gate_factor))
     p_click = p_exc * eta * det.eta_total
     dark = det.dark_rate * (gate_factor / gamma) * n_pulses
     rng = np.random.default_rng(11)
@@ -425,7 +424,7 @@ def test_drawn_sweep_histograms_follow_the_click_law():
         rng, n_pulses, p_click, dark, n_bins, gate_factor, 3))
         for _ in range(LAW_DRAWS)) / LAW_DRAWS
     clicked = sum(next(experiments._clicked_histograms(
-        rng, iter(points), n_pulses, n_bins, 3))
+        rng, seq, det, p_exc, gamma, eta, n_pulses, n_bins, gate_factor, 3))
         for _ in range(LAW_DRAWS)) / LAW_DRAWS
     edges = np.linspace(0.0, gate_factor, n_bins + 1)
     mu = (n_pulses * p_click[:, None] * -np.diff(np.exp(-edges))
@@ -435,56 +434,50 @@ def test_drawn_sweep_histograms_follow_the_click_law():
                                                             / LAW_DRAWS))
 
 
-# cavity detunings (Hz) at which numpy's array square of 2 delta / kappa,
-# at the default kappa, differs in the last bit from libm's pow
+# cavity detunings (Hz) at which libm's pow squares 2 delta / kappa, at the
+# default kappa, to a different last bit than the product does
 POW_SQUARE_SPLITS = [3772001000.0, 2975122000.0, 6753515000.0,
                      -4526899000.0]
 
 
 def _one_point_emission(ion, seq, cavity_detuning_hz, laser_detuning_hz):
     """The one-point physics of _loop_point, on scalars."""
-    roll = 1.0 + (2.0 * (TWO_PI * cavity_detuning_hz) / CAV.kappa) ** 2
+    u = 2.0 * (TWO_PI * cavity_detuning_hz) / CAV.kappa
+    roll = 1.0 + u * u
     n_ph = intracavity_photon_number(seq.input_power, CAV.eta_cav,
                                      CAV.kappa, EMITTER.omega) / roll
-    p_exc, gamma, eta = experiments._excitation(
+    return experiments._excitation(
         n_ph, ion.g, ion.purcell / roll, TWO_PI * laser_detuning_hz, EMITTER,
         seq.excite_duration)
-    return roll, n_ph, p_exc, gamma, eta
 
 
 @given(detunings=st.lists(st.floats(-1e12, 1e12)
                           | st.sampled_from(POW_SQUARE_SPLITS),
                           min_size=1, max_size=12, unique=True),
        power=st.floats(0.0, 1e-6), purcell=st.floats(0.0, 1e4),
-       gate_factor=st.floats(1e-3, 1000.0) | st.just(1000.0),
        laser_hz=st.just(0.0) | st.floats(-1e10, 1e10))
 @example(detunings=POW_SQUARE_SPLITS, power=5e-9, purcell=320.0,
-         gate_factor=6.0, laser_hz=0.0)
+         laser_hz=0.0)
 def test_grid_emission_equals_one_point_calls(detunings, power, purcell,
-                                              gate_factor, laser_hz):
-    v = 2.0 * (TWO_PI * np.array(POW_SQUARE_SPLITS)) / CAV.kappa
-    assert np.all(v ** 2 != _pow(v, 2))
+                                              laser_hz):
     ion = _ion(purcell=purcell)
     seq = PulseSequence(input_power=power)
     grid = np.array(detunings)
     columns = experiments._ion_emission(ion, CAV, EMITTER, seq, grid,
                                         laser_hz)
-    models = experiments._point_models(
-        seq, DetectorConfig(eta_total=0.04, dark_rate=0.0), *columns[2:],
-        gate_factor)
-    for k, (delta, (emission, det_k, seq_k)) in enumerate(
-            zip(grid, models, strict=True)):
+    for k, delta in enumerate(grid):
         # an element of the sweep's grid, and a config's float
         for one in (delta, float(delta)):
             ref = _one_point_emission(ion, seq, one, laser_hz)
             for column, value in zip(columns, ref, strict=True):
                 assert _same_bits(column[k], np.float64(value))
-        gate = gate_factor / ref[3]
-        assert _same_bits(det_k.gate_duration, gate)
-        assert _same_bits(seq_k.rep_period, seq.excite_duration + gate)
-        assert det_k.gate_start == seq.excite_duration == emission.decay_start
+        # the lifetime's and g2's one click model
+        emission = experiments._ion_model(ion, CAV, EMITTER, seq,
+                                          DetectorConfig(), float(delta),
+                                          laser_hz)
         assert (emission.p_excited, emission.gamma,
-                emission.eta_into_cavity) == ref[2:]
+                emission.eta_into_cavity) == ref
+        assert emission.decay_start == seq.excite_duration
 
 
 def test_sweep_writes_no_row_its_stderr_does_not_bound():
@@ -571,6 +564,23 @@ def test_runners_share_one_click_model():
     np.testing.assert_allclose(sat.expected_on[0] / 700, per_pulse,
                                rtol=1e-12)
     np.testing.assert_allclose(g2.signal_per_pulse, per_pulse, rtol=1e-12)
+    # the lifetime's and the sweep's rates are the scan's helpers' on
+    # arrays, bit for bit, also at a detuning where libm's pow squares to
+    # another last bit than the product
+    split = POW_SQUARE_SPLITS[0]
+    roll = experiments._rolloff(TWO_PI * np.array([split, 0.0]), CAV.kappa)
+    n_ph = intracavity_photon_number(seq.input_power, CAV.eta_cav, CAV.kappa,
+                                     EMITTER.omega) / roll
+    p_exc, gamma, _ = experiments._excitation(
+        n_ph, np.full(2, ion.g), ion.purcell / roll, np.zeros(2), EMITTER,
+        seq.excite_duration)
+    life = run_lifetime(ion, CAV, EMITTER, seq, det, 1000, seed=3,
+                        cavity_detuning_hz=split)
+    assert _same_bits(life.gamma, gamma[0])
+    assert _same_bits(life.p_excited, p_exc[0])
+    sweep = run_cavity_sweep(ion, CAV, EMITTER, seq, [-split, 0.0, split],
+                             1000, seed=3)
+    assert _same_bits(sweep.gamma_expected[1], gamma[1])
 
 
 def test_zeeman_series_recovers_slope_and_offset():
