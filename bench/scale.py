@@ -44,9 +44,10 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
                "spin_t1", "purcell_stats")
-# one scale setting per experiment, four for lifetime (many background
-# clicks, sparse dead time, dead time that closes a few clicks in many
-# pulses, a detector saturated under dead time), two for cavity_sweep (many
+# one scale setting per experiment, two for ple (about 1.5M and 6M
+# line-point pairs), four for lifetime (many background clicks, sparse dead
+# time, dead time that closes a few clicks in many pulses, a detector
+# saturated under dead time), two for cavity_sweep (many
 # points drawn directly, and every click of each point under dead time), and
 # five for g2: with and without the blinking telegraph, with a
 # telegraph that switches about every other pulse, with a rarely bright
@@ -55,6 +56,9 @@ SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
         "span = 20 GHz\nstep = 2 MHz\n",
+    "ple @ ensemble 20 GHz at 0.5 MHz": "experiment = ple\n[cavity]\n"
+        "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
+        "span = 20 GHz\nstep = 0.5 MHz\n",
     "lifetime @ 1e7 background clicks": "experiment = lifetime\n[lifetime]\n"
         "n_pulses = 1000000\nbackground_per_pulse = 10\n",
     "lifetime @ 50 ns dead time, 2e6 clicks": "experiment = lifetime\n"

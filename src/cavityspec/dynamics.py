@@ -22,8 +22,8 @@ over the roots of the system's characteristic cubic (Torrey, Phys. Rev. 76,
 stay finite and accurate as roots meet.  It solves its line-point pairs
 _CHUNK at a time: each pair's result depends on that pair alone, so any
 block size gives the same bits, and blocks small enough that their
-temporaries stay in a core's L2 cache run faster than one batch of an
-ensemble scan's ~94k pairs, whose temporaries spill out of it.
+temporaries stay in a core's L2 cache run faster than one call on a PLE
+scan's block of up to 32,768 pairs, whose temporaries spill out of it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _MAX_STEPS = 10_000_000  # RK4 steps per pass: ~20 s of pure Python
 # arrays of 8 bytes a pair are live at once in a block, 1.6 MB at 8,192
 # pairs, within a 2 MB per-core L2.  On a 2-core Xeon with 2 MB L2 per core,
 # blocks of 8,192 to 32,768 pairs ran equally fast; 4,096 (more calls) and
-# one batch of an ensemble scan's ~94k pairs (spilling out of L2) slower
+# ~94k pairs in one block (spilling out of L2) slower
 _CHUNK = 8_192
 _NEWTON_MAX = 100  # cap on _real_root's steps; a triple root takes ~30
 _TAYLOR_TERMS = 19  # h_k / (k + 2)! < 1e-17 beyond this on _exp3's series

@@ -2,11 +2,12 @@
 
 Each runner turns a parameter plan plus an integer seed into synthetic
 data.  A PLE scan, saturation series or cavity sweep draws from one
-default_rng(seed), over whole arrays with the points in sorted order
-(rank): a point's counts depend on the rest of the grid, but reordering a
-drift-free grid only permutes the output.  A cavity sweep without dead
-time draws each point's gate histogram directly from the law of its
-clicks; with dead time it draws every click.
+default_rng(seed), over arrays with the points in sorted order (rank), a
+PLE scan one block of points at a time: a point's counts depend on the
+rest of the grid, but reordering a drift-free grid only permutes the
+output.  A cavity sweep without dead time draws each point's gate
+histogram directly from the law of its clicks; with dead time it draws
+every click.
 
 EXPERIMENTS, at the end, maps each experiment name to the function that
 runs it from a RunConfig.
@@ -38,6 +39,11 @@ if TYPE_CHECKING:
 
 # beyond this many power-broadened half-widths an ion's tail is dropped
 CUTOFF_HALFWIDTHS = 30.0
+# candidate line-point pairs per block of a PLE scan: a block's peak holds
+# about 30 arrays of 8 bytes a pair, 7.8 MB at 32,768.  Blocks of 8,192 ran
+# slower, as glibc hands each block's freed temporaries back to the OS and
+# the next block faults them in again
+_PAIR_BLOCK = 32_768
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,13 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     with the respective detunings.  Ions are Bernoulli click sources, dark
     counts and the unresolved-ion background are Poisson, drawn from
     default_rng(seed), which returns a Generator seed as it is.
+
+    The points are taken in sorted order, a block at a time that ends
+    before its candidate (point, line) pairs pass _PAIR_BLOCK, so memory
+    follows the points plus one block.  A (point, ion) group lies inside
+    one block, and the stream is the same at any block size: every
+    group's clicks in (point, ion) order, then every point's background,
+    both in sorted point order.
     """
     grid, ranks = _point_grid(grid, "grid")
     f_ion = np.atleast_1d(ions.f0)
@@ -210,43 +223,52 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
                                               emitter)
               / TWO_PI)[line_ion]
 
-    # (point, line) pairs inside the window, by point and then by line
-    # frequency: each point's candidates are a run of the sorted lines
+    # each point's candidates are a run of the frequency-sorted lines; a
+    # block of points in rank order ends before its candidates pass
+    # _PAIR_BLOCK, or holds one point
     order = np.argsort(f_line, kind="stable")
     f_sorted = f_line[order]
     max_cut = float(cut_hz.max())
-    lo = np.searchsorted(f_sorted, grid - max_cut)
-    n_cand = np.searchsorted(f_sorted, grid + max_cut) - lo
-    pt = np.repeat(np.arange(n_pts), n_cand)
-    ln = order[np.arange(len(pt))
-               + np.repeat(lo - np.cumsum(n_cand) + n_cand, n_cand)]
-    near = np.abs(grid[pt] - f_line[ln]) <= cut_hz[ln]
-    pt, ln = pt[near], ln[near]
+    by_rank = np.argsort(ranks)
+    lo = np.searchsorted(f_sorted, grid[by_rank] - max_cut)
+    n_cand = np.searchsorted(f_sorted, grid[by_rank] + max_cut) - lo
+    ends = np.cumsum(n_cand)
 
-    ion_idx = line_ion[ln]
-    p_eff = p_max[ion_idx] / _rolloff(TWO_PI * (f_line[ln] - f_cav[pt]),
-                                      cavity.kappa)
-    p_exc, gamma, eta = _excitation(n_ph[pt], g_ion[ion_idx], p_eff,
-                                    TWO_PI * (grid[pt] - f_line[ln]),
-                                    emitter, seq.excite_duration)
-    p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
-                        seq.excite_duration)
-    # (point, ion) groups in (rank, ion) order
-    uniq, inverse = np.unique(ranks[pt] * n_ions + ion_idx,
-                              return_inverse=True)
-    p_group = np.clip(np.bincount(inverse, weights=p_click), 0.0, 1.0)
-    group_rank = uniq // n_ions
-    expected = lam + pulses_per_point * np.bincount(
-        group_rank, weights=p_group, minlength=n_pts)[ranks]
-
-    # one stream per run: every group's clicks, then every point's
-    # background, both in rank order; a point's clicks are summed in int64
     rng = np.random.default_rng(seed)
-    clicks = np.concatenate(
-        ([0], np.cumsum(rng.binomial(pulses_per_point, p_group))))
-    bounds = np.searchsorted(group_rank, np.arange(n_pts + 1))
-    counts = (np.diff(clicks[bounds])
-              + rng.poisson(lam[np.argsort(ranks)]))[ranks]
+    source = np.zeros(n_pts)
+    clicks = np.zeros(n_pts, dtype=np.int64)
+    start = 0
+    while start < n_pts:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - n_cand[start] + _PAIR_BLOCK, side="right")))
+        n_blk = n_cand[start:stop]
+        # (point, line) pairs inside the window, by point and then by line
+        # frequency
+        rk = np.repeat(np.arange(start, stop), n_blk)
+        ln = order[np.arange(len(rk)) + np.repeat(
+            lo[start:stop] - np.cumsum(n_blk) + n_blk, n_blk)]
+        pt = by_rank[rk]
+        near = np.abs(grid[pt] - f_line[ln]) <= cut_hz[ln]
+        rk, pt, ln = rk[near], pt[near], ln[near]
+
+        ion_idx = line_ion[ln]
+        p_eff = p_max[ion_idx] / _rolloff(TWO_PI * (f_line[ln] - f_cav[pt]),
+                                          cavity.kappa)
+        p_exc, gamma, eta = _excitation(n_ph[pt], g_ion[ion_idx], p_eff,
+                                        TWO_PI * (grid[pt] - f_line[ln]),
+                                        emitter, seq.excite_duration)
+        p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
+                            seq.excite_duration)
+        # (point, ion) groups in (rank, ion) order
+        uniq, inverse = np.unique(rk * n_ions + ion_idx, return_inverse=True)
+        p_group = np.clip(np.bincount(inverse, weights=p_click), 0.0, 1.0)
+        group_rank = uniq // n_ions
+        np.add.at(source, group_rank, p_group)
+        np.add.at(clicks, group_rank,
+                  rng.binomial(pulses_per_point, p_group))
+        start = stop
+    expected = lam + pulses_per_point * source[ranks]
+    counts = (clicks + rng.poisson(lam[by_rank]))[ranks]
     return ScanResult(grid=grid.copy(), counts=counts,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,14 +38,20 @@ def _ion(f0=F0, purcell=321.0686456400742):
     return IonRecord(position=(0.0, 0.0, 0.0), f0=f0, g=g, purcell=purcell)
 
 
-def _ions(*offsets):
-    """An ensemble record array: one default ion at F0 + each offset."""
-    ion = _ion()
+def _ensemble(offsets, purcells):
+    """An ensemble record array: one ion at F0 + each offset, each with its
+    Purcell factor and the coupling g that gives it."""
     ions = np.recarray(len(offsets), dtype=ION_DTYPE)
     ions.position = 0.0
     ions.f0 = F0 + np.asarray(offsets, dtype=float)
-    ions.g, ions.purcell = ion.g, ion.purcell
+    ions.purcell = purcells
+    ions.g = np.sqrt(ions.purcell * CAV.kappa * EMITTER.gamma0 / 4.0)
     return ions
+
+
+def _ions(*offsets):
+    """An ensemble record array: one default ion at F0 + each offset."""
+    return _ensemble(offsets, _ion().purcell)
 
 
 def _power_for_s(s_peak, purcell):
@@ -86,6 +94,87 @@ def test_scan_order_does_not_change_counts():
                             400, seed=42)
     by_freq = dict(zip(shuffled.grid, shuffled.counts))
     assert all(by_freq[f] == c for f, c in zip(base.grid, base.counts))
+
+
+@given(ions=st.lists(st.tuples(st.floats(-300e6, 300e6),
+                               st.floats(1.0, 600.0)), min_size=1, max_size=40),
+       field=st.sampled_from([None, 2e-3, 20e-3]), flip=st.booleans(),
+       n_points=st.integers(1, 50),
+       visit=st.sampled_from(["ascending", "descending", "shuffled"]),
+       co_scan=st.booleans(), drift=st.sampled_from([0.0, 3e5]),
+       s_peak=st.floats(0.1, 30.0), pulses=st.integers(1, 5000),
+       seed=st.integers(0, 2**64 - 1))
+@example(ions=[(0.0, 321.0), (1e6, 100.0), (-40e6, 321.0)], field=2e-3,
+         flip=True, n_points=41, visit="descending", co_scan=False,
+         drift=3e5, s_peak=3.0, pulses=2000, seed=7)
+def test_ple_scan_is_blocking_invariant(ions, field, flip, n_points, visit,
+                                        co_scan, drift, s_peak, pulses, seed):
+    # a (point, ion) group lies inside one block and keeps its pairs' order,
+    # and binomial draws the same stream split or whole: any block size
+    # gives the same bits and leaves the generator in the same state; with
+    # Zeeman lines several lines of one ion fall in one point's window
+    offsets, purcells = zip(*ions)
+    ions = _ensemble(offsets, purcells)
+    zeeman = None if field is None else ZeemanConfig(
+        b_applied=(field, 0.0, 0.0), spin_flip_strength=0.3 * flip,
+        sum_g=6.0 if flip else None)
+    grid = F0 + np.linspace(-400e6, 400e6, n_points)
+    if visit == "descending":
+        grid = grid[::-1]
+    elif visit == "shuffled":
+        grid = np.random.default_rng(seed).permutation(grid)
+        drift = 0.0
+    seq = PulseSequence(input_power=_power_for_s(s_peak, 321.0))
+
+    def scan(block):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(experiments, "_PAIR_BLOCK", block):
+            res = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, pulses,
+                               rng, zeeman=zeeman, co_scan=co_scan,
+                               cavity_drift_rate=drift, background_coeff=0.05)
+        return (res.counts, res.expected.view(np.uint64),
+                rng.bit_generator.state)
+
+    # one block past every candidate pair: 4 lines an ion at most
+    counts, expected, state = scan(4 * len(ions) * n_points + 1)
+    for block in (1, 7, 64):
+        blocked = scan(block)
+        assert np.array_equal(blocked[0], counts)
+        assert np.array_equal(blocked[1], expected)
+        assert blocked[2] == state
+
+
+def test_ple_scan_memory_follows_the_block_not_the_pairs(monkeypatch):
+    """Two ensemble scans over one set of 1,000 ions, at 1,000 and 4,000
+    points, have about 93k and 370k line-point pairs.  Each one's peak
+    traced bytes stay under 640 bytes per pair of one block (80 float64
+    arrays of _PAIR_BLOCK pairs) plus 400 bytes per point (50 float64
+    arrays of the points) plus 1 MB for the lines and fixed costs.  A scan
+    holding every pair at once peaks at 12 and 45 MB on them."""
+    rng = np.random.default_rng(3)
+    ions = _ensemble(rng.uniform(-2e9, 2e9, 1000), 321.0)
+    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0))
+    pairs = []
+    real = experiments.pulse_excitation
+
+    def spy(omega, *args):
+        pairs[-1] += np.size(omega)
+        return real(omega, *args)
+
+    monkeypatch.setattr(experiments, "pulse_excitation", spy)
+    for n_points in (1000, 4000):
+        grid = F0 + np.linspace(-2e9, 2e9, n_points)
+        bound = 640 * experiments._PAIR_BLOCK + 400 * n_points + 2**20
+        pairs.append(0)
+        tracemalloc.start()
+        try:
+            run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, 10, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n_points, pairs[-1], peak, bound)
+    assert 3.9 < pairs[1] / pairs[0] < 4.1
+    assert pairs[1] > 10 * experiments._PAIR_BLOCK
 
 
 # a click probability, read off as the expectation of one darkless pulse
