@@ -19,6 +19,11 @@ host drift moves both sides of a row alike.  Entries:
 - `run <experiment> @ <setting>`: the same at one scale setting (SCALE);
 - `pulse_excitation 1e6 pairs`: the line-point pairs of the `ensemble_ple`
   benchmark workload at seed 7, tiled to 1,000,000, in one call;
+- `pulse_excitation 1e6 undamped pairs`: the same pairs with no pure
+  dephasing, so gamma2 T = gamma T / 2 <= 0.22: the optical coherence
+  outlives the pulse and every pair takes the propagator's full closed form,
+  where at the workload's dephasing (gamma2 T ~ 195) every pair drops its
+  damped pair terms;
 - `pulse_excitation 1 pair`: one call on the first of those pairs, the
   median of 1,000 calls counted as one run.
 
@@ -98,7 +103,9 @@ SCALE = {
         "temp_grid = 2:8:1e-5 K\n",
 }
 ENTRIES = ([f"run {e}" for e in EXPERIMENTS] + [f"run {s}" for s in SCALE]
-           + ["pulse_excitation 1e6 pairs", "pulse_excitation 1 pair"])
+           + ["pulse_excitation 1e6 pairs",
+              "pulse_excitation 1e6 undamped pairs",
+              "pulse_excitation 1 pair"])
 REPEATS = 3
 SHORT_REPEATS, SHORT_S = 9, 1.0
 PAIRS = 1_000_000
@@ -176,6 +183,8 @@ def child(name: str, pairs_path: str) -> dict:
         seconds = statistics.median(times)
     else:
         tiled = np.tile(pairs, -(-PAIRS // pairs.shape[1]))[:, :PAIRS].copy()
+        if "undamped" in name:
+            tiled[3] = 0.0  # gamma_d
         start = time.perf_counter()
         pulse_excitation(*tiled, duration)
         seconds = time.perf_counter() - start

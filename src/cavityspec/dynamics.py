@@ -19,11 +19,19 @@ pulse_excitation, the fast path used by scans, solves the same linear
 system exactly from the ground state in closed form: the solution is a sum
 over the roots of the system's characteristic cubic (Torrey, Phys. Rev. 76,
 1059 (1949)), written through divided differences of the exponential, which
-stay finite and accurate as roots meet.  It solves its line-point pairs
-_CHUNK at a time: each pair's result depends on that pair alone, so any
-block size gives the same bits, and blocks small enough that their
-temporaries stay in a core's L2 cache run faster than one call on a PLE
-scan's block of up to 32,768 pairs, whose temporaries spill out of it.
+stay finite and accurate as roots meet.  The terms of the root pair c +- nu,
+the optical coherence, all carry the decay of its slower exponent,
+e^{(c + nu) T} for a real pair and e^{cT} for a complex one.  A pulse that
+outlasts the coherence many times over (gamma2 T above about 40; the
+default dephasing gives ~195 over a 10 us pulse) damps them below half an
+ulp of every partial sum they would enter, which a per-pair bound checks
+(_pulse_excitation_block), and such pairs skip them with the bits of the
+full form; short pulses and slow dephasing take the full form.  It solves
+its line-point pairs _CHUNK at a time: each pair's result depends on that
+pair alone, so any block size gives the same bits, and blocks small enough
+that their temporaries stay in a core's L2 cache run faster than one call
+on a PLE scan's block of up to 32,768 pairs, whose temporaries spill out
+of it.
 """
 
 from __future__ import annotations
@@ -40,14 +48,22 @@ from .errors import DomainError, IntegrationError
 _BOUND_TOL = 1e-9
 _MAX_REFINEMENTS = 6
 _MAX_STEPS = 10_000_000  # RK4 steps per pass: ~20 s of pure Python
-# line-point pairs per block in pulse_excitation, sized for L2: at most ~25
-# arrays of 8 bytes a pair are live at once in a block, 1.6 MB at 8,192
-# pairs, within a 2 MB per-core L2.  On a 2-core Xeon with 2 MB L2 per core,
-# blocks of 8,192 to 32,768 pairs ran equally fast; 4,096 (more calls) and
-# ~94k pairs in one block (spilling out of L2) slower
+# line-point pairs per block in pulse_excitation, sized for L2: at most ~20
+# arrays of 8 bytes a pair are live at once in a block (18 where the pair
+# terms are dropped), 1.3 MB at 8,192 pairs, within a 2 MB per-core L2.  On
+# a 2-core Xeon with 2 MB L2 per core, the ensemble_ple benchmark ran about
+# as fast at 4,096 (0.2 MB less peak RSS) as at 8,192, and slower at 16,384
+# and 32,768 (1.7 and 4.0 MB more); 4,096 made one call on 1e6 pairs 6-8%
+# slower (twice the calls)
 _CHUNK = 8_192
 _NEWTON_MAX = 100  # cap on _real_root's steps; a triple root takes ~30
 _TAYLOR_TERMS = 19  # h_k / (k + 2)! < 1e-17 beyond this on _exp3's series
+# _pulse_excitation_block drops a pair's terms where they are below 2^-56 of
+# every partial sum they enter: half the spacing of the floats next to a
+# normal x is at least 2^-54 |x|, so they cannot move its bits, with a
+# factor 4 to spare for the rounding of the terms and of the bound
+_DROP = 2.0 ** -56
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -344,22 +360,71 @@ def _pulse_excitation_block(omega, delta, gam, gamma2, top, duration):
     so the pair may be real, repeated or complex.  The rates are divided by
     the largest of them, top = S, so that no square overflows; sigma = S T,
     finite by the caller's check, turns the scaled roots back into exponents.
+
+    Away from _exp3's series, E[r, c+nu, c-nu] = (e^{rT} - mean
+    + (c - r) E[c+nu, c-nu]) / ((c - r)^2 - nu^2); within the series' reach
+    all three roots lie within 1/2 of r in exponent, and the bound below
+    fails.  Every pair term carries L = e^{(c + nu+)T}, nu+ = nu for a real
+    pair (c + nu is its slower exponent) and 0 for a complex one:
+    |mean| <= L and |E[c+nu, c-nu]| <= T L, as |cos|, |sinc| and
+    (1 - e^{-2x}) / 2x are at most 1.  In the scaled rates below (m = c - r,
+    coef = N'(c) + rho_ss (r - c), T -> sigma) the pair terms enter four
+    partial sums: e^{sigma r} takes terms of at most L and |m| sigma L, and
+    a = n_r e^{sigma r} / (m^2 - D) takes terms of at most |coef| sigma L
+    and rho_ss L <= L.  Where, with B = max(L, tiny),
+        B max(1, |m| sigma) <= 2^-56 e^{sigma r}  and
+        B max(1, |coef| sigma) <= 2^-56 |a|,
+    every term is below half an ulp of its partial sum (_DROP), and the
+    floor at the smallest normal float keeps both sums above 2^56 tiny, so
+    that a term's own underflow cannot tip them: the full formula rounds to
+    a, bit for bit.  Such pairs, a pulse long against the optical coherence
+    (L / e^{sigma r} ~ e^{-(gamma2 - gamma) T}), take decay = a; the rest,
+    short pulses and slow dephasing, go through _pair_exp and _exp3 as an
+    index subset.
     """
     w, d, g, g2 = (a / top for a in (omega, delta, gam, gamma2))
-    sigma = top * duration
-    rho_ss, u_ss, v_ss = _steady_arrays(w, d, g, g2)
     r = _real_root(w, d, g, g2)
+    rho_ss, u_ss, v_ss = _steady_arrays(w, d, g, g2)
+    sigma = top * duration
     # P(s) / (s - r) = (s - c)^2 - D, from synthetic division in s + g2
     y = r + g2
     h = (g + r) / 2.0
     big_d = h * h - (d * d + w * w + y * (g + r))
+    n_r = (y * y + d * d) * rho_ss + w * d * u_ss - w * y * v_ss
+    coef = (y - h) * rho_ss - w * v_ss
     c = -g2 - h
     m = -y - h  # c - r
-    e_mean, e_pair = _pair_exp(sigma * c, big_d, sigma)
-    e_three = _exp3(sigma * r, m, big_d, sigma, e_mean, e_pair)
-    n_r = (y * y + d * d) * rho_ss + w * d * u_ss - w * y * v_ss
-    decay = (n_r * e_three + ((y - h) * rho_ss - w * v_ss) * e_pair
-             + rho_ss * e_mean)
+    # freed before the pair terms, so that fewer temporaries are live at once
+    del w, d, g, g2, u_ss, v_ss, y, h
+    nu = np.sqrt(np.abs(big_d))
+    arg = sigma * nu
+    real = big_d > 0
+    e_lead = np.exp(sigma * c + np.where(real, arg, 0.0))
+    e_r = np.exp(sigma * r)
+    gap = m * m - big_d
+
+    def full_decay(i):
+        e_mean, e_pair = _pair_exp(e_lead[i], arg[i], nu[i], real[i],
+                                   sigma[i])
+        e_three = _exp3(e_r[i], m[i], big_d[i], nu[i], gap[i], sigma[i],
+                        e_mean, e_pair)
+        return n_r[i] * e_three + coef[i] * e_pair + rho_ss[i] * e_mean
+
+    # implied by the cut below, and cheap: a block of undamped pairs stops here
+    damped = e_lead <= _DROP * e_r
+    if not damped.any():
+        decay = full_decay(slice(None))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            decay = n_r * (e_r / gap)
+            bound = np.maximum(e_lead, _TINY)
+            damped = ((bound * np.maximum(1.0, sigma * np.abs(m))
+                       <= _DROP * e_r)
+                      & (bound * np.maximum(1.0, sigma * np.abs(coef))
+                         <= _DROP * np.abs(decay)))
+        if not damped.all():
+            rest = np.flatnonzero(~damped)
+            decay[rest] = full_decay(rest)
     return np.clip(rho_ss - decay, 0.0, 1.0)
 
 
@@ -377,10 +442,10 @@ def _real_root(w, d, g, g2):
     """
     w2, d2 = w * w, d * d
 
-    def cubic(s):
+    def cubic(s):  # P(s) and P'(s)
         a, b = s + g, s + g2
         q = b * b + d2
-        return a * q + w2 * b, a, b, q
+        return a * q + w2 * b, q + 2.0 * a * b + w2
 
     above = cubic(-(g + 2.0 * g2) / 3.0)[0] <= 0  # a root above the inflection
     s = np.where(above, -np.minimum(g, g2), -np.maximum(g, g2))
@@ -388,10 +453,10 @@ def _real_root(w, d, g, g2):
     root = s.copy()
     idx = np.arange(len(s))
     for _ in range(_NEWTON_MAX):
-        p, a, b, q = cubic(s)
+        p, slope = cubic(s)
         short = side * p > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = np.where(short, s - p / (q + 2.0 * a * b + w2), s)
+            new = np.where(short, s - p / slope, s)
         going = new != s
         s = new
         if not going.all():
@@ -404,40 +469,36 @@ def _real_root(w, d, g, g2):
     return root
 
 
-def _pair_exp(c, big_d, sigma):
-    """Mean and divided difference (times sigma) of e^x over c +- sigma sqrt(D).
+def _pair_exp(e_lead, arg, nu, real, sigma):
+    """Mean and divided difference (times sigma) of e^x over c +- arg.
 
-    D < 0 gives e^c cos and e^c sin / nu; D > 0 the same through cosh and
-    sinh, taken from the larger exponent down so that neither overflows.
+    arg = sigma nu, and e_lead = e^{c + arg} where the pair is real, e^c
+    where it is not.  A complex pair gives e^c cos and e^c sin / nu; a real
+    one the same through cosh and sinh, taken from the larger exponent down
+    so that neither overflows.
     """
-    nu = np.sqrt(np.abs(big_d))
-    e_c = np.exp(c)
-    arg = sigma * nu
-    mean = e_c * np.cos(arg)
-    diff = e_c * sigma * np.sinc(arg / np.pi)
-    real = big_d > 0
+    mean = e_lead * np.cos(arg)
+    diff = e_lead * sigma * np.sinc(arg / np.pi)
     if real.any():
-        arg_r, nu_r = arg[real], nu[real]
-        e_top = np.exp(c[real] + arg_r)
+        arg_r, nu_r, e_top = arg[real], nu[real], e_lead[real]
         mean[real] = e_top * (1.0 + np.exp(-2.0 * arg_r)) / 2.0
         diff[real] = -e_top * np.expm1(-2.0 * arg_r) / (2.0 * nu_r)
     return mean, diff
 
 
-def _exp3(r, m, big_d, sigma, e_mean, e_pair):
+def _exp3(e_r, m, big_d, nu, gap, sigma, e_mean, e_pair):
     """sigma^2 times the divided difference of e^x over {r, c + nu, c - nu}.
 
-    r is an exponent; m = (c - r) / sigma and D = (nu / sigma)^2 are
-    scaled.  The divided difference is entire in (m, D) and is evaluated as
-    a series when both nodes of the pair lie within 1 of r, else in closed
-    form over (c - r)^2 - nu^2.  When the pair is real, _real_root has
-    returned the root beyond the inflection point (r + 2c) / 3 from both
-    nodes, so |m| >= 3 nu and that denominator is at least 8 nu^2.
+    e_r = e^r, r an exponent; m = (c - r) / sigma, D = (nu / sigma)^2 and
+    gap = m^2 - D are scaled.  The divided difference is entire in (m, D)
+    and is evaluated as a series when both nodes of the pair lie within 1 of
+    r, else in closed form over (c - r)^2 - nu^2.  When the pair is real,
+    _real_root has returned the root beyond the inflection point (r + 2c) / 3
+    from both nodes, so |m| >= 3 nu and that denominator is at least 8 nu^2.
     """
-    nu = np.sqrt(np.abs(big_d))
     reach = sigma * np.maximum(np.abs(m), nu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.exp(r) - e_mean + m * e_pair) / (m * m - big_d)
+        out = (e_r - e_mean + m * e_pair) / gap
     near = reach <= 0.5
     if near.any():
         # e^r sum_k h_k / (k + 2)!, h_k the complete symmetric polynomials of
@@ -452,7 +513,7 @@ def _exp3(r, m, big_d, sigma, e_mean, e_pair):
             h, h_prev = 2.0 * m_n * h - k_n * h_prev, h
             factorial *= k + 2
             total += h / factorial
-        out[near] = np.exp(r[near]) * s_n * s_n * total
+        out[near] = e_r[near] * s_n * s_n * total
     return out
 
 
