@@ -7,12 +7,13 @@ Run it from the root of a checkout; it imports cavityspec from ./src.  Every
 entry runs in a fresh interpreter, REPEATS times, or SHORT_REPEATS times when
 its first run takes under SHORT_S seconds (host noise alone moves the median
 of 3 such runs by ±15%).  The output records, per entry, each run's wall
-time, their number and median, and the largest peak RSS of the runs, with
-the machine's core count.  With --parent REV, the committed files
-of REV are extracted to a temporary directory (git archive) and every run of
-this checkout is paired with one of REV, entry by entry and repeat by repeat,
-which of the two goes first alternating; REV's rows go under "parent", so
-host drift moves both sides of a row alike.  Entries:
+time and minor page faults (the child's ru_minflt), their number and median
+time, and the largest peak RSS of the runs, with the machine's core count.
+With --parent REV, the committed files of REV are extracted to a temporary
+directory (git archive) and every run of this checkout is paired with one
+of REV, entry by entry and repeat by repeat, which of the two goes first
+alternating; REV's rows go under "parent", so host drift moves both sides
+of a row alike.  Entries:
 
 - `run <experiment>`: `cavityspec run <experiment> --seed 7` at defaults,
   timed from before `import cavityspec.cli` to the end of `main`;
@@ -54,9 +55,10 @@ EXPERIMENTS = ("ple", "lifetime", "cavity_sweep", "saturation", "zeeman", "g2",
 # time, dead time that closes a few clicks in many pulses, a detector
 # saturated under dead time), two for cavity_sweep (many
 # points drawn directly, and every click of each point under dead time), and
-# five for g2: with and without the blinking telegraph, with a
+# six for g2: with and without the blinking telegraph, with a
 # telegraph that switches about every other pulse, with a rarely bright
-# one (its candidate pulses far outnumber its clicks), and with many offsets
+# one (its candidate pulses far outnumber its clicks), with many offsets,
+# and with a click in nearly every pulse (most pulses pair at each offset)
 SCALE = {
     "ple @ ensemble 20 GHz at 2 MHz": "experiment = ple\n[cavity]\n"
         "frequency = 195.1188 THz\n[ensemble]\nenabled = true\n[scan]\n"
@@ -87,6 +89,8 @@ SCALE = {
         "n_pulses = 10000000\nblink = true\np_bright = 0.02\n",
     "g2 @ 1e7 pulses, max_offset 1000": "experiment = g2\n[g2]\n"
         "n_pulses = 10000000\nmax_offset = 1000\n",
+    "g2 @ 1e6 pulses, 5 background clicks a pulse": "experiment = g2\n[g2]\n"
+        "n_pulses = 1000000\nbackground_per_pulse = 5\n",
     "cavity_sweep @ 1001 points x 1e5 pulses": "experiment = cavity_sweep\n"
         "[cavity_sweep]\nn_points = 1001\npulses_per_point = 100000\n",
     "cavity_sweep @ 201 points, 50 ns dead time, 2 kHz dark": "experiment = "
@@ -112,8 +116,11 @@ PAIRS = 1_000_000
 ONE_PAIR_CALLS = 1000
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _usage() -> dict:
+    """This process's peak RSS and minor page faults so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt}
 
 
 def _run_main(target: str, out: str) -> None:
@@ -168,7 +175,7 @@ def child(name: str, pairs_path: str) -> dict:
             start = time.perf_counter()
             _run_main(target, tmp)
             seconds = time.perf_counter() - start
-        return {"seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
+        return {"seconds": seconds, **_usage()}
 
     from cavityspec.dynamics import pulse_excitation
     saved = np.load(pairs_path)
@@ -188,7 +195,7 @@ def child(name: str, pairs_path: str) -> dict:
         start = time.perf_counter()
         pulse_excitation(*tiled, duration)
         seconds = time.perf_counter() - start
-    return {"seconds": seconds, "peak_rss_mb": _peak_rss_mb()}
+    return {"seconds": seconds, **_usage()}
 
 
 def _extract(rev: str, tmp: str) -> tuple[str, str]:
@@ -206,7 +213,8 @@ def _summary(runs: list[dict]) -> dict:
     seconds = [r["seconds"] for r in runs]
     return {"median_s": statistics.median(seconds), "repeats": len(seconds),
             "runs_s": seconds,
-            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs),
+            "minor_faults": [r["minor_faults"] for r in runs]}
 
 
 def main() -> int:
@@ -238,7 +246,7 @@ def main() -> int:
         # every later child would report this one's
         subprocess.run(me + ["--capture", pairs], check=True, cwd=ROOT)
         if args.parent:
-            print(f"{'':45s} {'this checkout':>22s} {'parent':>22s}")
+            print(f"{'':45s} {'this checkout':>31s} {'parent':>31s}")
         for name in ENTRIES:
             runs = {side: [] for side in roots}
             for rep in range(SHORT_REPEATS):
@@ -254,7 +262,8 @@ def main() -> int:
             for side in roots:
                 results[side][name] = row = _summary(runs[side])
                 line += (f" {row['median_s']:9.4f} s "
-                         f"{row['peak_rss_mb']:7.1f} MB")
+                         f"{row['peak_rss_mb']:7.1f} MB "
+                         f"{statistics.median(row['minor_faults']):7.0f} mf")
             print(line, flush=True)
     report = {"cores": os.cpu_count(), "python": sys.version.split()[0],
               "numpy": np.__version__, "entries": results["entries"]}

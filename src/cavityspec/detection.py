@@ -366,21 +366,33 @@ def g2_pulsed(stream: ClickStream, max_offset: int = 10):
     g2 = np.empty(max_offset + 1)
     stderr = np.empty(max_offset + 1)
     mu_sq = mu * mu
+    # one set of buffers for every offset: on a dense stream most of the K'
+    # pulses pair at each offset, and fresh arrays would be faulted in each
+    # time.  Every index taken is in range; mode "clip" writes `out`
+    # unbuffered
+    is_pair = np.empty(len(near), dtype=bool)
+    hit, other, prod = np.empty((3, len(near)), dtype=np.int64)
+    dev = np.empty(len(c))
     for m in offsets:
         if m == 0:
             x = c * (c - 1)
         else:
-            pair = np.flatnonzero(gap == m)
-            hit = j[pair]
-            x = c_near[pair] * c[hit]
-            hit += 1
-            j[pair] = hit
+            pair = np.flatnonzero(np.equal(gap, m, out=is_pair))
+            h, o, x = hit[:len(pair)], other[:len(pair)], prod[:len(pair)]
+            j.take(pair, out=h, mode="clip")
+            c_near.take(pair, out=x, mode="clip")
+            x *= c.take(h, out=o, mode="clip")
+            h += 1
+            j[pair] = h
             # a j past the last pulse reads the last, whose gap is this m:
             # it never pairs again
-            gap[pair] = p[np.minimum(hit, len(p) - 1)] - p_near[pair]
+            p.take(np.minimum(h, len(p) - 1, out=o), out=h, mode="clip")
+            h -= p_near.take(pair, out=o, mode="clip")
+            gap[pair] = h
         n = stream.n_pulses - m
         mean = x.sum() / n
-        var = ((np.square(x - mean).sum() + (n - len(x)) * mean * mean)
+        d = np.subtract(x, mean, out=dev[:len(x)])
+        var = ((np.square(d, out=d).sum() + (n - len(x)) * mean * mean)
                / (n - 1))
         g2[m] = mean / mu_sq
         stderr[m] = math.sqrt(var) / math.sqrt(n) / mu_sq

@@ -30,7 +30,7 @@ full form; short pulses and slow dephasing take the full form.  It solves
 its line-point pairs _CHUNK at a time: each pair's result depends on that
 pair alone, so any block size gives the same bits, and blocks small enough
 that their temporaries stay in a core's L2 cache run faster than one call
-on a PLE scan's block of up to 32,768 pairs, whose temporaries spill out
+on a PLE scan's block of up to 16,384 pairs, whose temporaries spill out
 of it.
 """
 

@@ -40,10 +40,10 @@ if TYPE_CHECKING:
 # beyond this many power-broadened half-widths an ion's tail is dropped
 CUTOFF_HALFWIDTHS = 30.0
 # candidate line-point pairs per block of a PLE scan: a block's peak holds
-# about 30 arrays of 8 bytes a pair, 7.8 MB at 32,768.  Blocks of 8,192 ran
-# slower, as glibc hands each block's freed temporaries back to the OS and
-# the next block faults them in again
-_PAIR_BLOCK = 32_768
+# about 30 arrays of 8 bytes a pair, 3.9 MB at 16,384.  The heap policy set
+# by cli.main keeps that much freed memory in the process, so the next
+# block reuses the pages instead of faulting them in again
+_PAIR_BLOCK = 16_384
 
 
 @dataclass(frozen=True)

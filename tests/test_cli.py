@@ -4,16 +4,18 @@ Everything runs main() in process, except where a child process must show
 what native code writes to the streams; bundles land in pytest tmp dirs.
 """
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from cavityspec import dynamics, experiments
+from cavityspec import cli, dynamics, experiments
 from cavityspec.cli import main
 from cavityspec.config import build_config
 from cavityspec.dynamics import intracavity_photon_number
@@ -759,3 +761,72 @@ def test_zeeman_series_with_unresolved_lines_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: splitting unresolved at B = 0.001 T\n"
     assert os.listdir(out) == []
+
+
+def test_heap_policy_is_a_silent_no_op_without_mallopt(monkeypatch, capsys):
+    """A C library with no mallopt is left alone; one that refuses every
+    parameter (returns 0) is asked once for each and nothing is raised."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert cli._set_heap_policy() is None
+    asked = []
+
+    def refusing(param, value):
+        asked.append(param)
+        return 0
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=refusing))
+    assert cli._set_heap_policy() is None
+    assert asked == [param for param, _ in cli._HEAP_POLICY]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_main_sets_the_heap_policy(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_set_heap_policy", lambda: calls.append(1))
+    assert main(["inspect", str(tmp_path)]) == 2
+    assert calls == [1]
+
+
+# one ensemble PLE run in a fresh interpreter, with glibc's default heap
+# policy (argv[1] "default") or the one main sets; prints the scan's
+# pulse_excitation calls, one a pair block, after the bundle's path
+_POLICY_CHILD = """\
+import sys
+from cavityspec import cli, experiments
+if sys.argv[1] == "default":
+    cli._set_heap_policy = lambda: None
+real, blocks = experiments.pulse_excitation, []
+def counted(*args):
+    blocks.append(1)
+    return real(*args)
+experiments.pulse_excitation = counted
+code = cli.main(sys.argv[2:])
+print(len(blocks))
+sys.exit(code)
+"""
+
+
+def test_heap_policy_keeps_a_multi_block_scan_byte_identical(tmp_path):
+    """The benchmark's ensemble scan (~94k line-point pairs, seven blocks)
+    writes the same manifest, so the same bytes, under either policy."""
+    cfg = _write_cfg(tmp_path, "experiment = ple\n\n[cavity]\n"
+                               "frequency = 195.1188 THz\n\n[ensemble]\n"
+                               "enabled = true\ndensity_per_m3 = 2.8e22\n"
+                               "site1_fraction = 0.5\n"
+                               "region = (2, 1, 0.15) um\n\n[scan]\n"
+                               "span = 20 GHz\nstep = 16 MHz\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    manifests = []
+    for policy in ("default", "set"):
+        out = str(tmp_path / policy)
+        proc = subprocess.run(
+            [sys.executable, "-c", _POLICY_CHILD, policy, "run", cfg,
+             "--seed", "7", "--output", out],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) >= 3
+        manifests.append(_bundle_files(
+            os.path.join(out, "ple-seed7"))["manifest.json"])
+    assert manifests[0] == manifests[1]
