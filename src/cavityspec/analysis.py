@@ -1,8 +1,9 @@
 """Model fitting and spectrum reduction.
 
 A small Levenberg-Marquardt engine drives a fixed set of models with
-analytic Jacobians, by weighted least squares or, for counts, Poisson
-likelihood, over one fit or a stack of independent fits at once.
+analytic Jacobians (one evaluation a point a round), by weighted least
+squares or, for counts, Poisson likelihood, over one fit or a stack of
+independent fits at once, returned as arrays (FitStack).
 On top of it sit the spectrum tools: a greedy matched-filter peak counter
 for dense scans and a density-envelope fit that extrapolates through
 masked windows.
@@ -14,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, FitError
 
@@ -46,19 +48,10 @@ class FitResult:
 
 
 def _columns(p):
-    """Parameters of shape (..., k) as k arrays of shape (..., 1).
-
-    Each broadcasts against x of shape (..., n), so a model evaluates a
-    single parameter vector on one row or a stack of them on a stack of rows.
-    """
+    """Parameters (..., k) as k columns (..., 1), which broadcast against x
+    (..., n): one parameter vector on one row, or a stack on a stack."""
     p = np.asarray(p, dtype=float)
     return [p[..., j, None] for j in range(p.shape[-1])]
-
-
-# the one reason an initial guess refuses a row: the exponential and
-# linear guesses fit a line against x, and no x of the row has a square
-# above zero
-_ZERO_X = "x is zero, or too small to square in double precision"
 
 
 def _lines(x, y, keep):
@@ -86,13 +79,28 @@ def _lines(x, y, keep):
     return slope_u / scale, y_mean - slope_u * u_mean, refused
 
 
+def _running_mean(y, k):
+    """The mean of every k consecutive points along the last axis of y: the
+    k shifted rows added in turn from the left, then to 0, as sum() does."""
+    shifted = sliding_window_view(y, k, axis=-1).transpose(2, 0, 1)
+    return (0 + np.add.reduce(shifted, axis=0)) / k
+
+
 class _Model:
     """A fit model whose fitted parameters are reported as they are.
 
-    initial_guess(x, y) starts every row of x and y, shape (rows, n), at
-    once: it returns (rows, k) parameters and which rows it refuses, and
-    each row's guess is the same, bit for bit, at any stack height.
+    evaluate(x, p) returns the model's values and its Jacobian, shape
+    (..., n, k), from shared subexpressions.  initial_guess(x, y) starts
+    every row of x and y, shape (rows, n), at once: it returns (rows, k)
+    parameters and which rows it refuses, and each row's guess is the
+    same, bit for bit, at any stack height.
     """
+
+    def __call__(self, x, p):
+        return self.evaluate(x, p)[0]
+
+    def jacobian(self, x, p):
+        return self.evaluate(x, p)[1]
 
     def canonical(self, p):
         return p
@@ -104,15 +112,11 @@ class ExponentialModel(_Model):
     name = "exponential"
     param_names = ("amplitude", "tau", "offset")
 
-    def __call__(self, x, p):
+    def evaluate(self, x, p):
         a, tau, c = _columns(p)
-        return a * np.exp(-x / tau) + c
-
-    def jacobian(self, x, p):
-        a, tau, _ = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / (tau * tau), np.ones_like(x)],
-                        axis=-1)
+        return a * e + c, np.stack([e, a * x * e / (tau * tau),
+                                    np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
         tail = max(1, y.shape[-1] // 10)
@@ -144,7 +148,7 @@ class _PeakModel(_Model):
         c0 = np.percentile(y, 10, axis=-1)
         k = max(1, y.shape[-1] // 50)  # smooth long rows: a spike wins no peak
         if k > 1:  # a centred running mean of k points; the edges read c0
-            run = sum(y[:, j:j + y.shape[-1] - k + 1] for j in range(k)) / k
+            run = _running_mean(y, k)
             y = np.repeat(c0[:, None], y.shape[-1], axis=-1)
             y[:, (k - 1) // 2:][:, :run.shape[-1]] = run
         i_pk = y.argmax(axis=-1)
@@ -175,21 +179,14 @@ class LorentzianModel(_PeakModel):
     name = "lorentzian"
     param_names = ("amplitude", "center", "width", "offset")
 
-    def __call__(self, x, p):
+    def evaluate(self, x, p):
         a, x0, w, c = _columns(p)
         u = 2.0 * (x - x0) / w
-        return a / (1.0 + u * u) + c
-
-    def jacobian(self, x, p):
-        a, x0, w, _ = _columns(p)
-        u = 2.0 * (x - x0) / w
-        den = (1.0 + u * u) ** 2
-        return np.stack([
-            1.0 / (1.0 + u * u),
-            4.0 * a * u / (w * den),
-            2.0 * a * u * u / (w * den),
-            np.ones_like(x),
-        ], axis=-1)
+        q = 1.0 + u * u
+        den = q * q
+        return a / q + c, np.stack([1.0 / q, 4.0 * a * u / (w * den),
+                                    2.0 * a * u * u / (w * den),
+                                    np.ones_like(x)], axis=-1)
 
 
 class GaussianModel(_PeakModel):
@@ -199,16 +196,13 @@ class GaussianModel(_PeakModel):
     param_names = ("amplitude", "center", "sigma", "offset")
     sigma = True
 
-    def __call__(self, x, p):
+    def evaluate(self, x, p):
         a, x0, s, c = _columns(p)
-        return a * np.exp(-((x - x0) ** 2) / (2.0 * s * s)) + c
-
-    def jacobian(self, x, p):
-        a, x0, s, _ = _columns(p)
         d = x - x0
         e = np.exp(-(d * d) / (2.0 * s * s))
-        return np.stack([e, a * e * d / (s * s), a * e * d * d / (s * s * s),
-                         np.ones_like(x)], axis=-1)
+        return a * e + c, np.stack([e, a * e * d / (s * s),
+                                    a * e * d * d / (s * s * s),
+                                    np.ones_like(x)], axis=-1)
 
 
 class LinearModel(_Model):
@@ -217,12 +211,9 @@ class LinearModel(_Model):
     name = "linear"
     param_names = ("slope", "intercept")
 
-    def __call__(self, x, p):
+    def evaluate(self, x, p):
         slope, intercept = _columns(p)
-        return slope * x + intercept
-
-    def jacobian(self, x, p):
-        return np.stack([x, np.ones_like(x)], axis=-1)
+        return slope * x + intercept, np.stack([x, np.ones_like(x)], axis=-1)
 
     def initial_guess(self, x, y):
         slope, intercept, refused = _lines(x, y, np.ones(x.shape, dtype=bool))
@@ -235,14 +226,10 @@ class BunchingModel(_Model):
     name = "bunching"
     param_names = ("amplitude", "switch_time")
 
-    def __call__(self, x, p):
-        a, tau = _columns(p)
-        return 1.0 + a * np.exp(-x / tau)
-
-    def jacobian(self, x, p):
+    def evaluate(self, x, p):
         a, tau = _columns(p)
         e = np.exp(-x / tau)
-        return np.stack([e, a * x * e / (tau * tau)], axis=-1)
+        return 1.0 + a * e, np.stack([e, a * x * e / (tau * tau)], axis=-1)
 
     def initial_guess(self, x, y):
         a0 = y[:, 0] - 1.0
@@ -266,6 +253,32 @@ MODELS = {m.name: m for m in (EXPONENTIAL, LORENTZIAN, GAUSSIAN, LINEAR,
                               BUNCHING)}
 
 
+@dataclass
+class FitStack:
+    """fit_models' outcome, one array entry per row.  A refused row has NaN
+    params, stderr and residual_norm, is not converged, ran no iteration,
+    and has its FitError in refusals."""
+
+    model: _Model
+    params: np.ndarray          # (rows, k)
+    stderr: np.ndarray          # (rows, k)
+    residual_norm: np.ndarray   # (rows,)
+    converged: np.ndarray       # (rows,) bool
+    n_iter: np.ndarray          # (rows,) int
+    refusals: dict[int, FitError]
+
+    def row(self, i: int) -> FitResult | FitError:
+        """Row i as fit_model reports it: its FitResult, or its FitError."""
+        if i in self.refusals:
+            return self.refusals[i]
+        names = self.model.param_names
+        return FitResult(self.model.name,
+                         dict(zip(names, self.params[i].tolist())),
+                         dict(zip(names, self.stderr[i].tolist())),
+                         float(self.residual_norm[i]), bool(self.converged[i]),
+                         int(self.n_iter[i]))
+
+
 def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
     """Damped least squares with analytic Jacobians.
 
@@ -276,26 +289,25 @@ def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
     objective by less than 1e-6 of its scale (_DEV_TOL).  This is
     fit_models on one row.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise FitError("x and y must be 1-d arrays of the same length")
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    (result,) = fit_models(model, x[None], y[None], w, poisson=poisson)
+    result = fit_models(model, x[None], y[None], w, poisson=poisson).row(0)
     if isinstance(result, FitError):
         raise result
     return result
 
 
-def fit_models(model, x, y, weights=None, *,
-               poisson=False) -> list[FitResult | FitError]:
+def fit_models(model, x, y, weights=None, *, poisson=False) -> FitStack:
     """fit_model on every row of 2-d x and y (and weights, which default to
-    1), run as one batched engine.
+    1), run as one batched engine that returns the stack as arrays.
 
     Rows are independent: each keeps its own parameters, objective, damping
     and counters, and its result equals fit_model on that row alone, bit
     for bit, whatever else is in the stack.  A row fit_model would refuse
-    comes back as that FitError in place of a FitResult.
+    has that FitError in refusals.  The model and its Jacobian are
+    evaluated once a point a round, and no per-row object is made.
 
     With poisson each row of y is a histogram of counts, and the fit
     minimises the Poisson deviance 2 sum[mu - y + y ln(y / mu)] (Baker &
@@ -305,11 +317,10 @@ def fit_models(model, x, y, weights=None, *,
     equations, and the stderr is the unscaled covariance, since the counts'
     variance is known.  residual_norm is then the deviance's square root.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2:
         raise FitError("x and y must be 2-d arrays of the same shape")
-    n_par = len(model.param_names)
+    n_rows, n_par = len(y), len(model.param_names)
     if poisson:
         if weights is not None:
             raise FitError("a Poisson fit weighs by the model: pass no weights")
@@ -323,121 +334,113 @@ def fit_models(model, x, y, weights=None, *,
         good_w = np.all(w > 0, axis=1) & np.all(np.isfinite(w), axis=1)
         refusal = "weights must be positive, finite, and match y"
     finite = np.all(np.isfinite(x), axis=1) & np.all(np.isfinite(y), axis=1)
-    results: list[FitResult | FitError | None] = [None] * len(y)
-    for i in range(len(y)):
-        if not finite[i]:
-            results[i] = FitError("fit input contains non-finite values")
-        elif x.shape[1] <= n_par:
-            results[i] = FitError(f"need more than {n_par} points to fit "
-                                  f"{model.name}")
-        elif not good_w[i]:
-            results[i] = FitError(refusal)
-    rows = np.array([i for i, r in enumerate(results) if r is None],
-                    dtype=np.intp)
+    short = x.shape[1] <= n_par
+    stack = FitStack(model, np.full((n_rows, n_par), np.nan),
+                     np.full((n_rows, n_par), np.nan), np.full(n_rows, np.nan),
+                     np.zeros(n_rows, dtype=bool), np.zeros(n_rows, dtype=int),
+                     {})
+    # a row's refusal is the first check it fails
+    for i in np.flatnonzero(~finite | short | ~good_w).tolist():
+        stack.refusals[i] = FitError(
+            "fit input contains non-finite values" if not finite[i] else
+            f"need more than {n_par} points to fit {model.name}" if short
+            else refusal)
+    rows = np.flatnonzero(finite & good_w & (not short))
     if not rows.size:
-        return results
+        return stack
     # guesses on extreme x and wild trial parameters may overflow; the
     # tests below discard any non-finite outcome, so no warning reaches
     # the caller
     with np.errstate(all="ignore"):
         p, refused = model.initial_guess(x[rows], y[rows])
-        for i in rows[refused]:
-            results[i] = FitError(f"initial guess failed: {_ZERO_X}")
+        for i in rows[refused].tolist():  # a line fit on x that squares to 0
+            stack.refusals[i] = FitError("initial guess failed: x is zero, or "
+                                         "too small to square in double "
+                                         "precision")
         rows, p = rows[~refused], p[~refused]
-        w = None if poisson else w[rows]
-        chi2 = _objective(model, x[rows], y[rows], w, p)
-        for i in rows[~np.isfinite(chi2)]:
-            results[i] = FitError("initial parameters give a non-finite "
-                                  "residual")
+        x, y, w = x[rows], y[rows], None if poisson else w[rows]
+        mu, jac = model.evaluate(x, p)
+        chi2 = _objective(y, w, mu)
         keep = np.isfinite(chi2)
-        rows, p, chi2 = rows[keep], p[keep], chi2[keep]
-        x, y = x[rows], y[rows]
+        for i in rows[~keep].tolist():
+            stack.refusals[i] = FitError("initial parameters give a "
+                                         "non-finite residual")
+        rows, x, y, p, chi2, mu, jac = (
+            a[keep] for a in (rows, x, y, p, chi2, mu, jac))
         w = None if poisson else w[keep]
-        p, chi2, converged, n_iter = _levenberg_marquardt(
-            model, x, y, w, p, chi2)
-        p = model.canonical(p)
-        stderr = _param_errors(model, x, y, w, p, chi2)
-    for j, i in enumerate(rows):
-        results[i] = FitResult(
-            model=model.name,
-            params=dict(zip(model.param_names, p[j].tolist())),
-            stderr=dict(zip(model.param_names, stderr[j].tolist())),
-            residual_norm=math.sqrt(chi2[j]),
-            converged=bool(converged[j]),
-            n_iter=int(n_iter[j]),
-        )
-    return results
+        p, chi2, stack.converged[rows], stack.n_iter[rows] = (
+            _levenberg_marquardt(model, x, y, w, p, chi2, mu, jac))
+        stack.params[rows] = p = model.canonical(p)
+        stack.stderr[rows] = _param_errors(model, x, y, w, p, chi2)
+        stack.residual_norm[rows] = np.sqrt(chi2)
+    return stack
 
 
-def _levenberg_marquardt(model, x, y, w, p, chi2):
-    """Damped Gauss-Newton on every row at once, from p with objective chi2
-    (w None: the Poisson deviance, with weights 1 / mu(p)).
+def _levenberg_marquardt(model, x, y, w, p, chi2, mu, jac):
+    """Damped Gauss-Newton on every row at once, from p with objective chi2,
+    model values mu and Jacobian jac (w None: the Poisson deviance, with
+    weights 1 / mu(p)).
 
     Each round, every live row tries one damped step.  A rejected step (or
     a singular damped matrix) multiplies that row's damping by 10, and 50
     rejects in a row end its fit.  An accepted step divides the damping by
     10 and starts the row's next iteration, with a new Hessian, unless the
     step met the convergence test or the row used up its iterations.
+    The model and its Jacobian are evaluated once a round at each trial
+    step, and a row that accepts its step builds its next Hessian from them.
     """
     n_rows, n_par = p.shape
     p_end, chi2_end = p.copy(), chi2.copy()
     p, chi2 = p.copy(), chi2.copy()
-    converged = np.zeros(n_rows, dtype=bool)
-    n_iter = np.ones(n_rows, dtype=int)
+    converged, n_iter = np.zeros(n_rows, dtype=bool), np.ones(n_rows, int)
     # the live rows' state; a row that finishes is written out and dropped
     rows = np.arange(n_rows)
-    lam = np.full(n_rows, 1e-3)
-    rejects = np.zeros(n_rows, dtype=int)
+    lam, rejects = np.full(n_rows, 1e-3), np.zeros(n_rows, dtype=int)
     its = n_iter.copy()
-    hess = np.empty((n_rows, n_par, n_par))
-    grad = np.empty((n_rows, n_par))
-    stale = np.ones(n_rows, dtype=bool)   # rows that moved since their Hessian
+    hess, grad = _normal_equations(mu, jac, y, w)
     while rows.size:
-        n_stale = np.count_nonzero(stale)
-        if n_stale:
-            sel = slice(None) if n_stale == rows.size else stale
-            xs, ps = x[sel], p[sel]
-            jac = model.jacobian(xs, ps)
-            mu = model(xs, ps)
-            jw = jac * (1.0 / mu if w is None else w[sel])[..., None]
-            hess[sel] = jac.mT @ jw
-            # an (n, 1) column keeps matmul on its matrix-vector routine
-            grad[sel] = (jw.mT @ (y[sel] - mu)[..., None])[..., 0]
         floor = np.maximum(hess.diagonal(axis1=1, axis2=2), 1e-300)
-        damping = np.zeros_like(hess)
-        damping.reshape(rows.size, -1)[:, ::n_par + 1] = floor
-        step, solved = _stacked(np.linalg.solve,
-                                hess + lam[:, None, None] * damping,
-                                grad[..., None])
+        # + 0.0, not copy(): a -0.0 entry reads 0.0, as under a damping sum
+        damped = hess + 0.0
+        damped.reshape(rows.size, -1)[:, ::n_par + 1] += lam[:, None] * floor
+        step, solved = _stacked(np.linalg.solve, damped, grad[..., None])
         step = step[..., 0]
         p_try = p + step
-        chi2_try = _objective(model, x, y, w, p_try)
-        accepted = solved & np.isfinite(chi2_try) & (chi2_try <= chi2)
+        mu, jac = model.evaluate(x, p_try)
+        chi2_try = _objective(y, w, mu)
+        # chi2 is finite, so a NaN or infinite chi2_try fails the test
+        accepted = solved & (chi2_try <= chi2)
         lam = np.where(accepted, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
         rejects = np.where(accepted, 0, rejects + 1)
         done = accepted
         if np.count_nonzero(accepted):
             rel = (np.abs(step) / np.maximum(np.abs(p_try), 1e-300)).max(axis=1)
-            # parameters sitting at zero: judge the step in residual units
-            scale = np.sqrt(floor)
+            # parameters sitting at zero: judge the step in residual units,
+            # by the dot products np.linalg.norm takes
+            v = np.sqrt(floor)[:, None] * np.stack([step, p_try], axis=1)
+            norm = np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
             done = accepted & ((rel < _REL_TOL) | (
-                _norm(scale * step) <= _REL_TOL * (_REL_TOL
-                                                   + _norm(scale * p_try))))
+                norm[:, 0] <= _REL_TOL * (_REL_TOL + norm[:, 1])))
             unit = 1.0 if w is None else chi2_try / (x.shape[1] - n_par)
             done |= accepted & (chi2 - chi2_try < _DEV_TOL * unit)
             np.copyto(p, p_try, where=accepted[:, None])
             np.copyto(chi2, chi2_try, where=accepted)
         out = done | (accepted & (its == _MAX_ITER)) | (rejects == _MAX_REJECTS)
-        stale = accepted & ~out
+        stale = accepted & ~out   # rows that go on from a new p
         its += stale
+        n_stale = np.count_nonzero(stale)
+        if n_stale:
+            sel = slice(None) if n_stale == rows.size else stale
+            hess[sel], grad[sel] = _normal_equations(
+                mu[sel], jac[sel], y[sel], None if w is None else w[sel])
         if np.count_nonzero(out):
             ended = rows[out]
             p_end[ended], chi2_end[ended] = p[out], chi2[out]
             converged[ended], n_iter[ended] = done[out], its[out]
             keep = ~out
-            rows, p, chi2, lam, rejects, its, stale = (
-                a[keep] for a in (rows, p, chi2, lam, rejects, its, stale))
-            hess, grad, x, y = (a[keep] for a in (hess, grad, x, y))
+            rows, p, chi2, lam, rejects, its, hess, grad, x, y = (
+                a[keep] for a in (rows, p, chi2, lam, rejects, its, hess,
+                                  grad, x, y))
             w = None if w is None else w[keep]
     return p_end, chi2_end, converged, n_iter
 
@@ -463,15 +466,17 @@ def _stacked(solver, *arrays):
     return out, ok
 
 
-def _norm(v):
-    """Euclidean norm of each row, by the dot product np.linalg.norm takes."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+def _normal_equations(mu, jac, y, w):
+    """Each row's Gauss-Newton Hessian and gradient from its model values
+    mu and Jacobian, by weights w or, with w None, 1 / mu."""
+    jw = jac * (1.0 / mu if w is None else w)[..., None]
+    # an (n, 1) column keeps matmul on its matrix-vector routine
+    return jac.mT @ jw, (jw.mT @ (y - mu)[..., None])[..., 0]
 
 
-def _objective(model, x, y, w, p):
-    """Weighted residual sum of squares of each row; with w None the
-    Poisson deviance, infinite where some model value is not positive."""
-    mu = model(x, p)
+def _objective(y, w, mu):
+    """Each row's weighted residual sum of squares at model values mu; with
+    w None the Poisson deviance, infinite where some mu is not positive."""
     if w is not None:
         r = y - mu
         return (w * r * r).sum(axis=-1)
@@ -484,8 +489,7 @@ def _param_errors(model, x, y, w, p, chi2):
     """Standard errors of each row, NaN where the Hessian is singular; a
     weighted fit's covariance is scaled by chi2 / dof, a Poisson fit's
     (w None) is not."""
-    jac = model.jacobian(x, p)
-    hess = jac.mT @ (jac * (1.0 / model(x, p) if w is None else w)[..., None])
+    hess, _ = _normal_equations(*model.evaluate(x, p), y, w)
     cov, _ = _stacked(np.linalg.inv, hess)
     var = np.diagonal(cov, axis1=1, axis2=2)
     if w is not None:
@@ -515,8 +519,7 @@ def count_peaks(x, y, width, noise_sigma) -> PeakList:
     closer than width/2 to an already-extracted one are not double counted:
     they are unresolved by construction.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be 1-d arrays of the same length")
     for name, value in (("width", width), ("noise_sigma", noise_sigma)):

@@ -413,19 +413,17 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
         mids = ((np.arange(n_bins) + 0.5)
                 * (gate[start:start + block, None] / n_bins))
         fits = fit_models(EXPONENTIAL, mids, hist, poisson=True)
-        for j, (k, fit) in enumerate(zip(order[start:start + block], fits)):
-            if isinstance(fit, FitError):
-                continue
-            tau = fit.params["tau"]
-            # a collapsed fit (tau ~ 0, a wild stderr) and one on a flat
-            # likelihood (a gamma its stderr reaches) are kept as NaN rows
-            with np.errstate(over="ignore"):
-                err = np.float64(fit.stderr["tau"]) / (np.float64(tau) * tau)
-            if (fit.converged and tau > mids[j, 1] - mids[j, 0]
-                    and err < 1.0 / tau):
-                gamma_fit[k] = 1.0 / tau
-                gamma_err[k] = float(err)
-                converged[k] = True
+        if not fits.converged.any():  # n_bins may leave no second bin
+            continue
+        # a refused (NaN) or collapsed fit (tau ~ 0, a wild stderr), and one
+        # on a flat likelihood (a gamma its stderr reaches), are NaN rows
+        tau = fits.params[:, 1]
+        with np.errstate(all="ignore"):
+            err = fits.stderr[:, 1] / (tau * tau)
+            ok = (fits.converged & (tau > mids[:, 1] - mids[:, 0])
+                  & (err < 1.0 / tau))
+        k = order[start:start + block][ok]
+        gamma_fit[k], gamma_err[k], converged[k] = 1.0 / tau[ok], err[ok], True
     purcell = gamma_fit / emitter.gamma0 - 1.0
     return CavitySweepResult(detuning_hz=detunings, gamma_fit=gamma_fit,
                              gamma_err=gamma_err,
@@ -630,9 +628,8 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
             counts.append(scan.counts[lo:lo + 31])
     x = np.array(windows)
     fits = fit_models(LORENTZIAN, x, np.array(counts), poisson=True)
-    centre, err = np.array([
-        (f.params["center"], f.stderr["center"]) if isinstance(f, FitResult)
-        and f.converged else (math.nan, math.nan) for f in fits]).T
+    centre, err = np.where(fits.converged, [fits.params[:, 1],
+                                            fits.stderr[:, 1]], np.nan)
     ok = (x[:, 0] <= centre) & (centre <= x[:, -1]) & (err > 0) & (err < np.inf)
     if not ok.all():
         raise FitError(f"line fit failed at B = {b_values[ok.argmin() // 2]} T")

@@ -270,6 +270,11 @@ def _reference_errors(model, x, y, w, p, chi2):
         return [math.nan] * len(p)
 
 
+def _rows(stack):
+    """Every row of a fit_models stack, as fit_model reports it."""
+    return [stack.row(i) for i in range(len(stack.params))]
+
+
 def _outcome(result):
     """Everything a fit reports, as text that tells every float bit apart
     (repr round-trips, keeps -0.0 and prints every NaN alike)."""
@@ -363,14 +368,14 @@ def _exits(result):
 def _check_stack(model, x, y, w):
     """Fit the stack, and each row alone, against the reference loop on
     that row; returns every exit the rows took."""
-    stacked = fit_models(model, x, y, w)
+    stacked = _rows(fit_models(model, x, y, w))
     seen = set()
     for i in range(len(x)):
         reference = _reference(model, x[i], y[i], None if w is None else w[i])
         expected = _outcome(reference)
         assert _outcome(stacked[i]) == expected, f"row {i}"
         alone = fit_models(model, x[i:i + 1], y[i:i + 1],
-                           None if w is None else w[i:i + 1])[0]
+                           None if w is None else w[i:i + 1]).row(0)
         assert _outcome(alone) == expected, f"row {i} alone"
         seen |= _exits(reference)
     return seen
@@ -469,7 +474,8 @@ def test_singular_solves_count_as_rejects(model):
 def test_fit_model_is_the_one_row_call():
     x, y = _row(LORENTZIAN, "signal", 40, 5)
     fit = fit_model(LORENTZIAN, x, y, weights=np.full(40, 2.0))
-    (row,) = fit_models(LORENTZIAN, x[None], y[None], np.full((1, 40), 2.0))
+    (row,) = _rows(fit_models(LORENTZIAN, x[None], y[None],
+                              np.full((1, 40), 2.0)))
     assert _outcome(fit) == _outcome(row)
     with pytest.raises(FitError, match="non-finite residual"):
         fit_model(LORENTZIAN, *_row(LORENTZIAN, "huge", 40, 5))
@@ -487,14 +493,45 @@ def test_fit_model_is_the_one_row_call():
     assert np.array_equal(out[2], np.full((3, 1), 0.5))
 
 
+def test_fit_stack_keeps_refused_rows_as_nan():
+    """A refused row of the stack is NaN, unconverged after no iteration,
+    with its FitError in refusals, between fitted rows that read as their
+    fit_model; a stack refused in every row still has every array."""
+    kinds = ["nan", "signal", "zero", "huge", "signal", "flat"]
+    x, y = map(np.array, zip(*(_row(EXPONENTIAL, kind, 24, seed)
+                               for seed, kind in enumerate(kinds))))
+    stack = fit_models(EXPONENTIAL, x, y)
+    assert sorted(stack.refusals) == [0, 2, 3]
+    for i in range(len(kinds)):
+        if i in stack.refusals:
+            assert np.isnan(stack.params[i]).all()
+            assert np.isnan(stack.stderr[i]).all()
+            assert np.isnan(stack.residual_norm[i])
+            assert not stack.converged[i] and stack.n_iter[i] == 0
+            with pytest.raises(FitError, match=str(stack.refusals[i])):
+                fit_model(EXPONENTIAL, x[i], y[i])
+        else:
+            assert _outcome(stack.row(i)) == _outcome(
+                fit_model(EXPONENTIAL, x[i], y[i]))
+    x, y = x[:, :3].copy(), y[:, :3].copy()
+    y[0, 1] = np.nan
+    short = fit_models(EXPONENTIAL, x, y)
+    assert short.params.shape == (6, 3) and short.stderr.shape == (6, 3)
+    assert np.isnan(short.params).all() and np.isnan(short.residual_norm).all()
+    assert not short.converged.any() and not short.n_iter.any()
+    assert [str(short.row(i)) for i in range(6)] == (
+        ["fit input contains non-finite values"]
+        + ["need more than 3 points to fit exponential"] * 5)
+
+
 @pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
 def test_no_weights_are_unit_weights(model):
     """A fit given no weights is the fit given np.ones_like(y), bit for
     bit, on every row kind: no statistic is chosen behind the caller."""
     x, y = map(np.array, zip(*(_row(model, kind, 24, seed)
                                for seed, kind in enumerate(ROW_KINDS))))
-    plain = fit_models(model, x, y)
-    unit = fit_models(model, x, y, np.ones_like(y))
+    plain = _rows(fit_models(model, x, y))
+    unit = _rows(fit_models(model, x, y, np.ones_like(y)))
     assert [_outcome(f) for f in plain] == [_outcome(f) for f in unit]
 
 
@@ -523,6 +560,105 @@ def test_parameter_powers_round_as_float64_scalars():
             else:
                 e = np.exp(-x / t)
                 assert np.array_equal(row[:, 1], 2.0 * x * e / (t * t))
+
+
+# -- one evaluation a point: the fused model against the formulas it joined ---
+
+def _separate_formulas(model, x, p):
+    """Each model's value and Jacobian as two expressions that share no
+    subexpression: the oracle for evaluate's shared ones."""
+    cols = [p[..., j, None] for j in range(p.shape[-1])]
+    ones = np.ones_like(x)
+    if model is EXPONENTIAL:
+        a, tau, c = cols
+        e = np.exp(-x / tau)
+        return (a * np.exp(-x / tau) + c,
+                np.stack([e, a * x * e / (tau * tau), ones], axis=-1))
+    if model is LORENTZIAN:
+        a, x0, w, c = cols
+        u = 2.0 * (x - x0) / w
+        den = (1.0 + u * u) ** 2
+        return a / (1.0 + u * u) + c, np.stack([
+            1.0 / (1.0 + u * u), 4.0 * a * u / (w * den),
+            2.0 * a * u * u / (w * den), ones], axis=-1)
+    if model is GAUSSIAN:
+        a, x0, s, c = cols
+        d = x - x0
+        e = np.exp(-(d * d) / (2.0 * s * s))
+        return (a * np.exp(-((x - x0) ** 2) / (2.0 * s * s)) + c,
+                np.stack([e, a * e * d / (s * s), a * e * d * d / (s * s * s),
+                          ones], axis=-1))
+    if model is LINEAR:
+        slope, intercept = cols
+        return slope * x + intercept, np.stack([x, ones], axis=-1)
+    a, tau = cols
+    e = np.exp(-x / tau)
+    return (1.0 + a * np.exp(-x / tau),
+            np.stack([e, a * x * e / (tau * tau)], axis=-1))
+
+
+def _bits(a):
+    """a's bytes with every NaN made one NaN: which NaN an operation on two
+    returns (its sign bit) varies with numpy's loop, and no fit reads it."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+_EXTREME = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e300]))
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
+@given(data=st.data())
+def test_evaluate_is_the_model_and_its_jacobian(model, data):
+    """evaluate's values are model(x, p) and its Jacobian model.jacobian(x,
+    p), bit for bit, and both are the separate formulas they replaced, on
+    one row and on each row of a stack, at any x and p (a stack's row and
+    the one-row call may differ in a NaN's sign)."""
+    k = len(model.param_names)
+    rows = data.draw(st.integers(1, 3), label="rows")
+    n = data.draw(st.integers(1, 12), label="n")
+    x = np.array(data.draw(st.lists(_EXTREME, min_size=rows * n,
+                                    max_size=rows * n), label="x"))
+    p = np.array(data.draw(st.lists(_EXTREME, min_size=rows * k,
+                                    max_size=rows * k), label="p"))
+    x, p = x.reshape(rows, n), p.reshape(rows, k)
+    with np.errstate(all="ignore"):
+        value, jac = model.evaluate(x, p)
+        assert value.tobytes() == model(x, p).tobytes()
+        assert jac.tobytes() == model.jacobian(x, p).tobytes()
+        want_value, want_jac = _separate_formulas(model, x, p)
+        assert value.tobytes() == want_value.tobytes()
+        assert jac.tobytes() == want_jac.tobytes()
+        for i in range(rows):
+            one_value, one_jac = model.evaluate(x[i], p[i])
+            assert _bits(one_value) == _bits(value[i]), f"row {i}"
+            assert _bits(one_jac) == _bits(jac[i]), f"row {i}"
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@given(data=st.data())
+def test_running_mean_adds_as_the_sum_of_shifted_rows(data):
+    """The peak guess's running mean of k points equals Python's sum of the
+    k shifted rows, divided by k, bit for bit: a window of -0.0 reads 0.0
+    as sum's start 0 makes it, and infinities and NaN land alike.  Only
+    where two NaN of opposite sign meet, which needs a non-finite y that
+    fit_models refuses before the guess, may the NaN's sign differ."""
+    rows = data.draw(st.integers(1, 3), label="rows")
+    n = data.draw(st.integers(1, 200), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    values = st.one_of(_SPECIAL, st.floats(-1e300, 1e300),
+                       st.just(-0.0), st.just(-0.0))
+    y = np.array(data.draw(st.lists(values, min_size=rows * n,
+                                    max_size=rows * n), label="y"))
+    y = y.reshape(rows, n)
+    with np.errstate(all="ignore"):
+        want = sum(y[:, j:j + n - k + 1] for j in range(k)) / k
+        got = analysis._running_mean(y, k)
+    assert _bits(got) == _bits(want)
+    if np.isfinite(y).all():
+        assert got.tobytes() == want.tobytes()
 
 
 # -- the stacked initial guesses against the one-row code they replaced -------
@@ -682,7 +818,7 @@ def test_poisson_fit_pulls_at_low_counts():
     rng = np.random.default_rng(5)
     x = np.tile(np.linspace(0.0, 5.0, 30), (POISSON_FITS, 1))
     y = rng.poisson(EXPONENTIAL(x, np.array([20.0, 1.0, 0.5]))).astype(float)
-    fits = fit_models(EXPONENTIAL, x, y, poisson=True)
+    fits = _rows(fit_models(EXPONENTIAL, x, y, poisson=True))
     assert all(f.converged for f in fits)
     z = np.array([(f.params["tau"] - 1.0) / f.stderr["tau"] for f in fits])
     assert abs(z.mean()) <= 4.0 / math.sqrt(POISSON_FITS), z.mean()
@@ -697,9 +833,10 @@ def test_poisson_fit_rows_fit_alone():
     y = rng.poisson(EXPONENTIAL(x, np.array([30.0, 1.2, 0.0]))).astype(float)
     y[2, 5] = -1.0
     y[4] = 0.0  # every model value heads for the boundary mu > 0
-    stacked = fit_models(EXPONENTIAL, x, y, poisson=True)
+    stacked = _rows(fit_models(EXPONENTIAL, x, y, poisson=True))
     for i in range(len(x)):
-        alone = fit_models(EXPONENTIAL, x[i:i + 1], y[i:i + 1], poisson=True)
+        alone = _rows(fit_models(EXPONENTIAL, x[i:i + 1], y[i:i + 1],
+                                 poisson=True))
         assert _outcome(stacked[i]) == _outcome(alone[0]), f"row {i}"
     assert "must not be negative" in str(stacked[2])
     assert sum(isinstance(f, FitResult) for f in stacked) == 5

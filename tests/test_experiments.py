@@ -592,6 +592,11 @@ def test_sweep_with_too_few_bins_keeps_nan_rows():
     assert np.all(np.isnan(res.gamma_fit)) and np.all(np.isnan(res.gamma_err))
     assert np.all(np.isnan(res.purcell_fit)) and not np.any(res.converged)
     assert np.all(np.isfinite(res.gamma_expected))
+    # one bin, drawn directly or clicked: no second bin is read
+    for dead_time in (0.0, 50e-9):
+        args, kwargs = _default_sweep(0, n_bins=1, dead_time=dead_time)
+        res = run_cavity_sweep(*args, **kwargs)
+        assert np.all(np.isnan(res.gamma_fit)) and not np.any(res.converged)
 
 
 def test_saturation_series_plateau_and_contrast():
@@ -715,16 +720,16 @@ def test_a_failed_zeeman_window_fails_its_field(monkeypatch, defect):
     real = experiments.fit_models
 
     def fit_models(model, x, y, **kwargs):
+        if defect == "refused":  # a Poisson fit refuses a negative count
+            y = y.copy()
+            y[3, 0] = -1.0
         fits = real(model, x, y, **kwargs)
-        fit = fits[3]
-        if defect == "refused":
-            fits[3] = FitError("initial parameters give a non-finite residual")
-        elif defect == "unconverged":
-            fit.converged = False
+        if defect == "unconverged":
+            fits.converged[3] = False
         elif defect == "outside":
-            fit.params["center"] = x[3, -1] + 1.0
-        else:
-            fit.stderr["center"] = math.nan if defect == "nan_stderr" else 0.0
+            fits.params[3, 1] = x[3, -1] + 1.0
+        elif defect != "refused":
+            fits.stderr[3, 1] = math.nan if defect == "nan_stderr" else 0.0
         return fits
 
     monkeypatch.setattr(experiments, "fit_models", fit_models)
