@@ -98,9 +98,9 @@ SCALE = {
         "dead_time = 50 ns\ndark_rate = 2 kHz\n",
     "saturation @ 200,000 powers": "experiment = saturation\n[saturation]\n"
         "n_points = 200000\n",
-    # from 2 mT: at defaults the lines split by 1.9 FWHM at 1 mT, inside one
-    # fit window, so that field is refused as unresolved; before it was, its
-    # splitting read 0.00-3.35x the predicted over seeds 0-19, which is noise
+    # from 2 mT, as this row has always run: the doublet fit also measures
+    # 1 mT (lines 1.9 FWHM apart), and refuses fields split by less than
+    # 1.5 FWHM, such as 0 mT
     "zeeman @ 100 fields, 2-101 mT": "experiment = zeeman\n[zeeman]\nfields = "
         + ", ".join(f"{b} mT" for b in range(2, 102)) + "\n",
     "spin_t1 @ 600,001 temperatures": "experiment = spin_t1\n[spin_t1]\n"

@@ -243,6 +243,35 @@ class BunchingModel(_Model):
         return p, np.zeros(len(y), dtype=bool)
 
 
+class DoubletModel(_Model):
+    """amp_lo / (1 + u_lo^2) + amp_hi / (1 + u_hi^2) + offset, with
+    u = 2 (x - mid -+ split / 2) / width: two Lorentzians that share their
+    width and offset.  Not in MODELS: every row starts at start, the
+    caller's guess, and its parameters are reported as fitted."""
+
+    name = "doublet"
+    param_names = ("amp_lo", "amp_hi", "mid", "split", "width", "offset")
+
+    def __init__(self, start):
+        self.start = np.asarray(start, dtype=float)
+
+    def evaluate(self, x, p):
+        a_lo, a_hi, mid, split, w, c = _columns(p)
+        lo, j_lo = LORENTZIAN.evaluate(  # the lower line carries the offset
+            x, np.concatenate([a_lo, mid - split / 2.0, w, c], axis=-1))
+        hi, j_hi = LORENTZIAN.evaluate(
+            x, np.concatenate([a_hi, mid + split / 2.0, w, 0.0 * c], axis=-1))
+        d_lo, d_hi = j_lo[..., 1], j_hi[..., 1]  # by each line's centre
+        return lo + hi, np.stack([j_lo[..., 0], j_hi[..., 0], d_lo + d_hi,
+                                  (d_hi - d_lo) / 2.0,
+                                  j_lo[..., 2] + j_hi[..., 2], j_lo[..., 3]],
+                                 axis=-1)
+
+    def initial_guess(self, x, y):
+        return (np.repeat(self.start[None], len(y), axis=0),
+                np.zeros(len(y), dtype=bool))
+
+
 EXPONENTIAL = ExponentialModel()
 LORENTZIAN = LorentzianModel()
 GAUSSIAN = GaussianModel()

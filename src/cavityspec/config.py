@@ -114,17 +114,17 @@ def _scalar_with_unit(text: str, kind: Kind, where: str) -> float:
     return _number(parts[0], where) * _unit_factor(parts[1], kind, where)
 
 
-def _vector_with_unit(text: str, kind: Kind, where: str) -> tuple[float, ...]:
+def _tuple_with_unit(text: str, form: str, kind: Kind,
+                     where: str) -> tuple[float, ...]:
+    """'(a, b, ...) <unit>' with as many components as form, the expected
+    syntax '(x, y, z)' or '(lo, hi)', each scaled by the kind's unit."""
     body = text.strip()
-    if not body.startswith("("):
-        raise _fail(where, f"expected '(x, y, z) <unit>', got {text!r}")
     close = body.find(")")
-    if close < 0:
-        raise _fail(where, "unterminated '(' in vector value")
     comps = [c.strip() for c in body[1:close].split(",")]
     unit = body[close + 1:].strip()
-    if len(comps) != 3 or not unit:
-        raise _fail(where, f"expected '(x, y, z) <unit>', got {text!r}")
+    if (not body.startswith("(") or close < 0 or not unit
+            or len(comps) != form.count(",") + 1):
+        raise _fail(where, f"expected '{form} <unit>', got {text!r}")
     factor = _unit_factor(unit, kind, where)
     return tuple(_number(c, where) * factor for c in comps)
 
@@ -135,15 +135,7 @@ def _intervals(text: str, where: str) -> tuple[tuple[float, float], ...]:
     out = []
     for chunk in text.split(";"):
         body = chunk.strip()
-        close = body.find(")")
-        if not body.startswith("(") or close < 0:
-            raise _fail(where, f"expected '(lo, hi) <unit>', got {body!r}")
-        comps = [c.strip() for c in body[1:close].split(",")]
-        unit = body[close + 1:].strip()
-        if len(comps) != 2 or not unit:
-            raise _fail(where, f"expected '(lo, hi) <unit>', got {body!r}")
-        factor = _unit_factor(unit, Kind.FREQ, where)
-        lo, hi = (_number(c, where) * factor for c in comps)
+        lo, hi = _tuple_with_unit(body, "(lo, hi)", Kind.FREQ, where)
         if not lo < hi:
             raise _fail(where, f"interval bounds must satisfy lo < hi, got {body!r}")
         out.append((lo, hi))
@@ -187,7 +179,7 @@ def parse_value(text: str, kind: Kind, where: str):
             raise _fail(where, f"takes a bare number (no unit), got {text!r}")
         return _number(text, where)
     if kind in (Kind.VEC_LENGTH, Kind.VEC_BFIELD):
-        return _vector_with_unit(text, kind, where)
+        return _tuple_with_unit(text, "(x, y, z)", kind, where)
     if kind is Kind.BFIELD_LIST:
         return tuple(_scalar_with_unit(c.strip(), Kind.BFIELD, where)
                      for c in text.split(",") if c.strip())

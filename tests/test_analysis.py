@@ -18,6 +18,7 @@ from cavityspec.analysis import (
     LINEAR,
     LORENTZIAN,
     MODELS,
+    DoubletModel,
     FitResult,
     PeakList,
     count_peaks,
@@ -46,6 +47,8 @@ def _fd_jacobian(model, x, p):
     (GAUSSIAN, np.linspace(-10.0, 10.0, 81), np.array([4.0, -0.7, 1.8, 0.2])),
     (LINEAR, np.linspace(-3.0, 3.0, 21), np.array([2.0, -1.0])),
     (BUNCHING, np.linspace(1e-4, 1e-3, 10), np.array([2.3, 5e-4])),
+    (DoubletModel(np.zeros(6)), np.linspace(-10.0, 10.0, 81),
+     np.array([5.0, 3.0, 0.4, 4.0, 2.5, 0.3])),
 ], ids=lambda v: getattr(v, "name", ""))
 def test_jacobians_match_finite_differences(model, x, p):
     analytic = model.jacobian(x, p)
@@ -85,6 +88,17 @@ def test_lorentzian_fit_recovers_exact_parameters():
     for name, value in zip(LORENTZIAN.param_names, true):
         assert result.params[name] == pytest.approx(value, rel=1e-6)
     assert result.params["width"] > 0
+
+
+def test_doublet_fit_recovers_exact_parameters():
+    # two lines 1.2 widths apart, started from where they merge to one
+    x = np.linspace(-20.0, 20.0, 241)
+    true = np.array([40.0, 25.0, 0.7, 3.0, 2.5, 5.0])
+    model = DoubletModel([30.0, 30.0, 0.0, 1.5, 3.0, 4.0])
+    fit = fit_model(model, x, model(x, true), poisson=True)
+    assert fit.converged
+    got = np.array([fit.params[k] for k in model.param_names])
+    np.testing.assert_allclose(got, true, rtol=1e-6)
 
 
 def test_gaussian_fit_with_noise():

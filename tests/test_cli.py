@@ -751,16 +751,26 @@ def test_fit_on_a_zero_x_column_prints_one_error_line(tmp_path, model, x):
 
 
 def test_zeeman_series_with_unresolved_lines_exits_1(tmp_path):
-    """At 1 mT the two lines sit 1.9 FWHM apart, inside one fit window, so
-    the series refuses that field: exit 1, one error line naming it, and
-    no numpy warning or traceback where the user sees the streams."""
+    """At 0 mT the default 1 G offset splits the lines by 0.17 FWHM, below
+    the doublet fit's 1.5 FWHM floor, so the series refuses that field:
+    exit 1, one error line naming it, and no numpy warning or traceback
+    where the user sees the streams."""
     cfg = _write_cfg(tmp_path, "experiment = zeeman\n\n[zeeman]\n"
-                               "fields = 1 mT, 2 mT, 3 mT\n")
+                               "fields = 0 mT, 2 mT, 4 mT\n")
     out = tmp_path / "o"
     proc = _cli_in_child("run", cfg, "--seed", "7", "--output", str(out))
     assert proc.returncode == 1
-    assert proc.stderr == "error: splitting unresolved at B = 0.001 T\n"
+    assert proc.stderr == "error: splitting unresolved at B = 0.0 T\n"
     assert os.listdir(out) == []
+
+
+def test_zeeman_series_from_1_mT_writes_a_bundle(tmp_path):
+    # at 1 mT the lines sit 1.9 FWHM apart, which one doublet fit resolves
+    cfg = _write_cfg(tmp_path, "experiment = zeeman\n\n[zeeman]\n"
+                               "fields = 1 mT, 2 mT, 3 mT\n")
+    out = str(tmp_path / "o")
+    assert main(["run", cfg, "--seed", "7", "--output", out]) == 0
+    assert main(["inspect", os.path.join(out, "zeeman-seed7")]) == 0
 
 
 def test_heap_policy_is_a_silent_no_op_without_mallopt(monkeypatch, capsys):

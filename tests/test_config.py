@@ -157,6 +157,28 @@ def test_out_of_range_integer_exits_2_naming_key(tmp_path, capsys, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section,name,value,form", [
+    ("zeeman", "b_offset", "1, 0, 0 G", "(x, y, z)"),
+    ("zeeman", "b_offset", "(1, 0, 0 G", "(x, y, z)"),
+    ("zeeman", "b_offset", "(1, 0) G", "(x, y, z)"),
+    ("ensemble", "region", "(2, 1, 0.15)", "(x, y, z)"),
+    ("scan", "mask", "(-1, 1) MHz; (2, 3, 4) MHz", "(lo, hi)"),
+    ("scan", "mask", "(-1, 1 MHz", "(lo, hi)"),
+    ("scan", "mask", "(-1, 1)", "(lo, hi)"),
+])
+def test_malformed_tuple_exits_2_naming_key(tmp_path, capsys, section, name,
+                                            value, form):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"experiment = ple\n[{section}]\n{name} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {name}: expected '{form} "
+                          "<unit>', got ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,flags,where", [
     ("experiment = ple\n[scan]\nspan = 1 THz\nstep = 1 Hz\n", [],
      "[scan] step"),

@@ -677,18 +677,19 @@ def test_runners_share_one_click_model():
     assert _same_bits(sweep.gamma_expected[1], gamma[1])
 
 
+# long excite pulse so the population settles before the gate opens
+ZEEMAN_SEQ = PulseSequence(input_power=_power_for_s(3.0, 321.0),
+                           excite_duration=30e-6, rep_period=200e-6)
+ZEEMAN_DET = DetectorConfig(eta_total=0.04, dark_rate=100.0,
+                            gate_start=30e-6, gate_duration=82e-6)
+
+
 def test_zeeman_series_recovers_slope_and_offset():
-    ion = _ion()
-    # long excite pulse so the population settles before the gate opens
-    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
-                        excite_duration=30e-6, rep_period=200e-6)
-    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
-                         gate_start=30e-6, gate_duration=82e-6)
     b_values = np.array([2e-3, 4e-3, 6e-3, 8e-3, 10e-3])
     # at 80,000 pulses a point the intercept's stderr (~0.4 MHz) sits well
     # inside the window; at 8,000 (~1 MHz) half of all seeds fail it
-    res = run_zeeman_series(ion, CAV, EMITTER, seq, det, b_values,
-                            seed=31, pulses_per_point=80000)
+    res = run_zeeman_series(_ion(), CAV, EMITTER, ZEEMAN_SEQ, ZEEMAN_DET,
+                            b_values, seed=31, pulses_per_point=80000)
     assert np.allclose(res.splittings, res.predicted, rtol=0.05)
     slope = res.slope_fit.params["slope"]
     expect = zeeman_splitting(ZeemanConfig(b_applied=(1.0, 0.0, 0.0),
@@ -699,47 +700,59 @@ def test_zeeman_series_recovers_slope_and_offset():
 
 
 @pytest.mark.parametrize("seed", [6, 39, 43, 47])
-def test_zeeman_line_centres_stay_in_their_windows(seed):
+def test_zeeman_splittings_stay_near_predicted_at_8000_pulses(seed):
     # at 8,000 pulses a point these seeds once wrote splittings 16.7x,
     # 4.7x, 5.9e18x and 2.7e8x the predicted: Neyman weights on
-    # background-subtracted counts, and centres used outside their windows
-    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
-                        excite_duration=30e-6, rep_period=200e-6)
-    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
-                         gate_start=30e-6, gate_duration=82e-6)
-    res = run_zeeman_series(_ion(), CAV, EMITTER, seq, det,
+    # background-subtracted counts, and line centres used far outside the
+    # points they were fitted to
+    res = run_zeeman_series(_ion(), CAV, EMITTER, ZEEMAN_SEQ, ZEEMAN_DET,
                             np.array([2e-3, 4e-3, 6e-3, 8e-3, 10e-3]),
                             seed=seed, pulses_per_point=8000)
     assert np.allclose(res.splittings, res.predicted, rtol=0.05)
 
 
 @pytest.mark.parametrize("defect", ["refused", "unconverged", "outside",
-                                    "nan_stderr", "zero_stderr"])
+                                    "nan_stderr", "zero_stderr", "one_peak",
+                                    "narrow"])
 def test_a_failed_zeeman_window_fails_its_field(monkeypatch, defect):
-    # the fourth window is the second field's upper line
-    real = experiments.fit_models
+    # the second field's peaks or doublet fit are spoiled
+    real_fit, real_peaks = experiments.fit_model, experiments.count_peaks
+    fwhm = expected_linewidth(_ion(), CAV, EMITTER, ZEEMAN_SEQ)
+    fits, peaks = [], []
 
-    def fit_models(model, x, y, **kwargs):
-        if defect == "refused":  # a Poisson fit refuses a negative count
-            y = y.copy()
-            y[3, 0] = -1.0
-        fits = real(model, x, y, **kwargs)
-        if defect == "unconverged":
-            fits.converged[3] = False
-        elif defect == "outside":
-            fits.params[3, 1] = x[3, -1] + 1.0
-        elif defect != "refused":
-            fits.stderr[3, 1] = math.nan if defect == "nan_stderr" else 0.0
-        return fits
+    def fit_model(model, x, y, weights=None, **kwargs):
+        fits.append(model)
+        if len(fits) == 2 and defect == "refused":
+            y = y.copy()  # a Poisson fit refuses a negative count
+            y[0] = -1.0
+        fit = real_fit(model, x, y, weights, **kwargs)
+        if len(fits) == 2:
+            if defect == "unconverged":
+                fit.converged = False
+            elif defect == "outside":
+                fit.params["mid"] = x[-1] + 1.0
+            elif defect == "narrow":
+                fit.params["split"] = 1.49 * fwhm
+            elif defect.endswith("stderr"):
+                fit.stderr["split"] = (math.nan if defect == "nan_stderr"
+                                       else 0.0)
+        return fit
 
-    monkeypatch.setattr(experiments, "fit_models", fit_models)
-    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
-                        excite_duration=30e-6, rep_period=200e-6)
-    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
-                         gate_start=30e-6, gate_duration=82e-6)
-    with pytest.raises(FitError, match=r"^line fit failed at B = 0\.006 T$"):
-        run_zeeman_series(_ion(), CAV, EMITTER, seq, det, [2e-3, 6e-3, 10e-3],
-                          seed=31, pulses_per_point=8000)
+    def count_peaks(*args, **kwargs):
+        peaks.append(real_peaks(*args, **kwargs))
+        if len(peaks) == 2 and defect == "one_peak":
+            return replace(peaks[-1], centers=peaks[-1].centers[:1],
+                           amplitudes=peaks[-1].amplitudes[:1])
+        return peaks[-1]
+
+    monkeypatch.setattr(experiments, "fit_model", fit_model)
+    monkeypatch.setattr(experiments, "count_peaks", count_peaks)
+    kind = ("splitting unresolved" if defect in ("one_peak", "narrow")
+            else "line fit failed")
+    with pytest.raises(FitError, match=rf"^{kind} at B = 0\.006 T$"):
+        run_zeeman_series(_ion(), CAV, EMITTER, ZEEMAN_SEQ, ZEEMAN_DET,
+                          [2e-3, 6e-3, 10e-3], seed=31, pulses_per_point=8000)
+    assert len(peaks) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
@@ -754,12 +767,8 @@ def test_zeeman_fields_draw_in_turn_from_one_stream(monkeypatch, seed):
         return run_ple_scan(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_ple_scan", scan)
-    seq = PulseSequence(input_power=_power_for_s(3.0, 321.0),
-                        excite_duration=30e-6, rep_period=200e-6)
-    det = DetectorConfig(eta_total=0.04, dark_rate=100.0,
-                         gate_start=30e-6, gate_duration=82e-6)
-    run_zeeman_series(_ion(), CAV, EMITTER, seq, det, [2e-3, 6e-3, 10e-3],
-                      seed=seed, pulses_per_point=8000)
+    run_zeeman_series(_ion(), CAV, EMITTER, ZEEMAN_SEQ, ZEEMAN_DET,
+                      [2e-3, 6e-3, 10e-3], seed=seed, pulses_per_point=8000)
     assert len(rngs) == 3 and all(rng is rngs[0] for rng in rngs)
     assert states[0] == np.random.default_rng(seed).bit_generator.state
     assert states[0] != states[1] != states[2]

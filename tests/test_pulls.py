@@ -14,19 +14,25 @@ runs of run_g2, with the same bounds at N = G2_RUNS = 300: |mean z| <=
 
 The lifetime pull (test_lifetime_tau_pulls) and the cavity sweep's test
 the mean, and report the variance in their docstrings.
+
+The Zeeman pulls take the series' slope and intercept against the line
+through its predicted splittings, over ZEEMAN_RUNS series, with the same
+bounds at N = ZEEMAN_RUNS = 200.
 """
 
 import numpy as np
 import pytest
 
+from cavityspec import experiments
+from cavityspec.analysis import LINEAR, fit_model
 from cavityspec.config import build_config
 from cavityspec.detection import BlinkConfig
 from cavityspec.experiments import (PulseSequence, expected_linewidth,
                                     fit_lifetime, run_cavity_sweep, run_g2,
                                     run_lifetime, run_ple_scan,
-                                    run_saturation_series)
-from test_experiments import (CAV, EMITTER, F0, STD_DET, _ion, _ions,
-                              _power_for_s)
+                                    run_saturation_series, run_zeeman_series)
+from test_experiments import (CAV, EMITTER, F0, STD_DET, ZEEMAN_DET,
+                              ZEEMAN_SEQ, _ion, _ions, _power_for_s)
 
 PULSES = 400
 SEQ = PulseSequence(input_power=_power_for_s(2.0, 321.0))
@@ -156,3 +162,38 @@ def test_lifetime_tau_pulls():
         assert fit.converged
         z[seed] = (fit.params["tau"] - 1.0 / res.gamma) / fit.stderr["tau"]
     assert abs(z.mean()) <= 4.0 / np.sqrt(LIFETIME_RUNS), z.mean()
+
+
+ZEEMAN_RUNS = 200
+
+
+def test_zeeman_slope_and_intercept_pulls(monkeypatch):
+    """run_zeeman_series' slope and intercept against the line fitted
+    through its predicted splittings by the same 1 / sigma^2 weights, over
+    ZEEMAN_RUNS series of 2-10 mT at 80,000 pulses a point (the
+    configuration of test_zeeman_series_recovers_slope_and_offset):
+    z = (fit - line) / stderr, with the stderr's chi^2 / dof scaling
+    removed, is N(0, 1) (Demortier & Lyons, CDF/ANAL/PUBLIC 5776, 2002).
+    For each of the two, |mean z| <= 4 / sqrt(200) = 0.283 and
+    |var z - 1| <= 5 sqrt(2 / 199) = 0.501, fixed from N before any run,
+    and every series resolves all five fields."""
+    used = []
+
+    def spy(model, x, y, weights=None, **kwargs):
+        if model is LINEAR:
+            used.append(weights)
+        return fit_model(model, x, y, weights, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_model", spy)
+    b_values = np.array([2e-3, 4e-3, 6e-3, 8e-3, 10e-3])
+    z = np.empty((ZEEMAN_RUNS, 2))
+    for seed in range(ZEEMAN_RUNS):
+        res = run_zeeman_series(_ion(), CAV, EMITTER, ZEEMAN_SEQ, ZEEMAN_DET,
+                                b_values, seed=seed, pulses_per_point=80000)
+        fit = res.slope_fit
+        line = fit_model(LINEAR, b_values, res.predicted, used[-1])
+        scale = fit.residual_norm / np.sqrt(len(b_values) - 2)
+        z[seed] = [(fit.params[k] - line.params[k]) * scale / fit.stderr[k]
+                   for k in ("slope", "intercept")]
+    for column in z.T:
+        _assert_unit_normal(column)
