@@ -5,7 +5,9 @@ data.  A PLE scan, saturation series or cavity sweep draws from one
 default_rng(seed), over arrays with the points in sorted order (rank), a
 PLE scan one block of points at a time: a point's counts depend on the
 rest of the grid, but reordering a drift-free grid only permutes the
-output.  A cavity sweep without dead time draws each point's gate
+output.  A PLE scan draws each point's ions in line-centre order, so a
+block's (point, ion) groups are runs of its pairs and need no sort.  A
+cavity sweep without dead time draws each point's gate
 histogram directly from the law of its clicks; with dead time it draws
 every click.
 
@@ -180,10 +182,14 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
 
     The points are taken in sorted order, a block at a time that ends
     before its candidate (point, line) pairs pass _PAIR_BLOCK, so memory
-    follows the points plus one block.  A (point, ion) group lies inside
-    one block, and the stream is the same at any block size: every
-    group's clicks in (point, ion) order, then every point's background,
-    both in sorted point order.
+    follows the points plus one block.  A point's candidates are the run
+    of ions, in line-centre order (f0, then index), whose lines reach its
+    window, each ion's lines in frequency order; so a (point, ion) group
+    is a run of pairs inside one block, and a block needs no sort.  The
+    stream is the same at any block size: every group's clicks in (point,
+    line centre) order, then every point's background, both in sorted
+    point order.  A group sums its in-window lines' click probabilities in
+    frequency order and draws one binomial.
     """
     grid, ranks = _point_grid(grid, "grid")
     f_ion = np.atleast_1d(ions.f0)
@@ -202,7 +208,6 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     _validate_gate(seq, det)
 
     n_pts = len(grid)
-    n_ions = len(f_ion)
     elapsed = np.arange(n_pts) * (pulses_per_point * seq.rep_period)
     f_cav = ((grid if co_scan else cavity.f_cav)
              + cavity_drift_rate * elapsed)
@@ -211,61 +216,72 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     n_ph = n_ph_res / _rolloff(TWO_PI * (grid - f_cav), cavity.kappa)
     lam = _background_mean(pulses_per_point, det, background_coeff, n_ph)
 
-    # the optical lines, by ion and then by line: the same offsets from
-    # every ion's f0
+    # the ions in line-centre order (stable: equal centres keep their index
+    # order), one row each, and each ion's lines in frequency order.  Every
+    # line sits a fixed offset from its ion's f0, so each column rises down
+    # the rows
+    by_f0 = np.argsort(f_ion, kind="stable")
     lines = [(f_ion, 1.0)] if zeeman is None else zeeman_lines(f_ion, zeeman)
-    f_line = np.stack([f for f, _ in lines], axis=1).ravel()
-    line_ion = np.repeat(np.arange(n_ions), len(lines))
-    line_w = np.tile([w for _, w in lines], n_ions)
+    f_line = np.stack([f for f, _ in lines], axis=1)[by_f0]
+    by_freq = np.argsort(f_line, axis=1, kind="stable")
+    f_line = np.take_along_axis(f_line, by_freq, axis=1)
+    n_lines = f_line.shape[1]
+    line_w = np.array([w for _, w in lines])[by_freq].ravel()
+    # candidate window per ion, sized at full enhancement and peak drive;
+    # it, g and the Purcell factor are repeated for each of the ion's lines
+    cut_ion = (CUTOFF_HALFWIDTHS * _half_width(n_ph.max(), g_ion, p_max,
+                                               emitter) / TWO_PI)[by_f0]
+    cut_hz, g_line, p_line = (np.repeat(a, n_lines) for a in
+                              (cut_ion, g_ion[by_f0], p_max[by_f0]))
 
-    # candidate window per line, sized at full enhancement and peak drive
-    cut_hz = (CUTOFF_HALFWIDTHS * _half_width(n_ph.max(), g_ion, p_max,
-                                              emitter)
-              / TWO_PI)[line_ion]
-
-    # each point's candidates are a run of the frequency-sorted lines; a
-    # block of points in rank order ends before its candidates pass
-    # _PAIR_BLOCK, or holds one point
-    order = np.argsort(f_line, kind="stable")
-    f_sorted = f_line[order]
-    max_cut = float(cut_hz.max())
+    # each point's candidates are the run of ions whose lines reach within
+    # max_cut of it, every line of each; a block of points in rank order
+    # ends before its candidate pairs pass _PAIR_BLOCK, or holds one point
+    max_cut = float(cut_ion.max())
     by_rank = np.argsort(ranks)
-    lo = np.searchsorted(f_sorted, grid[by_rank] - max_cut)
-    n_cand = np.searchsorted(f_sorted, grid[by_rank] + max_cut) - lo
+    lo = np.searchsorted(f_line[:, -1], grid[by_rank] - max_cut)
+    n_cand = (np.searchsorted(f_line[:, 0], grid[by_rank] + max_cut)
+              - lo) * n_lines
     ends = np.cumsum(n_cand)
+    f_line = f_line.ravel()
 
     rng = np.random.default_rng(seed)
-    source = np.zeros(n_pts)
-    clicks = np.zeros(n_pts, dtype=np.int64)
+    source = np.empty(n_pts)
+    clicks = np.empty(n_pts, dtype=np.int64)
     start = 0
     while start < n_pts:
         stop = max(start + 1, int(np.searchsorted(
             ends, ends[start] - n_cand[start] + _PAIR_BLOCK, side="right")))
         n_blk = n_cand[start:stop]
-        # (point, line) pairs inside the window, by point and then by line
-        # frequency
-        rk = np.repeat(np.arange(start, stop), n_blk)
-        ln = order[np.arange(len(rk)) + np.repeat(
-            lo[start:stop] - np.cumsum(n_blk) + n_blk, n_blk)]
-        pt = by_rank[rk]
+        # candidate (point, line) pairs by point, then by ion in line-centre
+        # order, then by line frequency, so each candidate (point, ion)
+        # group is n_lines pairs in a row; the pairs inside their window
+        pt = np.repeat(by_rank[start:stop], n_blk)
+        pair = np.arange(len(pt))
+        ln = pair + np.repeat(lo[start:stop] * n_lines - np.cumsum(n_blk)
+                              + n_blk, n_blk)
         near = np.abs(grid[pt] - f_line[ln]) <= cut_hz[ln]
-        rk, pt, ln = rk[near], pt[near], ln[near]
+        pt, ln, group = pt[near], ln[near], pair[near] // n_lines
 
-        ion_idx = line_ion[ln]
-        p_eff = p_max[ion_idx] / _rolloff(TWO_PI * (f_line[ln] - f_cav[pt]),
-                                          cavity.kappa)
-        p_exc, gamma, eta = _excitation(n_ph[pt], g_ion[ion_idx], p_eff,
+        p_eff = p_line[ln] / _rolloff(TWO_PI * (f_line[ln] - f_cav[pt]),
+                                      cavity.kappa)
+        p_exc, gamma, eta = _excitation(n_ph[pt], g_line[ln], p_eff,
                                         TWO_PI * (grid[pt] - f_line[ln]),
                                         emitter, seq.excite_duration)
         p_click = _detected(line_w[ln] * p_exc * eta, gamma, det,
                             seq.excite_duration)
-        # (point, ion) groups in (rank, ion) order
-        uniq, inverse = np.unique(rk * n_ions + ion_idx, return_inverse=True)
-        p_group = np.clip(np.bincount(inverse, weights=p_click), 0.0, 1.0)
-        group_rank = uniq // n_ions
-        np.add.at(source, group_rank, p_group)
-        np.add.at(clicks, group_rank,
-                  rng.binomial(pulses_per_point, p_group))
+        # one draw a candidate group, in (rank, ion) order: a group with no
+        # line in its window has p 0, and binomial(n, 0) draws nothing.
+        # bincount adds in turn; a point's clicks, added as floats, are
+        # exact below 2**53, which the config's limits keep them under
+        group_rk = np.repeat(np.arange(stop - start), n_blk // n_lines)
+        p_group = np.clip(np.bincount(group, weights=p_click,
+                                      minlength=len(group_rk)), 0.0, 1.0)
+        source[start:stop] = np.bincount(group_rk, weights=p_group,
+                                         minlength=stop - start)
+        clicks[start:stop] = np.bincount(
+            group_rk, weights=rng.binomial(pulses_per_point, p_group),
+            minlength=stop - start)
         start = stop
     expected = lam + pulses_per_point * source[ranks]
     counts = (clicks + rng.poisson(lam[by_rank]))[ranks]

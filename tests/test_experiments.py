@@ -14,7 +14,7 @@ from cavityspec.constants import TWO_PI
 from cavityspec.detection import (BlinkConfig, DetectorConfig, EmissionModel,
                                   g2_background_floor, simulate_clicks)
 from cavityspec.ensemble import (ION_DTYPE, IonRecord, ZeemanConfig,
-                                 zeeman_splitting)
+                                 zeeman_lines, zeeman_splitting)
 from cavityspec.analysis import EXPONENTIAL, fit_model
 from cavityspec.errors import ConfigError, DomainError, FitError
 from cavityspec.experiments import (EXPERIMENTS, PulseSequence,
@@ -144,6 +144,102 @@ def test_ple_scan_is_blocking_invariant(ions, field, flip, n_points, visit,
         assert blocked[2] == state
 
 
+def _ple_scan_loop(grid, ions, seq, det, pulses, rng, zeeman, co_scan,
+                   drift, background_coeff):
+    """run_ple_scan as a loop: the points in sorted order, at each the ions
+    by (f0, index), each ion's in-window lines in frequency order (equal
+    lines in zeeman_lines' order) summed into one binomial draw; then every
+    point's background."""
+    elapsed = np.arange(len(grid)) * (pulses * seq.rep_period)
+    f_cav = (grid if co_scan else CAV.f_cav) + drift * elapsed
+    n_ph = intracavity_photon_number(
+        seq.input_power, CAV.eta_cav, CAV.kappa,
+        EMITTER.omega) / experiments._rolloff(TWO_PI * (grid - f_cav),
+                                              CAV.kappa)
+    lam = pulses * (det.dark_rate * det.gate_duration
+                    + background_coeff * n_ph)
+    cut = (experiments.CUTOFF_HALFWIDTHS * experiments._half_width(
+        n_ph.max(), ions.g, ions.purcell, EMITTER) / TWO_PI)
+    lines = ([(ions.f0, 1.0)] if zeeman is None
+             else zeeman_lines(ions.f0, zeeman))
+    by_centre = sorted(range(len(ions)), key=lambda i: (ions.f0[i], i))
+    points = np.argsort(grid)
+    clicks = np.zeros(len(grid), dtype=np.int64)
+    source = np.zeros(len(grid))
+    for k in points:
+        for i in by_centre:
+            in_window = sorted(
+                ((f[i], w) for f, w in lines if abs(grid[k] - f[i]) <= cut[i]),
+                key=lambda line: line[0])
+            if not in_window:
+                continue
+            p_lines = []
+            for f, w in in_window:
+                p_eff = ions.purcell[i] / experiments._rolloff(
+                    TWO_PI * (f - f_cav[k]), CAV.kappa)
+                p_exc, gamma, eta = experiments._excitation(
+                    n_ph[k], ions.g[i], p_eff, TWO_PI * (grid[k] - f),
+                    EMITTER, seq.excite_duration)
+                p_lines.append(float(experiments._detected(
+                    w * p_exc * eta, gamma, det, seq.excite_duration)))
+            p = min(max(sum(p_lines), 0.0), 1.0)
+            source[k] += p
+            clicks[k] += rng.binomial(pulses, p)
+    for k in points:
+        clicks[k] += rng.poisson(lam[k])
+    return clicks, lam + pulses * source
+
+
+@given(ions=st.lists(st.tuples(st.floats(-300e6, 300e6)
+                               | st.sampled_from([0.0, 1e6, -40e6]),
+                               st.floats(1.0, 600.0)), min_size=1, max_size=10),
+       field=st.sampled_from([None, 0.0, 2e-3, 20e-3]), flip=st.booleans(),
+       n_points=st.integers(1, 20),
+       visit=st.sampled_from(["ascending", "descending", "shuffled"]),
+       co_scan=st.booleans(), drift=st.sampled_from([0.0, 3e5]),
+       s_peak=st.floats(0.1, 30.0), pulses=st.integers(1, 5000),
+       block=st.sampled_from([1, 7, experiments._PAIR_BLOCK]),
+       seed=st.integers(0, 2**64 - 1))
+@example(ions=[(1e6, 100.0), (0.0, 321.0), (-40e6, 321.0), (0.0, 50.0)],
+         field=2e-3, flip=True, n_points=20, visit="descending",
+         co_scan=False, drift=3e5, s_peak=3.0, pulses=2000,
+         block=experiments._PAIR_BLOCK, seed=7)
+@example(ions=[(0.0, 321.0), (-3e6, 200.0), (0.0, 321.0)], field=0.0,
+         flip=True, n_points=20, visit="ascending", co_scan=True, drift=0.0,
+         s_peak=3.0, pulses=2000, block=7, seed=3)
+def test_ple_scan_equals_the_point_ion_loop(ions, field, flip, n_points,
+                                            visit, co_scan, drift, s_peak,
+                                            pulses, block, seed):
+    # equal counts, expected bits and generator state: the ions drawn by
+    # line centre whatever their index (equal centres by index), Zeeman
+    # and spin-flip lines, at B = 0 four equal lines an ion
+    offsets, purcells = zip(*ions)
+    ions = _ensemble(offsets, purcells)
+    zeeman = None if field is None else ZeemanConfig(
+        b_applied=(field, 0.0, 0.0),
+        b_offset=(1e-4 if field else 0.0, 0.0, 0.0),
+        spin_flip_strength=0.3 * flip, sum_g=6.0 if flip else None)
+    grid = F0 + np.linspace(-400e6, 400e6, n_points)
+    if visit == "descending":
+        grid = grid[::-1]
+    elif visit == "shuffled":
+        grid = np.random.default_rng(seed).permutation(grid)
+        drift = 0.0
+    seq = PulseSequence(input_power=_power_for_s(s_peak, 321.0))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(experiments, "_PAIR_BLOCK", block):
+        res = run_ple_scan(grid, ions, CAV, EMITTER, seq, STD_DET, pulses, rng,
+                           zeeman=zeeman, co_scan=co_scan,
+                           cavity_drift_rate=drift, background_coeff=0.05)
+    ref_rng = np.random.default_rng(seed)
+    counts, expected = _ple_scan_loop(grid, ions, seq, STD_DET, pulses,
+                                      ref_rng, zeeman, co_scan, drift, 0.05)
+    assert np.array_equal(res.counts, counts)
+    assert np.array_equal(res.expected.view(np.uint64),
+                          expected.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_ple_scan_memory_follows_the_block_not_the_pairs(monkeypatch):
     """Two ensemble scans over one set of 1,000 ions, at 1,000 and 4,000
     points, have about 93k and 370k line-point pairs.  Each one's peak
@@ -183,15 +279,17 @@ DARKLESS = replace(STD_DET, dark_rate=0.0)
 
 def test_ple_and_saturation_draw_from_one_stream():
     # one default_rng(seed) per run: every clicks draw in sorted-point
-    # order (ions in turn, the on row before the off row), then every
-    # background draw; points with no ion, one, and three or four in window
-    # (p is 0 out of the window, and binomial(n, 0) draws nothing)
+    # order (the ions by line centre, not by index; the on row before the
+    # off row), then every background draw; points with no ion, one, and
+    # three or four in window (p is 0 out of the window, and binomial(n, 0)
+    # draws nothing)
     seq = PulseSequence(input_power=2e-10)
-    offsets = (-150e6, -3e6, 0.0, 2e6)
+    offsets = (2e6, -150e6, 0.0, -3e6)
     grid = F0 + np.linspace(-400e6, 400e6, 81)[::-1]
     lam = 20_000 * (STD_DET.dark_rate * STD_DET.gate_duration)
     p = [[run_ple_scan([f], _ions(o), CAV, EMITTER, seq, DARKLESS, 1,
-                       seed=0).expected[0] for o in offsets] for f in grid]
+                       seed=0).expected[0] for o in sorted(offsets)]
+         for f in grid]
     rng = np.random.default_rng(5)
     order = np.argsort(grid)
     clicks = [sum(rng.binomial(20_000, q) for q in p[k]) for k in order]
