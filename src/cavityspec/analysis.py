@@ -313,10 +313,10 @@ def fit_model(model, x, y, weights=None, *, poisson=False) -> FitResult:
 
     weights multiply squared residuals, and with none the fit is
     unweighted; with poisson it instead minimises the Poisson deviance of
-    counts y (see fit_models).  Convergence is declared when the accepted
-    step changes every parameter by less than 1e-8 relative, or lowers the
-    objective by less than 1e-6 of its scale (_DEV_TOL).  This is
-    fit_models on one row.
+    counts y.  It has converged when its last step moved every parameter by
+    less than 1e-8 relative, or the objective by less than 1e-6 of its scale
+    (_DEV_TOL), and each stderr is finite and positive (or 0 on a
+    least-squares fit with zero residual).  This is fit_models on one row.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -335,8 +335,9 @@ def fit_models(model, x, y, weights=None, *, poisson=False) -> FitStack:
     Rows are independent: each keeps its own parameters, objective, damping
     and counters, and its result equals fit_model on that row alone, bit
     for bit, whatever else is in the stack.  A row fit_model would refuse
-    has that FitError in refusals.  The model and its Jacobian are
-    evaluated once a point a round, and no per-row object is made.
+    has that FitError in refusals, and converged means what it does there.
+    The model and its Jacobian are evaluated once a point a round, and no
+    per-row object is made.
 
     With poisson each row of y is a histogram of counts, and the fit
     minimises the Poisson deviance 2 sum[mu - y + y ln(y / mu)] (Baker &
@@ -400,8 +401,11 @@ def fit_models(model, x, y, weights=None, *, poisson=False) -> FitStack:
         p, chi2, stack.converged[rows], stack.n_iter[rows] = (
             _levenberg_marquardt(model, x, y, w, p, chi2, mu, jac))
         stack.params[rows] = p = model.canonical(p)
-        stack.stderr[rows] = _param_errors(model, x, y, w, p, chi2)
-        stack.residual_norm[rows] = np.sqrt(chi2)
+        stack.stderr[rows] = err = _param_errors(model, x, y, w, p, chi2)
+        fixed = (err > 0) | ((chi2 == 0) & (not poisson))[:, None]
+        stack.converged[rows] &= np.all(fixed & (err < np.inf), axis=1)
+        # a deviance at its minimum 0 may round below it
+        stack.residual_norm[rows] = np.sqrt(np.maximum(chi2, 0.0))
     return stack
 
 

@@ -93,6 +93,10 @@ def _cmd_run(args) -> int:
     if args.nu is not None:
         entries[("spin_t1", "nu")] = f"{args.nu!r} GHz"
     cfg = build_config(entries)
+    flags = [flag for flag, value in (("--temp-grid", args.temp_grid),
+                                      ("--nu", args.nu)) if value is not None]
+    if flags and cfg.experiment != "spin_t1":
+        raise ConfigError(f"{' and '.join(flags)}: for spin_t1 only")
 
     outdir = os.path.join(cfg.output_dir, f"{cfg.experiment}-seed{cfg.seed}")
     # the bundle is built aside and renamed into place, so a failed run
@@ -126,13 +130,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    header, cols = read_csv(args.data)
+    _, cols = read_csv(args.data)
     names = list(cols)
     if len(names) < 2:
         raise ConfigError(f"{args.data}: need at least two columns, "
                           f"got {names}")
-    x = cols[names[0]]
-    y = cols[names[1]]
+    x, y = cols[names[0]], cols[names[1]]
     finite = np.isfinite(x) & np.isfinite(y)
     if not np.all(finite):
         print(f"note: skipping {int(np.sum(~finite))} non-finite rows",
@@ -153,8 +156,7 @@ def _cmd_fit(args) -> int:
                     if noise <= 0:
                         raise ConfigError(
                             "noise sigma is zero; pass --noise-sigma")
-                peaks = count_peaks(x, y, width=args.width,
-                                    noise_sigma=noise)
+                peaks = count_peaks(x, y, width=args.width, noise_sigma=noise)
         except FloatingPointError:
             raise ConfigError(f"{args.data}: the data overflow double "
                               "precision; rescale them") from None
@@ -168,21 +170,25 @@ def _cmd_fit(args) -> int:
         write_json_atomic(out_path, result)
         return 0
 
-    keep = slice(None)
     if args.model == "bunching":
         keep = x > 0  # the zero-offset point is antibunched, not bunching
-    fit = fit_model(MODELS[args.model], x[keep], y[keep], weights=(
-        np.ones_like(y[keep]) if args.weights == "uniform"
-        else 1.0 / np.maximum(np.abs(y[keep]), 1.0)))
+        x, y = x[keep], y[keep]
+    # a column of counts is fitted by its own law, anything else unweighted
+    counts = bool(np.all((y >= 0) & (np.trunc(y) == y)))
+    statistic = "poisson" if counts else "least_squares"
+    fit = fit_model(MODELS[args.model], x, y, poisson=counts)
     print(f"model       {fit.model}")
+    print(f"statistic   {statistic}")
     state = "yes" if fit.converged else "NO"
     print(f"converged   {state} ({fit.n_iter} iterations)")
     for key in fit.params:
         print(f"{key:<11} {fit.params[key]:.6g} +- {fit.stderr[key]:.3g}")
     print(f"residual    {fit.residual_norm:.6g}")
-    write_json_atomic(out_path, fit.to_json())
+    write_json_atomic(out_path, {**fit.to_json(), "statistic": statistic})
     if not fit.converged:
-        raise FitError("fit did not converge")
+        bad = [k for k, v in fit.stderr.items() if not 0.0 < v < np.inf]
+        raise FitError("fit not identified: no finite, positive stderr for "
+                       f"{', '.join(bad)}" if bad else "fit did not converge")
     return 0
 
 
@@ -208,14 +214,9 @@ def _cmd_inspect(args) -> int:
     bad = 0
     for name, digest in sorted(files.items()):
         target = os.path.join(bundle_dir, name)
-        if not os.path.isfile(target):
-            status = "MISSING"
-            bad += 1
-        elif _sha256_file(target) != digest:
-            status = "MODIFIED"
-            bad += 1
-        else:
-            status = "ok"
+        status = ("MISSING" if not os.path.isfile(target) else
+                  "MODIFIED" if _sha256_file(target) != digest else "ok")
+        bad += status != "ok"
         print(f"  {name:<20} {status}  {digest[:16]}")
     # files the manifest does not list (say, a fit written here) are shown,
     # not failed
@@ -257,8 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
                        help="peaks: noise level; default is estimated "
                             "from the data")
-    fit_p.add_argument("--weights", choices=("poisson", "uniform"),
-                       default="poisson")
     fit_p.add_argument("--output", help="where to write the JSON result")
 
     ins_p = sub.add_parser("inspect", help="print and verify a run manifest")
@@ -281,11 +280,8 @@ def main(argv=None) -> int:
     _set_heap_policy()
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_inspect(args)
+        return {"run": _cmd_run, "fit": _cmd_fit,
+                "inspect": _cmd_inspect}[args.command](args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,7 +56,7 @@ class EnsembleConfig:
     site1_fraction: float = 0.5
     f_center: float = 195.1188e12   # inhomogeneous line centre, Hz
     sigma_inh: float = 2.9e9        # inhomogeneous standard deviation, Hz
-    region: tuple[float, float, float] = (2e-6, 1e-6, 0.2e-6)  # (Lx, Ly, Lz), m
+    region: tuple[float, float, float] = (2e-6, 1e-6, 0.15e-6)  # (Lx, Ly, Lz), m
     max_count: int = 10_000_000
 
     def __post_init__(self):

@@ -607,13 +607,14 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
     scan's raw counts, started at the two strongest peaks the peak counter
     finds; the splitting and its stderr come from the doublet's covariance.
     A field fails when the counter finds fewer than two peaks, when the fit
-    is refused or unconverged, puts mid outside the scan or has no finite,
-    positive split stderr, or when the fitted split (signed: a negative one
-    swapped the lines) is below 1.5 FWHM.  That floor sits between what one
-    unresolved line fitted as a doublet reads (about 1.1 FWHM at 0 T and the
-    default 1 G offset, where the lines are 0.17 FWHM apart) and the
-    smallest splitting it measures well (1.9 FWHM at 1 mT).  A linear fit of
-    splitting versus field by 1 / sigma^2 gives slope and intercept.
+    is refused or unconverged (a stderr that is not finite and positive
+    makes it so) or puts mid outside the scan, or when the fitted split
+    (signed: a negative one swapped the lines) is below 1.5 FWHM.  That
+    floor sits between what one unresolved line fitted as a doublet reads
+    (about 1.1 FWHM at 0 T and the default 1 G offset, where the lines are
+    0.17 FWHM apart) and the smallest splitting it measures well (1.9 FWHM
+    at 1 mT).  A linear fit of splitting versus field by 1 / sigma^2 gives
+    slope and intercept.
     """
     b_values = np.ascontiguousarray(b_values, dtype=float)
     if b_values.ndim != 1 or len(b_values) < 3:
@@ -651,8 +652,7 @@ def run_zeeman_series(ion: IonRecord, cavity: CavityParams,
         except FitError:
             raise FitError(f"line fit failed at B = {b} T") from None
         splittings[i], errs[i] = fit.params["split"], fit.stderr["split"]
-        if not (fit.converged and x[0] <= fit.params["mid"] <= x[-1]
-                and 0.0 < errs[i] < math.inf):
+        if not (fit.converged and x[0] <= fit.params["mid"] <= x[-1]):
             raise FitError(f"line fit failed at B = {b} T")
         if not splittings[i] >= 1.5 * fwhm:
             raise FitError(f"splitting unresolved at B = {b} T")

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 import zlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -298,6 +299,16 @@ def _outcome(result):
                  result.residual_norm, result.converged, result.n_iter))
 
 
+def _identified(result):
+    """The reference loop's result as the engine reports it: converged only
+    when every stderr is finite and positive, or zero at zero residual."""
+    if isinstance(result, FitError):
+        return result
+    fixed = all(0.0 < v < math.inf or v == result.residual_norm == 0.0
+                for v in result.stderr.values())
+    return replace(result, converged=result.converged and fixed)
+
+
 def _reference(model, x, y, weights=None):
     """The reference loop's FitResult, or the FitError it raised."""
     # the reference loop leaves numpy's warnings on; only the values count
@@ -386,7 +397,7 @@ def _check_stack(model, x, y, w):
     seen = set()
     for i in range(len(x)):
         reference = _reference(model, x[i], y[i], None if w is None else w[i])
-        expected = _outcome(reference)
+        expected = _outcome(_identified(reference))
         assert _outcome(stacked[i]) == expected, f"row {i}"
         alone = fit_models(model, x[i:i + 1], y[i:i + 1],
                            None if w is None else w[i:i + 1]).row(0)
@@ -536,6 +547,37 @@ def test_fit_stack_keeps_refused_rows_as_nan():
     assert [str(short.row(i)) for i in range(6)] == (
         ["fit input contains non-finite values"]
         + ["need more than 3 points to fit exponential"] * 5)
+
+
+def test_unidentified_rows_are_not_converged():
+    """A row whose covariance is singular, or has a NaN or zero diagonal
+    entry, comes back unconverged with its stderr NaN or 0; every other
+    number of that row, and every other row of the stack, is as it was.
+    A least-squares fit through every point has stderr 0 and converges."""
+    x, y = map(np.array, zip(*(_row(LORENTZIAN, "signal", 40, seed)
+                               for seed in range(5))))
+    real_stacked = analysis._stacked
+
+    def stacked(solver, *arrays):
+        out, ok = real_stacked(solver, *arrays)
+        if solver is np.linalg.inv:
+            out[0], ok[0] = np.nan, False  # a singular slice
+            out[1, 2, 2], out[2, 1, 1] = np.nan, 0.0
+        return out, ok
+
+    clean = fit_models(LORENTZIAN, x, y)
+    assert clean.converged.all()
+    with mock.patch.object(analysis, "_stacked", stacked):
+        spoiled = fit_models(LORENTZIAN, x, y)
+    assert spoiled.converged.tolist() == [False, False, False, True, True]
+    assert np.isnan(spoiled.stderr[0]).all()
+    assert np.isnan(spoiled.stderr[1, 2]) and spoiled.stderr[2, 1] == 0.0
+    for name in ("params", "residual_norm", "n_iter"):
+        assert np.array_equal(getattr(spoiled, name), getattr(clean, name))
+    assert np.array_equal(spoiled.stderr[3:], clean.stderr[3:])
+    exact = fit_model(LINEAR, np.arange(6.0), 0.5 * np.arange(6.0) + 0.25)
+    assert exact.residual_norm == 0.0 and exact.converged
+    assert list(exact.stderr.values()) == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=list(MODELS))
@@ -790,8 +832,7 @@ def test_closed_form_line_is_polyfit_at_any_x_scale(ks, n, seed):
 def test_fit_command_prints_no_numpy_warning(tmp_path, capsys, model, x):
     """Degenerate x (all equal, or near overflow) used to print polyfit's
     RankWarning and overflow RuntimeWarnings; the fit written is the
-    reference loop's, with the weights 1/max(|y|, 1) of --weights poisson,
-    the default."""
+    reference loop's, unweighted, as y is not a column of counts."""
     y = [5.0, 3.0, 2.0, 1.0, 1.0, 0.5]
     data = str(tmp_path / "data.csv")
     with open(data, "w") as fh:
@@ -803,11 +844,11 @@ def test_fit_command_prints_no_numpy_warning(tmp_path, capsys, model, x):
     assert not caught
     assert "Warning" not in capsys.readouterr().err
     y = np.array(y)
-    expected = _reference(MODELS[model], np.array(x), y,
-                          1.0 / np.maximum(np.abs(y), 1.0))
+    expected = _identified(_reference(MODELS[model], np.array(x), y))
     with open(out) as fh:
-        assert fh.read() == json.dumps(expected.to_json(), indent=1,
-                                       sort_keys=True) + "\n"
+        assert fh.read() == json.dumps(
+            {**expected.to_json(), "statistic": "least_squares"}, indent=1,
+            sort_keys=True) + "\n"
 
 
 def test_fit_command_refuses_an_all_zero_x_column(tmp_path, capsys):

@@ -552,7 +552,7 @@ def test_fit_lorentzian_on_cavity_sweep(tmp_path):
     data = os.path.join(out, "cavity_sweep-seed11", "cavity_sweep.csv")
     fit_path = str(tmp_path / "fit.json")
     assert main(["fit", data, "--model", "lorentzian",
-                 "--weights", "uniform", "--output", fit_path]) == 0
+                 "--output", fit_path]) == 0
     with open(fit_path) as fh:
         fit = json.load(fh)
     # first two columns are detuning and fitted gamma, so the fitted width
@@ -571,6 +571,24 @@ def test_spin_t1_grid_flags(tmp_path):
     assert float(header["nu_ghz"]) == 9.0
     i4 = int(np.argmin(np.abs(cols["temperature_k"] - 4.0)))
     assert cols["t1_s"][i4] == pytest.approx(1.63547e-3, rel=1e-4)
+
+
+@pytest.mark.parametrize("target", ["ple", "config"])
+@pytest.mark.parametrize("flags,named", [
+    (["--nu", "9"], "--nu"), (["--temp-grid", "2:8:0.5"], "--temp-grid"),
+    (["--nu", "9", "--temp-grid", "2:8:0.5"], "--temp-grid and --nu")])
+def test_spin_t1_flags_refuse_other_experiments(tmp_path, capsys, target,
+                                                flags, named):
+    # they set [spin_t1] keys, which would change another experiment's
+    # config.txt and config hash and nothing else
+    if target == "config":
+        target = _write_cfg(tmp_path, "experiment = lifetime\n")
+    out = str(tmp_path / "o")
+    assert main(["run", target, *flags, "--seed", "7", "--output", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: for spin_t1 only")
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(out)
 
 
 def test_nu_flag_keeps_every_digit(tmp_path):
@@ -705,8 +723,7 @@ def test_fit_bunching_skips_zero_offset(tmp_path):
     path = str(tmp_path / "g2.csv")
     write_csv_atomic(path, [("offset", m), ("g2", g2)], header={})
     out = str(tmp_path / "fit.json")
-    assert main(["fit", path, "--model", "bunching", "--weights", "uniform",
-                 "--output", out]) == 0
+    assert main(["fit", path, "--model", "bunching", "--output", out]) == 0
     with open(out) as fh:
         fit = json.load(fh)
     assert fit["params"]["amplitude"] == pytest.approx(0.8, rel=1e-6)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -30,6 +31,32 @@ def test_default_config_builds_for_every_experiment(name):
     assert cfg.experiment == name
     assert cfg.cavity.kappa == TWO_PI * 3.85e9
     assert cfg.emitter.gamma0 == TWO_PI * 14.0
+
+
+# defaulted fields that no setting reaches: build_config passes a fixed
+# value for them, or none
+NOT_SET = {("emitter", "beta"), ("emitter", "n_host"), ("ion", "site"),
+           ("zeeman", "b_applied")}
+
+
+def test_library_defaults_are_the_setting_defaults():
+    # a library caller who leaves a field at its default, or takes a
+    # physics class's default(), gets what the CLI builds from SETTINGS, up
+    # to the unit conversion's last bit
+    cfg = build_config({})
+    for name in ("cavity", "emitter", "ion", "detector", "sequence",
+                 "ensemble", "envelope", "zeeman"):
+        obj = getattr(cfg, name)
+        for field in dataclasses.fields(obj):
+            if (field.default is dataclasses.MISSING
+                    or (name, field.name) in NOT_SET):
+                continue
+            got = getattr(obj, field.name)
+            assert got == field.default or got == pytest.approx(
+                field.default, rel=1e-15), f"{name}.{field.name}"
+    for obj in (cfg.cavity, cfg.emitter):
+        assert dataclasses.astuple(type(obj).default()) == pytest.approx(
+            dataclasses.astuple(obj), rel=1e-15)
 
 
 def test_unknown_experiment_rejected():

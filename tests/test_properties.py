@@ -1,21 +1,29 @@
 """Every value the config parser meets ends a run in one of three ways,
-and every setting changes some output.
+every setting changes some output, and every table ends a fit cleanly.
 
 One SETTINGS key gets a drawn value of its kind, across many decades, zero
 and both signs; `cavityspec run` then exits 0 with a bundle that `inspect`
 verifies, exits 2 naming the key, or exits 1 with an `error:` line.  No
 exception may escape main.  The other keys hold small runs.
+
+`cavityspec fit` gets drawn tables of 1-4 columns and up to 50 rows, with
+every model and `peaks`, `--width` and `--noise-sigma`: it exits 0 with
+finite numbers, or 1 or 2 with one `error:` line.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
+from cavityspec.analysis import MODELS
 from cavityspec.cli import main
 from cavityspec.config import (_UNITS, COUNT_LIMITS, SETTINGS, Kind,
                                build_config)
@@ -240,3 +248,102 @@ def test_every_setting_changes_an_output():
         else:
             dead.append(f"[{key[0]}] {key[1]}")
     assert dead == []
+
+
+# `cavityspec fit` on any table: values across the double range, the
+# non-finite ones, integers where float spacing reaches 1 and small counts.
+# A table draws its cells from all of them, or from counts or plain numbers
+# only, which fit more often.
+extreme = st.one_of(
+    st.builds(lambda sign, e: repr(sign * 10.0 ** e),
+              st.sampled_from([1.0, -1.0]), st.floats(-308.0, 308.0)),
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e308", "-1e308",
+                     "1e-308", "-1e-308"]),
+    st.integers(2**53 - 4, 2**53 + 4).map(str),
+    st.integers(-(2**53) - 4, -(2**53) + 4).map(str))
+count_cells = st.integers(0, 100).map(str)
+plain_cells = st.floats(-1e3, 1e3).map(repr)
+CELLS = {"any": st.one_of(extreme, count_cells, plain_cells),
+         "counts": count_cells, "plain": plain_cells}
+fit_options = st.one_of(
+    st.none(), st.sampled_from(["0", "-1", "nan", "inf", "1e308", "1e-308"]),
+    st.floats(-3.0, 8.0).map(lambda e: repr(10.0 ** e)))
+
+
+@st.composite
+def tables(draw):
+    n_cols = draw(st.integers(1, 4), label="columns")
+    names = ",".join("xyzw"[:n_cols])
+    cells = CELLS[draw(st.sampled_from(sorted(CELLS)), label="cells")]
+    rows = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols),
+                         max_size=50), label="rows")
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans(), label="column header"):
+        lines.insert(0, names)
+    # blank, comment and header lines anywhere, before the rows or among them
+    for at, line in draw(st.lists(st.tuples(
+            st.integers(0, len(lines)),
+            st.sampled_from(["", "  ", "# seed: 7", "# a comment", names])),
+            max_size=3), label="extra lines"):
+        lines.insert(at, line)
+    return "\n".join(lines) + "\n"
+
+
+def _finite_json(path):
+    """The fit JSON, with NaN and infinity refused as strict JSON does."""
+    def refuse(token):
+        raise AssertionError(f"{path}: {token} in the fit JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@example(table="x,y\n0,5\n1,3\n2,2\n3,1\n4,1\n", model="linear",
+         width=None, noise=None)
+@example(table="x,y\n" + "".join(f"{i},{i % 3}\n" for i in range(1, 9)),
+         model="bunching", width=None, noise=None)
+@example(table="x,y,z\n1,1,0\n1,1,0\n2,3,0\n", model="linear",
+         width=None, noise=None)
+@example(table="x,y\n0,1e308\n1,-1e308\n2,1e308\n3,-1e308\n4,1e308\n",
+         model="peaks", width=None, noise=None)
+@given(table=tables(), model=st.sampled_from([*MODELS, "peaks"]),
+       width=fit_options, noise=fit_options)
+def test_every_table_fits_cleanly(table, model, width, noise):
+    """fit exits 0 with every printed parameter and stderr finite (a
+    stderr positive, or zero on a least-squares fit with zero residual) and
+    a fit JSON that holds no NaN or infinity, or exits 1 or 2 with one
+    `error:` line; no warning or traceback reaches stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "t.csv"), os.path.join(tmp, "fit.json")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(table)
+        argv = ["fit", data, "--model", model, "--output", out]
+        argv += [] if width is None else [f"--width={width}"]
+        argv += [] if noise is None else [f"--noise-sigma={noise}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = stderr.getvalue()
+        assert not caught and "Warning" not in err, err
+        assert "Traceback" not in err, err
+        lines = err.splitlines()
+        assert all(line.startswith(("note: ", "error: ")) for line in lines)
+        errors = [line for line in lines if line.startswith("error: ")]
+        if code != 0:
+            assert code in (1, 2) and len(errors) == 1, (code, err)
+            return
+        assert not errors, err
+        fit = _finite_json(out)
+        if model == "peaks":
+            return
+        for name, value in fit["params"].items():
+            sigma = fit["stderr"][name]
+            assert math.isfinite(value) and math.isfinite(sigma), fit
+            assert sigma > 0 or (sigma == fit["residual_norm"] == 0
+                                 and fit["statistic"] == "least_squares")
+        printed = [line.split() for line in stdout.getvalue().splitlines()
+                   if " +- " in line]
+        assert sorted(p[0] for p in printed) == sorted(fit["params"])
+        assert all(map(math.isfinite, (float(p[1]) for p in printed)))
