@@ -26,7 +26,11 @@ of a row alike.  Entries:
   where at the workload's dephasing (gamma2 T ~ 195) every pair drops its
   damped pair terms;
 - `pulse_excitation 1 pair`: one call on the first of those pairs, the
-  median of 1,000 calls counted as one run.
+  median of 1,000 calls counted as one run;
+- `fit lorentzian @ <n> rows`: `cavityspec fit <table> --model lorentzian`
+  on a seeded table of Poisson counts under a Lorentzian line (FIT_ROWS),
+  written before the clock starts, timed from before `import cavityspec.cli`
+  to the end of `main`: long rows load the peak guess's running mean.
 
 Bundles are written to a temporary directory and deleted.
 """
@@ -106,10 +110,13 @@ SCALE = {
     "spin_t1 @ 600,001 temperatures": "experiment = spin_t1\n[spin_t1]\n"
         "temp_grid = 2:8:1e-5 K\n",
 }
+# rows of each fit entry's count table
+FIT_ROWS = {"fit lorentzian @ 100,001 rows": 100_001,
+            "fit lorentzian @ 300,001 rows": 300_001}
 ENTRIES = ([f"run {e}" for e in EXPERIMENTS] + [f"run {s}" for s in SCALE]
            + ["pulse_excitation 1e6 pairs",
               "pulse_excitation 1e6 undamped pairs",
-              "pulse_excitation 1 pair"])
+              "pulse_excitation 1 pair"] + list(FIT_ROWS))
 REPEATS = 3
 SHORT_REPEATS, SHORT_S = 9, 1.0
 PAIRS = 1_000_000
@@ -128,6 +135,24 @@ def _run_main(target: str, out: str) -> None:
     code = main(["run", target, "--seed", "7", "--output", out])
     if code != 0:
         raise SystemExit(f"cavityspec run {target} exited {code}")
+
+
+def _fit_main(n_rows: int, tmp: str) -> float:
+    """Seconds of `cavityspec fit --model lorentzian` on a seeded table of
+    n_rows Poisson counts: a line 1 MHz wide over a 30 MHz scan."""
+    x = np.linspace(-15e6, 15e6, n_rows)
+    u = 2.0 * (x - 2e6) / 1e6
+    counts = np.random.default_rng(7).poisson(20.0 + 200.0 / (1.0 + u * u))
+    table = os.path.join(tmp, "counts.csv")
+    np.savetxt(table, np.column_stack([x, counts]), fmt=("%.17g", "%d"),
+               delimiter=",", header="detuning_hz,counts", comments="")
+    start = time.perf_counter()
+    from cavityspec.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["fit", table, "--model", "lorentzian"])
+    if code != 0:
+        raise SystemExit(f"cavityspec fit on {n_rows} rows exited {code}")
+    return time.perf_counter() - start
 
 
 def capture_pairs(path: str) -> None:
@@ -175,6 +200,10 @@ def child(name: str, pairs_path: str) -> dict:
             start = time.perf_counter()
             _run_main(target, tmp)
             seconds = time.perf_counter() - start
+        return {"seconds": seconds, **_usage()}
+    if name in FIT_ROWS:
+        with tempfile.TemporaryDirectory() as tmp:
+            seconds = _fit_main(FIT_ROWS[name], tmp)
         return {"seconds": seconds, **_usage()}
 
     from cavityspec.dynamics import pulse_excitation

@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, FitError
 
@@ -80,10 +79,14 @@ def _lines(x, y, keep):
 
 
 def _running_mean(y, k):
-    """The mean of every k consecutive points along the last axis of y: the
-    k shifted rows added in turn from the left, then to 0, as sum() does."""
-    shifted = sliding_window_view(y, k, axis=-1).transpose(2, 0, 1)
-    return (0 + np.add.reduce(shifted, axis=0)) / k
+    """The mean of every k consecutive points along the last axis of y, as a
+    difference of prefix sums from 0 over y scaled by 2**-m, 2**m > 2n, so
+    no prefix sum overflows.  Where the k-point sums are exact (integers
+    whose prefix sums stay below 2**53) it equals the k-point sum over k."""
+    m = 1 + y.shape[-1].bit_length()
+    prefix = np.cumsum(np.concatenate(
+        [np.zeros(y.shape[:-1] + (1,)), y * 2.0**-m], axis=-1), axis=-1)
+    return (prefix[..., k:] - prefix[..., :-k]) * 2.0**m / k
 
 
 class _Model:
@@ -565,9 +568,7 @@ def count_peaks(x, y, width, noise_sigma) -> PeakList:
     centers: list[float] = []
     amplitudes: list[float] = []
     neg_inf = -np.inf
-    while len(centers) < _MAX_PEAKS:
-        if not np.any(available):
-            break
+    while np.any(available):
         search = np.where(available, residual, neg_inf)
         i = int(np.argmax(search))
         if residual[i] < floor:
@@ -577,12 +578,12 @@ def count_peaks(x, y, width, noise_sigma) -> PeakList:
         a_hat = float(np.dot(line, residual) / np.dot(line, line))
         if a_hat < floor:
             break
+        if len(centers) == _MAX_PEAKS:
+            raise FitError(f"peak extraction exceeded {_MAX_PEAKS} components")
         residual -= a_hat * line
         centers.append(float(x[i]))
         amplitudes.append(a_hat)
         available &= np.abs(x - x[i]) >= width / 2.0
-    else:
-        raise FitError(f"peak extraction exceeded {_MAX_PEAKS} components")
     order = np.argsort(centers)
     return PeakList(np.asarray(centers)[order], np.asarray(amplitudes)[order],
                     residual)

@@ -88,15 +88,7 @@ def _cmd_run(args) -> int:
         entries[("", "seed")] = str(args.seed)
     if args.output is not None:
         entries[("", "output_dir")] = args.output
-    if args.temp_grid is not None:
-        entries[("spin_t1", "temp_grid")] = f"{args.temp_grid} K"
-    if args.nu is not None:
-        entries[("spin_t1", "nu")] = f"{args.nu!r} GHz"
     cfg = build_config(entries)
-    flags = [flag for flag, value in (("--temp-grid", args.temp_grid),
-                                      ("--nu", args.nu)) if value is not None]
-    if flags and cfg.experiment != "spin_t1":
-        raise ConfigError(f"{' and '.join(flags)}: for spin_t1 only")
 
     outdir = os.path.join(cfg.output_dir, f"{cfg.experiment}-seed{cfg.seed}")
     # the bundle is built aside and renamed into place, so a failed run
@@ -243,10 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", help="override the output directory")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="data file format (default csv)")
-    run_p.add_argument("--temp-grid", dest="temp_grid",
-                       help="spin_t1 only: start:stop:step in kelvin")
-    run_p.add_argument("--nu", type=float,
-                       help="spin_t1 only: spin splitting in GHz")
 
     fit_p = sub.add_parser("fit", help="fit a CSV data file")
     fit_p.add_argument("data", help="CSV whose first two columns are x, y")

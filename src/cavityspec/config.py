@@ -20,8 +20,7 @@ from enum import Enum
 
 from .constants import TWO_PI
 from .detection import DetectorConfig
-from .ensemble import (YTTRIUM_SITE_DENSITY, EnsembleConfig, IonRecord,
-                       ZeemanConfig)
+from .ensemble import EnsembleConfig, IonRecord, ZeemanConfig
 from .errors import ConfigError, DomainError
 from .experiments import EXPERIMENTS, MAX_GRID_POINTS, PulseSequence
 from .output import read_text
@@ -392,12 +391,12 @@ def build_config(overrides: dict[tuple[str, str], str] | None = None) -> RunConf
         excite_duration=v[("sequence", "excite")],
         rep_period=v[("sequence", "period")])
 
+    # a positive density_per_m3 overrides the doping in ppm
     density = v[("ensemble", "density_per_m3")]
-    if density <= 0:
-        density = v[("ensemble", "ppm")] * 1e-6 * YTTRIUM_SITE_DENSITY
+    make, dose = ((EnsembleConfig, {"density": density}) if density > 0 else
+                  (EnsembleConfig.from_ppm, {"ppm": v[("ensemble", "ppm")]}))
     ensemble = _build(
-        "ensemble", EnsembleConfig,
-        density=density,
+        "ensemble", make, **dose,
         site1_fraction=v[("ensemble", "site1_fraction")],
         f_center=cavity.f_cav + v[("ensemble", "center_offset")],
         sigma_inh=v[("ensemble", "sigma")],

@@ -75,8 +75,9 @@ class ScanResult:
 
 
 def _point_grid(values, name: str):
-    """Scan points as a 1-d array of distinct finite floats, and each one's
-    position in sorted order: the order its random draws are made in."""
+    """Scan points as a 1-d array of distinct finite floats, and the order
+    their random draws are made in: the grid index of each draw, which
+    sorts the grid."""
     grid = np.ascontiguousarray(values, dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise DomainError(f"{name}: must be a non-empty 1-d array")
@@ -85,9 +86,7 @@ def _point_grid(values, name: str):
     order = np.argsort(grid, kind="stable")
     if np.any(np.diff(grid[order]) == 0):
         raise DomainError(f"{name}: values must be distinct")
-    ranks = np.empty(len(grid), dtype=np.int64)
-    ranks[order] = np.arange(len(grid))
-    return grid, ranks
+    return grid, order
 
 
 # below numpy's Poisson limit of about 9.2e18
@@ -191,7 +190,7 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     point order.  A group sums its in-window lines' click probabilities in
     frequency order and draws one binomial.
     """
-    grid, ranks = _point_grid(grid, "grid")
+    grid, by_rank = _point_grid(grid, "grid")
     f_ion = np.atleast_1d(ions.f0)
     g_ion = np.atleast_1d(ions.g)
     p_max = np.atleast_1d(ions.purcell)
@@ -238,7 +237,6 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
     # max_cut of it, every line of each; a block of points in rank order
     # ends before its candidate pairs pass _PAIR_BLOCK, or holds one point
     max_cut = float(cut_ion.max())
-    by_rank = np.argsort(ranks)
     lo = np.searchsorted(f_line[:, -1], grid[by_rank] - max_cut)
     n_cand = (np.searchsorted(f_line[:, 0], grid[by_rank] + max_cut)
               - lo) * n_lines
@@ -283,8 +281,9 @@ def run_ple_scan(grid, ions, cavity: CavityParams,
             group_rk, weights=rng.binomial(pulses_per_point, p_group),
             minlength=stop - start)
         start = stop
-    expected = lam + pulses_per_point * source[ranks]
-    counts = (clicks + rng.poisson(lam[by_rank]))[ranks]
+    expected, counts = np.empty(n_pts), np.empty(n_pts, dtype=np.int64)
+    expected[by_rank] = lam[by_rank] + pulses_per_point * source
+    counts[by_rank] = clicks + rng.poisson(lam[by_rank])
     return ScanResult(grid=grid.copy(), counts=counts,
                       expected=expected, cavity_freq=f_cav, elapsed=elapsed)
 
@@ -393,7 +392,7 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
     own.  A failed or unconverged fit, or a gamma_err not below gamma, is a
     NaN row.
     """
-    detunings, ranks = _point_grid(detunings_hz, "detunings")
+    detunings, order = _point_grid(detunings_hz, "detunings")
     if not 0 < gate_factor <= 1000:  # past ~20 lifetimes a gate sees no decay
         raise DomainError(f"gate_factor must lie in (0, 1000], got {gate_factor}")
 
@@ -410,7 +409,6 @@ def run_cavity_sweep(ion: IonRecord, cavity: CavityParams,
         raise DomainError(f"more than {MAX_BACKGROUND_CLICKS:,} dark counts "
                           "in a sweep point's gate: lower dark_rate, "
                           "gate_factor or pulses_per_point, or raise gamma0")
-    order = np.argsort(ranks)  # the grid index of each rank
     p_exc, gamma, eta = p_exc[order], gamma_expected[order], eta[order]
     gate = gate_factor / gamma
     rng = np.random.default_rng(seed)
@@ -522,7 +520,7 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
                           off_detuning_hz: float = 200e6,
                           background_coeff: float = 0.0) -> SaturationResult:
     """Peak and off-resonance click totals for a ladder of drive powers."""
-    powers, ranks = _point_grid(powers, "powers")
+    powers, order = _point_grid(powers, "powers")
     if np.any(powers < 0):
         raise DomainError("powers must be non-negative")
     # one drive timing for every power
@@ -539,9 +537,9 @@ def run_saturation_series(ion: IonRecord, cavity: CavityParams,
     # one stream per run, in rank order: the on row's clicks, the off
     # row's, then the background of both rows
     rng = np.random.default_rng(seed)
-    order = np.argsort(ranks)
-    counts = (rng.binomial(pulses_per_point, p_click[:, order])
-              + rng.poisson(lam[order], size=p_click.shape))[:, ranks]
+    counts = np.empty(p_click.shape, dtype=np.int64)
+    counts[:, order] = (rng.binomial(pulses_per_point, p_click[:, order])
+                        + rng.poisson(lam[order], size=p_click.shape))
     expected = pulses_per_point * p_click + lam
     return SaturationResult(powers=powers, on_counts=counts[0],
                             off_counts=counts[1], expected_on=expected[0],

@@ -172,6 +172,22 @@ def test_count_peaks_recovers_separated_lines():
     assert again.count == 0
 
 
+def test_count_peaks_refuses_only_a_peak_past_the_cap(monkeypatch):
+    """The cap refuses the peak beyond it, not the last one it allows."""
+    monkeypatch.setattr(analysis, "_MAX_PEAKS", 2)
+    x = np.arange(0.0, 30.0, 0.02)
+
+    def lines(*centers):
+        return sum(10.0 / (1.0 + (2.0 * (x - c) / 0.3) ** 2)
+                   for c in centers)
+
+    peaks = count_peaks(x, lines(10.0, 20.0), width=0.3, noise_sigma=0.1)
+    assert peaks.count == 2
+    assert peaks.centers == pytest.approx([10.0, 20.0])
+    with pytest.raises(FitError, match="exceeded 2 components"):
+        count_peaks(x, lines(5.0, 15.0, 25.0), width=0.3, noise_sigma=0.1)
+
+
 def test_density_envelope_recovers_hidden_peaks():
     rng = np.random.default_rng(11)
     all_centers = rng.normal(0.0, 2.9, 600)
@@ -691,30 +707,44 @@ def test_evaluate_is_the_model_and_its_jacobian(model, data):
             assert _bits(one_jac) == _bits(jac[i]), f"row {i}"
 
 
-_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+def _prefix_mean(row, k):
+    """The running mean of k points of a list of floats, one Python float
+    at a time: prefix sums from 0 over the row scaled by 2**-m, 2**m > 2n,
+    then each window's difference scaled back and divided by k."""
+    m = 1 + len(row).bit_length()
+    prefix = [0.0]
+    for value in row:
+        prefix.append(prefix[-1] + value * 2.0**-m)
+    return [(prefix[j + k] - prefix[j]) * 2.0**m / k
+            for j in range(len(row) - k + 1)]
 
 
 @given(data=st.data())
 def test_running_mean_adds_as_the_sum_of_shifted_rows(data):
-    """The peak guess's running mean of k points equals Python's sum of the
-    k shifted rows, divided by k, bit for bit: a window of -0.0 reads 0.0
-    as sum's start 0 makes it, and infinities and NaN land alike.  Only
-    where two NaN of opposite sign meet, which needs a non-finite y that
-    fit_models refuses before the guess, may the NaN's sign differ."""
+    """The peak guess's running mean of k points equals the Python
+    prefix-sum loop, bit for bit, on finite rows (fit_models refuses a
+    non-finite row before the guess): a window of -0.0 reads 0.0, as the
+    prefix sums start at 0.  On integer rows whose prefix sums stay below
+    2**53 it also equals Python's sum of the k shifted rows over k, the
+    direct k-term sum, bit for bit."""
     rows = data.draw(st.integers(1, 3), label="rows")
     n = data.draw(st.integers(1, 200), label="n")
     k = data.draw(st.integers(1, n), label="k")
-    values = st.one_of(_SPECIAL, st.floats(-1e300, 1e300),
-                       st.just(-0.0), st.just(-0.0))
+    values = st.one_of(st.floats(-1e300, 1e300), st.just(0.0),
+                       st.just(-0.0), st.floats(-1e-300, 1e-300))
     y = np.array(data.draw(st.lists(values, min_size=rows * n,
                                     max_size=rows * n), label="y"))
     y = y.reshape(rows, n)
     with np.errstate(all="ignore"):
-        want = sum(y[:, j:j + n - k + 1] for j in range(k)) / k
         got = analysis._running_mean(y, k)
-    assert _bits(got) == _bits(want)
-    if np.isfinite(y).all():
-        assert got.tobytes() == want.tobytes()
+    want = np.array([_prefix_mean(row, k) for row in y.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+    counts = np.array(data.draw(st.lists(
+        st.integers(-2**44, 2**44), min_size=rows * n, max_size=rows * n),
+        label="integers"), dtype=float).reshape(rows, n)
+    direct = sum(counts[:, j:j + n - k + 1] for j in range(k)) / k
+    assert analysis._running_mean(counts, k).tobytes() == direct.tobytes()
 
 
 # -- the stacked initial guesses against the one-row code they replaced -------
@@ -722,12 +752,12 @@ def test_running_mean_adds_as_the_sum_of_shifted_rows(data):
 def _peak_guess(self, x, y):
     """_PeakModel.initial_guess one row at a time: the oracle for the
     stacked guess.  A row of n >= 100 points is read through its centred
-    running mean of k = n // 50 points, each a sum of Python floats from
-    the left, whose k - 1 edge points read the 10th percentile."""
+    running mean of k = n // 50 points, from Python prefix sums
+    (_prefix_mean), whose k - 1 edge points read the 10th percentile."""
     c0 = float(np.percentile(y, 10))
     k = max(1, len(y) // 50)
     if k > 1:
-        run = [sum(y[i:i + k].tolist()) / k for i in range(len(y) - k + 1)]
+        run = _prefix_mean(y.tolist(), k)
         y = np.array([c0] * ((k - 1) // 2) + run + [c0] * (k // 2))
     i_pk = int(np.argmax(y))
     a0 = float(y[i_pk] - c0)

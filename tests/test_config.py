@@ -9,6 +9,7 @@ from cavityspec.cli import main
 from cavityspec.config import (COUNT_LIMITS, build_config, dump_config,
                                load_config, parse_config_text)
 from cavityspec.constants import TWO_PI
+from cavityspec.ensemble import YTTRIUM_SITE_DENSITY
 from cavityspec.errors import ConfigError
 from cavityspec.experiments import EXPERIMENTS, scan_grid, temperature_grid
 from cavityspec.physics import EmitterConstants
@@ -107,9 +108,11 @@ def test_derived_quantities():
     p = 4.0 * cfg.ion.g**2 / (cfg.cavity.kappa * cfg.emitter.gamma0)
     assert math.isclose(p, 252.0, rel_tol=1e-12)
     assert cfg.zeeman.sum_g is None
-    assert cfg.ensemble.density == pytest.approx(3e-6 * 1.87e28)
+    assert cfg.ensemble.density == 3.0 * 1e-6 * YTTRIUM_SITE_DENSITY
 
-    dense = build_config({("ensemble", "density_per_m3"): "2.805e22"})
+    # a positive density_per_m3 leaves ppm unread
+    dense = build_config({("ensemble", "density_per_m3"): "2.805e22",
+                          ("ensemble", "ppm"): "-1"})
     assert dense.ensemble.density == 2.805e22
 
     # pure dephasing is the emitter's, in rad/s
@@ -206,25 +209,37 @@ def test_malformed_tuple_exits_2_naming_key(tmp_path, capsys, section, name,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text,flags,where", [
-    ("experiment = ple\n[scan]\nspan = 1 THz\nstep = 1 Hz\n", [],
+@pytest.mark.parametrize("text,where", [
+    ("experiment = ple\n[scan]\nspan = 1 THz\nstep = 1 Hz\n",
      "[scan] step"),
-    ("experiment = spin_t1\n", ["--temp-grid", "2:8:1e-12"],
+    ("experiment = spin_t1\n[spin_t1]\ntemp_grid = 2:8:1e-12 K\n",
      "[spin_t1] temp_grid"),
 ], ids=["scan", "temp_grid"])
 def test_oversized_grid_exits_2_naming_key(tmp_path, capsys, monkeypatch,
-                                           text, flags, where):
+                                           text, where):
     def refuse(*args, **kwargs):
         raise AssertionError("the grid was allocated")
 
     monkeypatch.setattr(np, "arange", refuse)
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    assert main(["run", str(path), *flags,
-                 "--output", str(tmp_path / "o")]) == 2
+    assert main(["run", str(path), "--output", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ")
     assert "more than 1,000,000" in err
+
+
+def test_non_positive_ppm_exits_2_naming_ppm(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment = ple\n[ensemble]\nppm = 0\n"
+                    "density_per_m3 = 0\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [ensemble] enabled, ppm, density_per_m3, ")
+    assert err.endswith(": ppm must be positive\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,name", sorted(COUNT_LIMITS),

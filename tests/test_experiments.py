@@ -485,7 +485,7 @@ def _loop_histograms(rng, points, pulses_per_point, n_bins, gate_factor):
 def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
                      pulses_per_point, seed, *, eta_total, dark_rate,
                      dead_time, n_bins, gate_factor):
-    detunings, ranks = experiments._point_grid(detunings_hz, "detunings")
+    detunings, by_rank = experiments._point_grid(detunings_hz, "detunings")
     gamma_fit = np.full(len(detunings), np.nan)
     gamma_err = np.full(len(detunings), np.nan)
     gamma_expected = np.empty(len(detunings))
@@ -494,7 +494,7 @@ def _per_point_sweep(ion, cavity, emitter, seq, detunings_hz,
                          dead_time=dead_time)
     points = [_loop_point(ion, cavity, emitter, seq, det, delta, gate_factor)
               for delta in detunings]
-    by_rank = np.argsort(ranks).tolist()
+    by_rank = by_rank.tolist()
     hists = _loop_histograms(np.random.default_rng(seed),
                              [points[k] for k in by_rank], pulses_per_point,
                              n_bins, gate_factor)
